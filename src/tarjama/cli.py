@@ -267,6 +267,9 @@ def _cmd_train(args):
         for s, t in dev.pairs
         if len(s) > 0
     ]
+    for path, kept in ((args.train_src, pairs), (args.dev_src, dev_pairs)):
+        if not kept:
+            raise CorpusError("%s: every source line is empty" % path)
     model = init_model(config)
     model, record = train_nmt(
         model, pairs, dev_pairs, epochs=args.epochs,
@@ -279,10 +282,13 @@ def _cmd_train(args):
             "tgt": os.path.basename(tgt_vocab_path),
         },
     )
-    print(
-        "best epoch %d, dev nll %.4f"
-        % (record.best_epoch, record.dev_nll[record.best_epoch - 1])
-    )
+    if record.best_epoch:
+        print(
+            "best epoch %d, dev nll %.4f"
+            % (record.best_epoch, record.dev_nll[record.best_epoch - 1])
+        )
+    else:
+        print("no epoch ran; saved the initial model")
     return 0
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..corpus import BOS_ID, EOS_ID
-from .model import encode, decoder_init, decode_step
+from .model import DecoderState, encode, decoder_init, decode_step
 
 
 def greedy_decode(model, src_ids, max_len=50):
@@ -23,44 +23,65 @@ def greedy_decode(model, src_ids, max_len=50):
     return out
 
 
+def _shortlist(totals, width):
+    """Indices of the width largest totals plus every total tied with
+    the smallest of them."""
+    if width >= len(totals):
+        return range(len(totals))
+    cut = len(totals) - width
+    return np.flatnonzero(totals >= np.partition(totals, cut)[cut])
+
+
 def beam_decode(model, src_ids, beam_width=12, max_len=50):
     """Beam search returning the best length-normalized hypothesis.
 
     Each step expands every live hypothesis over the whole vocabulary
     and keeps the top beam_width extensions by accumulated
-    log-probability.  Extensions emitting the sentence-end id retire to
-    a finished pool; the search stops once beam_width hypotheses have
-    finished or max_len steps have run.  The winner maximizes
-    log-probability divided by emitted token count, ties going to the
-    shorter output and then to lexicographically smaller ids.
+    log-probability, ties going to lexicographically smaller ids.
+    Extensions emitting the sentence-end id retire to a finished pool;
+    the search stops once beam_width hypotheses have finished or max_len
+    steps have run.  The winner maximizes log-probability divided by
+    emitted token count, ties going to the shorter output and then to
+    lexicographically smaller ids.
+
+    The live hypotheses are the rows of one decoder state, advanced by
+    one decode_step call per step.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     enc = encode(model, src_ids)
-    # A hypothesis is (ids including the leading BOS, summed log-prob,
-    # state ready to consume ids[-1]).
-    live = [((BOS_ID,), 0.0, decoder_init(model, enc))]
+    start = decoder_init(model, enc)
+    # Row i of state is ready to consume hyps[i][-1]; hyps hold the
+    # leading BOS, scores the summed log-probabilities.
+    state = DecoderState(start.z[None, :], start.alpha[None, :])
+    hyps = [(BOS_ID,)]
+    scores = np.zeros(1)
+    vocab = model.config.tgt_vocab_size
     finished = []
     for _ in range(max_len):
-        candidates = []
-        for ids, score, state in live:
-            new_state, logp = decode_step(model, state, ids[-1], enc)
-            for w, lp in enumerate(logp):
-                candidates.append((ids + (w,), score + lp, new_state))
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        live = []
-        for ids, score, state in candidates[:beam_width]:
-            if ids[-1] == EOS_ID:
-                finished.append((ids, score))
+        state, logp = decode_step(model, state, np.array([h[-1] for h in hyps]), enc)
+        totals = (scores[:, None] + logp).ravel()
+        best = sorted(_shortlist(totals, beam_width),
+                      key=lambda i: (-totals[i], hyps[i // vocab] + (i % vocab,)))
+        rows, live = [], []
+        for i in best[:beam_width]:
+            row, w = divmod(int(i), vocab)
+            ids = hyps[row] + (w,)
+            if w == EOS_ID:
+                finished.append((ids, totals[i]))
             else:
-                live.append((ids, score, state))
+                rows.append(row)
+                live.append((ids, totals[i]))
         if len(finished) >= beam_width or not live:
             break
+        hyps = [ids for ids, _ in live]
+        scores = np.array([score for _, score in live])
+        state = DecoderState(state.z[rows], state.alpha[rows])
     if finished:
         pool = [(ids[1:-1], score, len(ids) - 1) for ids, score in finished]
     else:
-        pool = [(ids[1:], score, len(ids) - 1) for ids, score, _ in live]
+        pool = [(ids[1:], score, len(ids) - 1) for ids, score in live]
     best = min(pool, key=lambda c: (-c[1] / c[2], len(c[0]), c[0]))
     return list(best[0])

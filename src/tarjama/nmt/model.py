@@ -1,10 +1,16 @@
-"""Attention encoder-decoder: parameters, forward passes, checkpoints.
+"""Attention encoder-decoder: parameters, forward and backward passes,
+checkpoints.
 
 Encoder is a stack of bidirectional GRU layers; each source position's
 annotation concatenates the top layer's forward and backward states.
 The decoder is a single GRU whose input concatenates the previous
 target embedding with an attention-weighted context vector, followed by
 an affine projection and log-softmax over the target vocabulary.
+
+The passes are plain numpy over padded minibatches, with gradients from
+hand-written backpropagation through time.  The autodiff tape in
+autodiff.py is not used here; the tests build the same model on it as
+the reference for these gradients.
 """
 
 import json
@@ -13,8 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ..corpus import BOS_ID, EOS_ID
-from . import autodiff as ad
+from ..corpus import BOS_ID, EOS_ID, PAD_ID
 
 _MAGIC = "nmt-checkpoint"
 
@@ -131,70 +136,342 @@ def init_model(config):
 class EncoderStates:
     annotations: np.ndarray  # (T, 2*enc_hidden)
     mask: np.ndarray  # (T,), 1.0 at real positions
+    keys: np.ndarray  # (T, attn_hidden): annotations @ att_Wh.T
 
 
 @dataclass
 class DecoderState:
-    z: np.ndarray  # (dec_hidden,)
+    # Either one state, or one row per hypothesis with a leading axis.
+    z: np.ndarray  # (dec_hidden,) or (k, dec_hidden)
     alpha: np.ndarray  # attention weights from the step that produced z
 
 
-def _wrap(params):
-    return {name: ad.Var(arr) for name, arr in params.items()}
+# ------------------------------------------------------------ numpy core
+#
+# Every pass runs on padded batches: sequences are time-major (T, B) id
+# matrices with {0,1} length masks.  Functions taking rows accept any
+# leading axes, so the same code serves a training batch, a beam of
+# hypotheses and a single state.
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
-def _gru_step(p, prefix, x, h):
-    # h' = u*h + (1-u)*htilde, so all-zero parameters keep a zero state.
-    u = ad.sigmoid(p[prefix + "_Wz"] @ x + p[prefix + "_Uz"] @ h + p[prefix + "_bz"])
-    r = ad.sigmoid(p[prefix + "_Wr"] @ x + p[prefix + "_Ur"] @ h + p[prefix + "_br"])
-    cand = ad.tanh(p[prefix + "_Wh"] @ x + p[prefix + "_Uh"] @ (r * h) + p[prefix + "_bh"])
-    return u * h + ad.one_minus(u) * cand
+def _log_softmax(x):
+    out = x - x.max(axis=-1, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
+    return out
 
 
-def _encode_graph(p, config, src_ids):
-    inputs = [ad.row(p["src_emb"], i) for i in src_ids]
-    n = len(inputs)
-    zero = ad.Var(np.zeros(config.enc_hidden))
+def _stack(params, prefix):
+    """One GRU's weights with the gates stacked z, r, h, so that one
+    matmul feeds several gates: (W, b, U for z and r, U for h)."""
+    return (
+        np.concatenate([params[prefix + "_W" + g] for g in "zrh"]),
+        np.concatenate([params[prefix + "_b" + g] for g in "zrh"]),
+        np.concatenate([params[prefix + "_Uz"], params[prefix + "_Ur"]]),
+        params[prefix + "_Uh"],
+    )
+
+
+def _gru_step(xp, h, U, Uh):
+    """One GRU step from the input projection xp (biases included).
+
+    h' = u*h + (1-u)*c, so all-zero parameters keep a zero state.
+    Returns h' and what backprop needs: gates [u, r], candidate c, r*h.
+    """
+    n = h.shape[-1]
+    gates = _sigmoid(xp[..., :2 * n] + h @ U.T)
+    rh = gates[..., n:] * h
+    c = np.tanh(xp[..., 2 * n:] + rh @ Uh.T)
+    u = gates[..., :n]
+    return u * h + (1.0 - u) * c, gates, c, rh
+
+
+def _gru_step_grad(dh_new, h, gates, c, rh, U, Uh):
+    """Backprop one GRU step: the gradient for the previous state and
+    for the stacked pre-activations [z, r, h]."""
+    n = h.shape[-1]
+    u, r = gates[..., :n], gates[..., n:]
+    dc = dh_new * (1.0 - u) * (1.0 - c * c)
+    drh = dc @ Uh
+    dgates = np.concatenate([dh_new * (h - c), drh * h], axis=-1)
+    dgates *= gates * (1.0 - gates)
+    dh = dh_new * u + drh * r + dgates @ U
+    return dh, np.concatenate([dgates, dc], axis=-1)
+
+
+def _gru_param_grads(grads, prefix, dpre, x, h_prev, rh):
+    """One GRU's weight gradients, summed over every (step, row), from
+    its stacked pre-activation gradients, inputs and previous states."""
+    n = h_prev.shape[-1]
+    dpre = dpre.reshape(-1, 3 * n)
+    dW = dpre.T @ x.reshape(len(dpre), -1)
+    dU = dpre[:, :2 * n].T @ h_prev.reshape(-1, n)
+    db = dpre.sum(axis=0)
+    for k, gate in enumerate("zrh"):
+        grads[prefix + "_W" + gate] = dW[k * n:(k + 1) * n]
+        grads[prefix + "_b" + gate] = db[k * n:(k + 1) * n]
+    grads[prefix + "_Uz"] = dU[:n]
+    grads[prefix + "_Ur"] = dU[n:]
+    grads[prefix + "_Uh"] = dpre[:, 2 * n:].T @ rh.reshape(-1, n)
+
+
+def _gru_layer(params, prefix, x, m, reverse):
+    """One GRU direction over time-major inputs x (S, B, in) and masks
+    m (S, B, 1).  A padded step carries the state through unchanged."""
+    W, b, U, Uh = _stack(params, prefix)
+    xp = x @ W.T + b
+    steps, rows = x.shape[:2]
+    n = Uh.shape[0]
+    out, h_prev, c, rh = (np.empty((steps, rows, n)) for _ in range(4))
+    gates = np.empty((steps, rows, 2 * n))
+    h = np.zeros((rows, n))
+    for t in reversed(range(steps)) if reverse else range(steps):
+        h_prev[t] = h
+        h_new, gates[t], c[t], rh[t] = _gru_step(xp[t], h, U, Uh)
+        h = out[t] = m[t] * h_new + (1.0 - m[t]) * h
+    return out, (h_prev, gates, c, rh)
+
+
+def _gru_layer_grad(params, prefix, x, m, reverse, saved, dout, grads):
+    """Backprop _gru_layer from the gradient of its outputs; fills the
+    GRU's parameter gradients and returns the gradient of x."""
+    W, _, U, Uh = _stack(params, prefix)
+    h_prev, gates, c, rh = saved
+    dpre = np.empty(gates.shape[:2] + (3 * Uh.shape[0],))
+    dh = np.zeros_like(dout[0])
+    for t in range(len(x)) if reverse else reversed(range(len(x))):
+        dh = dh + dout[t]
+        d_prev, dpre[t] = _gru_step_grad(
+            m[t] * dh, h_prev[t], gates[t], c[t], rh[t], U, Uh)
+        dh = d_prev + (1.0 - m[t]) * dh
+    _gru_param_grads(grads, prefix, dpre, x, h_prev, rh)
+    return dpre @ W
+
+
+def _encode(params, config, src, mask):
+    """Annotations (S, B, 2*enc_hidden) of time-major source ids, and
+    each layer's inputs and saved activations for backprop."""
+    x = params["src_emb"][src]
+    m = mask[:, :, None]
+    layers = []
     for layer in range(1, config.enc_layers + 1):
-        fw_prefix = "enc_l%d_fw" % layer
-        bw_prefix = "enc_l%d_bw" % layer
-        state = zero
-        forward = []
-        for t in range(n):
-            state = _gru_step(p, fw_prefix, inputs[t], state)
-            forward.append(state)
-        state = zero
-        backward = [None] * n
-        for t in reversed(range(n)):
-            state = _gru_step(p, bw_prefix, inputs[t], state)
-            backward[t] = state
-        inputs = [ad.concat(forward[t], backward[t]) for t in range(n)]
-    return ad.stack_rows(inputs)
+        fw, fw_saved = _gru_layer(params, "enc_l%d_fw" % layer, x, m, False)
+        bw, bw_saved = _gru_layer(params, "enc_l%d_bw" % layer, x, m, True)
+        layers.append((x, fw_saved, bw_saved))
+        x = np.concatenate([fw, bw], axis=2)
+    return x, layers
 
 
-def _init_graph(p, annotations):
-    return ad.tanh(p["init_W"] @ ad.mean_rows(annotations) + p["init_b"])
+def _init_state(params, annotations, mask):
+    """Decoder start state from the mean annotation over real positions;
+    also the uniform weights over those positions and the mean."""
+    weights = mask / mask.sum(axis=-1, keepdims=True)
+    mean = (weights[..., None] * annotations).sum(axis=-2)
+    z = np.tanh(mean @ params["init_W"].T + params["init_b"])
+    return z, weights, mean
 
 
-def _attend_graph(p, z, y_emb, annotations, mask):
-    base = p["att_Wz"] @ z + p["att_Wy"] @ y_emb + p["att_b"]
-    hidden = ad.tanh(annotations @ ad.transpose(p["att_Wh"]) + base)
-    scores = hidden @ p["att_v"]
-    alpha = ad.masked_softmax(scores, mask)
-    context = alpha @ annotations
+def _target_inputs(params, dec, y):
+    """Embeddings of target ids and their projections into the
+    attention query and the decoder gates (biases included)."""
+    emb = params["tgt_emb"][y]
+    e = emb.shape[-1]
+    W, b = dec[:2]
+    return emb, emb @ params["att_Wy"].T + params["att_b"], emb @ W[:, :e].T + b
+
+
+def _attention_hidden(params, keys, z, y_att):
+    """Attention MLP activations (..., S, attn_hidden) for states z and
+    projected target embeddings y_att."""
+    return np.tanh(keys + (z @ params["att_Wz"].T + y_att)[..., None, :])
+
+
+def _attend(params, keys, annotations, mask, z, y_att):
+    """Context vectors and weights for states z given projected target
+    embeddings y_att; softmax over the positions where mask is 1."""
+    hidden = _attention_hidden(params, keys, z, y_att)
+    scores = np.where(mask > 0, hidden @ params["att_v"], -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    context = (alpha[..., None, :] @ annotations)[..., 0, :]
     return context, alpha
 
 
-def _decode_graph(p, z, y_prev, annotations, mask, drop_mask=None):
-    y_emb = ad.row(p["tgt_emb"], y_prev)
-    context, alpha = _attend_graph(p, z, y_emb, annotations, mask)
-    z_new = _gru_step(p, "dec", ad.concat(y_emb, context), z)
-    out_in = z_new
-    if drop_mask is not None:
-        out_in = out_in * ad.Var(drop_mask)
-    logits = p["out_W"] @ out_in + p["out_b"]
-    return z_new, alpha, ad.log_softmax(logits)
+def _decoder_step(params, dec, keys, annotations, mask, z, y_att, y_gru):
+    """Attention, then the decoder GRU, for one target position."""
+    context, alpha = _attend(params, keys, annotations, mask, z, y_att)
+    e = params["tgt_emb"].shape[1]
+    W, _, U, Uh = dec
+    z_new, gates, c, rh = _gru_step(y_gru + context @ W[:, e:].T, z, U, Uh)
+    return z_new, (context, alpha, gates, c, rh)
 
+
+def _output(params, z):
+    return _log_softmax(z @ params["out_W"].T + params["out_b"])
+
+
+def _pad(seqs):
+    """Time-major (T, B) id matrix padded with PAD_ID, and its mask."""
+    ids = np.full((max(len(s) for s in seqs), len(seqs)), PAD_ID, dtype=np.intp)
+    mask = np.zeros(ids.shape)
+    for b, seq in enumerate(seqs):
+        ids[:len(seq), b] = seq
+        mask[:len(seq), b] = 1.0
+    return ids, mask
+
+
+def batch_forward(model, srcs, tgts, rng=None):
+    """Teacher-forced NLL of each (source, target) pair as one padded
+    batch.  Targets come wrapped in sentence markers.
+
+    With rng and a nonzero dropout rate, one inverted-dropout mask per
+    target step is drawn for the decoder output, example by example in
+    batch order.  Returns (losses (B,), saved); batch_backward(saved)
+    gives the gradient of the summed losses.
+    """
+    params, config = model.params, model.config
+    src, src_mask = _pad(srcs)
+    tgt, tgt_mask = _pad([t[:-1] for t in tgts])
+    y_out, _ = _pad([t[1:] for t in tgts])
+    enc, layers = _encode(params, config, src, src_mask)
+    annotations = np.ascontiguousarray(enc.transpose(1, 0, 2))
+    batch_mask = src_mask.T
+    z, weights, mean = _init_state(params, annotations, batch_mask)
+    keys = annotations @ params["att_Wh"].T
+    dec = _stack(params, "dec")
+    emb, y_att, y_gru = _target_inputs(params, dec, tgt)
+
+    steps, rows = tgt.shape
+    z_prev = np.empty((steps, rows, config.dec_hidden))
+    z_out = np.empty_like(z_prev)
+    acts = []
+    for t in range(steps):
+        z_prev[t] = z
+        z, step = _decoder_step(params, dec, keys, annotations, batch_mask,
+                                z, y_att[t], y_gru[t])
+        z_out[t] = z
+        acts.append(step)
+    context, alpha, gates, c, rh = (np.stack(a) for a in zip(*acts))
+
+    drop = None
+    if rng is not None and config.dropout_rate > 0.0:
+        keep = 1.0 - config.dropout_rate
+        drop = np.zeros_like(z_out)
+        for b, tgt_ids in enumerate(tgts):
+            n = len(tgt_ids) - 1
+            drop[:n, b] = (rng.random((n, config.dec_hidden)) >= config.dropout_rate) / keep
+    out_in = z_out if drop is None else z_out * drop
+    logp = _output(params, out_in)
+    picked = np.take_along_axis(logp, y_out[:, :, None], axis=2)[:, :, 0]
+    losses = -(picked * tgt_mask).sum(axis=0)
+    saved = dict(
+        model=model, src=src, src_mask=src_mask, layers=layers,
+        annotations=annotations, weights=weights, mean=mean, z0=z_prev[0],
+        keys=keys, tgt=tgt, tgt_mask=tgt_mask, y_out=y_out, emb=emb,
+        y_att=y_att, dec=dec, z_prev=z_prev, context=context, alpha=alpha,
+        gates=gates, c=c, rh=rh, drop=drop, out_in=out_in, logp=logp,
+    )
+    return losses, saved
+
+
+def batch_backward(saved):
+    """Gradient of the summed batch losses for every parameter, by
+    backpropagation through time over what batch_forward saved."""
+    s = saved
+    params, config = s["model"].params, s["model"].config
+    grads = {}
+    steps, rows = s["tgt"].shape
+    vocab, d, e = config.tgt_vocab_size, config.dec_hidden, config.embed_dim
+
+    # Output projection and log-softmax, every step at once.
+    dlogits = np.exp(s["logp"]) * s["tgt_mask"][:, :, None]
+    t_idx, b_idx = np.indices(s["y_out"].shape)
+    dlogits[t_idx, b_idx, s["y_out"]] -= s["tgt_mask"]
+    flat = dlogits.reshape(-1, vocab)
+    grads["out_W"] = flat.T @ s["out_in"].reshape(-1, d)
+    grads["out_b"] = flat.sum(axis=0)
+    dz_out = dlogits @ params["out_W"]
+    if s["drop"] is not None:
+        dz_out *= s["drop"]
+
+    # Decoder GRU and attention, back through time.  The attention
+    # activations, (B, S, attn_hidden) per step, are recomputed here
+    # rather than kept for every step.
+    W, _, U, Uh = s["dec"]
+    annotations, alpha, keys = s["annotations"], s["alpha"], s["keys"]
+    dpre = np.empty((steps, rows, 3 * d))
+    dcontext = np.empty_like(s["context"])
+    dquery = np.empty((steps, rows, config.attn_hidden))
+    dkeys = np.zeros_like(keys)
+    dv = np.zeros_like(params["att_v"])
+    dz = np.zeros((rows, d))
+    for t in reversed(range(steps)):
+        dz, dpre[t] = _gru_step_grad(dz + dz_out[t], s["z_prev"][t], s["gates"][t],
+                                     s["c"][t], s["rh"][t], U, Uh)
+        dcontext[t] = dpre[t] @ W[:, e:]
+        dalpha = (annotations @ dcontext[t][:, :, None])[:, :, 0]
+        dscores = alpha[t] * (dalpha - (dalpha * alpha[t]).sum(axis=1, keepdims=True))
+        hidden = _attention_hidden(params, keys, s["z_prev"][t], s["y_att"][t])
+        datt = (1.0 - hidden * hidden) * dscores[:, :, None]
+        dv += (dscores[:, None, :] @ hidden).sum(axis=0)[0]
+        dkeys += datt
+        dquery[t] = datt.sum(axis=1) * params["att_v"]
+        dz += dquery[t] @ params["att_Wz"]
+
+    _gru_param_grads(grads, "dec", dpre,
+                     np.concatenate([s["emb"], s["context"]], axis=2),
+                     s["z_prev"], s["rh"])
+    flat_q = dquery.reshape(-1, config.attn_hidden)
+    grads["att_Wz"] = flat_q.T @ s["z_prev"].reshape(-1, d)
+    grads["att_Wy"] = flat_q.T @ s["emb"].reshape(-1, e)
+    grads["att_b"] = flat_q.sum(axis=0)
+    grads["att_v"] = dv
+    dkeys *= params["att_v"]
+    ann_dim = annotations.shape[2]
+    grads["att_Wh"] = (dkeys.reshape(-1, config.attn_hidden).T
+                       @ annotations.reshape(-1, ann_dim))
+    dann = dkeys @ params["att_Wh"] + np.einsum("tbs,tbk->bsk", alpha, dcontext)
+    demb = dpre @ W[:, :e] + dquery @ params["att_Wy"]
+    grads["tgt_emb"] = np.zeros_like(params["tgt_emb"])
+    np.add.at(grads["tgt_emb"], s["tgt"], demb)
+
+    # Initial state from the mean annotation.
+    dinit = dz * (1.0 - s["z0"] * s["z0"])
+    grads["init_W"] = dinit.T @ s["mean"]
+    grads["init_b"] = dinit.sum(axis=0)
+    dann += s["weights"][:, :, None] * (dinit @ params["init_W"])[:, None, :]
+
+    # Encoder layers, top down.
+    dx = dann.transpose(1, 0, 2)
+    m = s["src_mask"][:, :, None]
+    h = config.enc_hidden
+    for layer in reversed(range(1, config.enc_layers + 1)):
+        x, fw_saved, bw_saved = s["layers"][layer - 1]
+        dx = (_gru_layer_grad(params, "enc_l%d_fw" % layer, x, m, False,
+                              fw_saved, dx[..., :h], grads)
+              + _gru_layer_grad(params, "enc_l%d_bw" % layer, x, m, True,
+                                bw_saved, dx[..., h:], grads))
+    grads["src_emb"] = np.zeros_like(params["src_emb"])
+    np.add.at(grads["src_emb"], s["src"], dx)
+    return grads
+
+
+def l2_penalty(model, grads):
+    """Add the gradient of l2_coeff * sum of squared parameters to grads
+    in place, and return the penalty."""
+    coeff = model.config.l2_coeff
+    if coeff == 0.0:
+        return 0.0
+    total = 0.0
+    for name, arr in model.params.items():
+        total += float((arr * arr).sum())
+        grads[name] += 2.0 * coeff * arr
+    return coeff * total
+
+
+# ------------------------------------------------------------ public API
 
 def _check_ids(ids, vocab_size, side):
     if len(ids) == 0:
@@ -205,7 +482,12 @@ def _check_ids(ids, vocab_size, side):
 
 
 def encode(model, src_ids, mask=None):
-    """Annotation matrix for a source id sequence."""
+    """Annotation matrix for a source id sequence.
+
+    mask marks real positions with 1 and padding with 0: a padded
+    position carries the encoder state through, and the decoder start
+    state and attention see only real positions.
+    """
     _check_ids(src_ids, model.config.src_vocab_size, "source")
     if mask is None:
         mask = np.ones(len(src_ids))
@@ -213,46 +495,55 @@ def encode(model, src_ids, mask=None):
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != (len(src_ids),):
             raise ValueError("mask length does not match source length")
+        if not np.isin(mask, (0.0, 1.0)).all():
+            raise ValueError("mask must hold only 0 and 1")
         if mask.sum() == 0:
             raise ValueError("mask leaves no live source position")
-    annotations = _encode_graph(_wrap(model.params), model.config, src_ids)
-    return EncoderStates(annotations.value, mask)
+    enc, _ = _encode(model.params, model.config,
+                     np.asarray(src_ids, dtype=np.intp)[:, None], mask[:, None])
+    annotations = enc[:, 0, :]
+    return EncoderStates(annotations, mask, annotations @ model.params["att_Wh"].T)
 
 
 def decoder_init(model, enc):
     """Initial decoder state: tanh projection of the mean annotation."""
-    z = _init_graph(_wrap(model.params), ad.Var(enc.annotations))
-    return DecoderState(z.value, enc.mask / enc.mask.sum())
+    z, weights, _ = _init_state(model.params, enc.annotations, enc.mask)
+    return DecoderState(z, weights)
 
 
 def attend(model, state, y_emb, enc):
     """Context vector and attention weights for one query."""
-    context, alpha = _attend_graph(
-        _wrap(model.params),
-        ad.Var(state.z),
-        ad.Var(y_emb),
-        ad.Var(enc.annotations),
-        enc.mask,
-    )
-    return context.value, alpha.value
+    p = model.params
+    y_att = y_emb @ p["att_Wy"].T + p["att_b"]
+    return _attend(p, enc.keys, enc.annotations, enc.mask, state.z, y_att)
 
 
 def decode_step(model, state, y_prev, enc):
     """Advance the decoder by one target position.
 
     Returns the new state and the full log-probability vector over the
-    target vocabulary.
+    target vocabulary.  With a leading row axis (state.z of shape
+    (k, dec_hidden) and y_prev an int array of k ids) every row advances
+    at once against the same source, and log-probabilities are (k, V).
     """
-    if not 0 <= y_prev < model.config.tgt_vocab_size:
-        raise ValueError("target id %d out of range" % y_prev)
-    z_new, alpha, logp = _decode_graph(
-        _wrap(model.params),
-        ad.Var(state.z),
-        y_prev,
-        ad.Var(enc.annotations),
-        enc.mask,
-    )
-    return DecoderState(z_new.value, alpha.value), logp.value
+    y = np.asarray(y_prev)
+    if y.size and not (0 <= y.min() and y.max() < model.config.tgt_vocab_size):
+        bad = y.min() if y.min() < 0 else y.max()
+        raise ValueError("target id %d out of range" % bad)
+    single = y.ndim == 0
+    z = np.atleast_2d(state.z)
+    y = y.reshape(-1)
+    if z.shape[0] != len(y):
+        raise ValueError("state has %d rows but %d target ids" % (z.shape[0], len(y)))
+    p = model.params
+    dec = _stack(p, "dec")
+    _, y_att, y_gru = _target_inputs(p, dec, y)
+    z_new, (_, alpha, *_) = _decoder_step(p, dec, enc.keys, enc.annotations,
+                                          enc.mask, z, y_att, y_gru)
+    logp = _output(p, z_new)
+    if single:
+        return DecoderState(z_new[0], alpha[0]), logp[0]
+    return DecoderState(z_new, alpha), logp
 
 
 def _check_target(tgt_ids):
@@ -260,28 +551,6 @@ def _check_target(tgt_ids):
         raise ValueError(
             "target must be wrapped in sentence markers and non-empty"
         )
-
-
-def _nll_graph(p, config, src_ids, tgt_ids, drop_masks=None):
-    annotations = _encode_graph(p, config, src_ids)
-    mask = np.ones(len(src_ids))
-    z = _init_graph(p, annotations)
-    loss = None
-    for t in range(1, len(tgt_ids)):
-        drop = drop_masks[t - 1] if drop_masks is not None else None
-        z, _, logp = _decode_graph(p, z, tgt_ids[t - 1], annotations, mask, drop)
-        term = -ad.pick(logp, tgt_ids[t])
-        loss = term if loss is None else loss + term
-    return loss
-
-
-def _dropout_masks(config, steps, rng):
-    keep = 1.0 - config.dropout_rate
-    # Inverted scaling: expected activation is unchanged.
-    return [
-        (rng.random(config.dec_hidden) >= config.dropout_rate) / keep
-        for _ in range(steps)
-    ]
 
 
 def sequence_loss(model, src_ids, tgt_ids, dropout=False, rng=None):
@@ -294,25 +563,12 @@ def sequence_loss(model, src_ids, tgt_ids, dropout=False, rng=None):
     _check_ids(src_ids, config.src_vocab_size, "source")
     _check_target(tgt_ids)
     _check_ids(tgt_ids, config.tgt_vocab_size, "target")
-    drop_masks = None
-    if dropout and config.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("dropout needs an explicit rng")
-        drop_masks = _dropout_masks(config, len(tgt_ids) - 1, rng)
-    p = _wrap(model.params)
-    loss = _nll_graph(p, config, src_ids, tgt_ids, drop_masks)
-    if config.l2_coeff > 0.0:
-        penalty = None
-        for var in p.values():
-            term = ad.sumsq(var)
-            penalty = term if penalty is None else penalty + term
-        loss = loss + ad.Var(config.l2_coeff) * penalty
-    loss.backward()
-    grads = {
-        name: (var.grad if var.grad is not None else np.zeros_like(var.value))
-        for name, var in p.items()
-    }
-    return float(loss.value), grads
+    if dropout and config.dropout_rate > 0.0 and rng is None:
+        raise ValueError("dropout needs an explicit rng")
+    losses, saved = batch_forward(model, [src_ids], [tgt_ids],
+                                  rng if dropout else None)
+    grads = batch_backward(saved)
+    return float(losses[0]) + l2_penalty(model, grads), grads
 
 
 def save_model(model, path, vocab_files=None):
@@ -367,11 +623,14 @@ def load_model(path):
         handle.seek(8 + length)
         data = handle.read()
     params = {}
+    spans = []
     for entry in header["tensors"]:
         name = entry["name"]
         shape = tuple(entry["shape"])
         if name not in expected:
             raise ValueError("%s: unknown tensor %s" % (path, name))
+        if name in params:
+            raise ValueError("%s: duplicate tensor %s" % (path, name))
         if shape != expected[name]:
             raise ValueError(
                 "%s: tensor %s has shape %s, config requires %s"
@@ -379,9 +638,21 @@ def load_model(path):
             )
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if not isinstance(start, int) or start < 0:
+            raise ValueError("%s: tensor %s has invalid offset %r" % (path, name, start))
         end = start + 8 * count
         if end > len(data):
             raise ValueError("%s: tensor %s runs past end of file" % (path, name))
         arr = np.frombuffer(data[start:end], dtype="<f8").reshape(shape)
         params[name] = arr.astype(np.float64)
+        spans.append((start, end, name))
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise ValueError("%s: tensors %s and %s overlap" % (path, first, second))
+    last = spans[-1][1] if spans else 0
+    if last < len(data):
+        raise ValueError(
+            "%s: %d trailing bytes after the last tensor" % (path, len(data) - last)
+        )
     return NmtModel(config, params)

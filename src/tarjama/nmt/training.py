@@ -6,11 +6,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corpus import BOS_ID, EOS_ID
-from . import autodiff as ad
-from .model import NmtModel, _wrap, _nll_graph, _dropout_masks
+from .model import NmtModel, batch_backward, batch_forward, l2_penalty
 from .optimizer import AdadeltaState, adadelta_step
 
 log = logging.getLogger(__name__)
+
+# Pairs per forward pass when scoring a corpus: the default training
+# batch size.  The saved activations grow with batch size times
+# sequence lengths.
+_EVAL_BATCH = 16
 
 
 @dataclass
@@ -38,11 +42,13 @@ def _wrap_target(tgt):
 
 
 def _corpus_nll(model, pairs):
-    p = _wrap(model.params)
     total = 0.0
-    for src, tgt in pairs:
-        loss = _nll_graph(p, model.config, tuple(src), _wrap_target(tgt))
-        total += float(loss.value)
+    for start in range(0, len(pairs), _EVAL_BATCH):
+        chunk = pairs[start:start + _EVAL_BATCH]
+        losses = batch_forward(model, [src for src, _ in chunk],
+                               [_wrap_target(tgt) for _, tgt in chunk])[0]
+        for loss in losses:
+            total += float(loss)
     return total / len(pairs)
 
 
@@ -54,8 +60,9 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3,
     here.  Batch gradients are summed over examples, with the L2 term
     contributed once per batch.  Training stops after `patience`
     consecutive epochs without a strict dev improvement, or at `epochs`.
-    The RNG driving shuffling and dropout is seeded from the config, so
-    a rerun reproduces the trajectory exactly.
+    A non-finite training or dev loss raises RuntimeError.  The RNG
+    driving shuffling and dropout is seeded from the config, so a rerun
+    reproduces the trajectory exactly.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -83,28 +90,21 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3,
         epoch_nll = 0.0
         for start in range(0, len(order), batch_size):
             batch = [train_pairs[i] for i in order[start:start + batch_size]]
-            grads = {name: np.zeros_like(arr) for name, arr in current.params.items()}
-            p = _wrap(current.params)
-            for src, tgt in batch:
-                tgt_ids = _wrap_target(tgt)
-                masks = None
-                if config.dropout_rate > 0.0:
-                    masks = _dropout_masks(config, len(tgt_ids) - 1, rng)
-                loss = _nll_graph(p, config, tuple(src), tgt_ids, masks)
-                if not np.isfinite(loss.value):
-                    raise RuntimeError("training diverged: non-finite loss")
-                epoch_nll += float(loss.value)
-                loss.backward()
-                for name, var in p.items():
-                    if var.grad is not None:
-                        grads[name] += var.grad
-                        var.grad = None
-            if config.l2_coeff > 0.0:
-                for name, arr in current.params.items():
-                    grads[name] += 2.0 * config.l2_coeff * arr
+            losses, saved = batch_forward(
+                current, [src for src, _ in batch],
+                [_wrap_target(tgt) for _, tgt in batch], rng)
+            if not np.isfinite(losses).all():
+                raise RuntimeError("training diverged: non-finite loss")
+            for loss in losses:
+                epoch_nll += float(loss)
+            grads = batch_backward(saved)
+            del saved  # free the activations before the next batch's
+            l2_penalty(current, grads)
             adadelta_step(current.params, grads, state, rho, epsilon)
         record.train_nll.append(epoch_nll / len(train_pairs))
         dev = _corpus_nll(current, dev_pairs)
+        if not np.isfinite(dev):
+            raise RuntimeError("training diverged: dev nll is %r at epoch %d" % (dev, epoch))
         record.dev_nll.append(dev)
         log.info("epoch %d: train nll %.4f, dev nll %.4f",
                  epoch, record.train_nll[-1], dev)

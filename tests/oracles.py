@@ -5,12 +5,17 @@ direct way available: the subword learner recounts pair statistics from
 scratch every round, the language model probabilities come straight from
 the recursive definition over raw occurrence scans, BLEU is the textbook
 formula, and the network forward passes are plain numpy with no tape.
-Slow is fine; shared code with the package is not.
+Slow is fine; shared code with the package is not, with one exception:
+the reference gradients come from the package's autodiff tape, which
+the model itself does not use.
 """
 
 import math
 
 import numpy as np
+
+from tarjama.corpus import BOS_ID, EOS_ID
+from tarjama.nmt import autodiff as ad
 
 BOS = "<s>"
 EOS = "</s>"
@@ -247,3 +252,155 @@ def nll_forward(params, config, src_ids, wrapped_tgt, l2_coeff=0.0):
             float((arr * arr).sum()) for arr in params.values()
         )
     return loss
+
+
+# ------------------------------------------------------------ tape model
+#
+# The per-sentence model built on the autodiff tape: one vector-matrix
+# product per operation, gradients by the tape's reverse sweep.  It is
+# the reference for the batched numpy passes and their hand-written
+# backpropagation, and the source of the reference beam search below.
+
+def _wrap(params):
+    return {name: ad.Var(arr) for name, arr in params.items()}
+
+
+def _gru_step(p, prefix, x, h):
+    u = ad.sigmoid(p[prefix + "_Wz"] @ x + p[prefix + "_Uz"] @ h + p[prefix + "_bz"])
+    r = ad.sigmoid(p[prefix + "_Wr"] @ x + p[prefix + "_Ur"] @ h + p[prefix + "_br"])
+    cand = ad.tanh(p[prefix + "_Wh"] @ x + p[prefix + "_Uh"] @ (r * h) + p[prefix + "_bh"])
+    return u * h + ad.one_minus(u) * cand
+
+
+def _encode_graph(p, config, src_ids):
+    inputs = [ad.row(p["src_emb"], i) for i in src_ids]
+    n = len(inputs)
+    zero = ad.Var(np.zeros(config.enc_hidden))
+    for layer in range(1, config.enc_layers + 1):
+        fw_prefix = "enc_l%d_fw" % layer
+        bw_prefix = "enc_l%d_bw" % layer
+        state = zero
+        forward = []
+        for t in range(n):
+            state = _gru_step(p, fw_prefix, inputs[t], state)
+            forward.append(state)
+        state = zero
+        backward = [None] * n
+        for t in reversed(range(n)):
+            state = _gru_step(p, bw_prefix, inputs[t], state)
+            backward[t] = state
+        inputs = [ad.concat(forward[t], backward[t]) for t in range(n)]
+    return ad.stack_rows(inputs)
+
+
+def _init_graph(p, annotations):
+    return ad.tanh(p["init_W"] @ ad.mean_rows(annotations) + p["init_b"])
+
+
+def _attend_graph(p, z, y_emb, annotations, mask):
+    base = p["att_Wz"] @ z + p["att_Wy"] @ y_emb + p["att_b"]
+    hidden = ad.tanh(annotations @ ad.transpose(p["att_Wh"]) + base)
+    scores = hidden @ p["att_v"]
+    alpha = ad.masked_softmax(scores, mask)
+    context = alpha @ annotations
+    return context, alpha
+
+
+def _decode_graph(p, z, y_prev, annotations, mask, drop_mask=None):
+    y_emb = ad.row(p["tgt_emb"], y_prev)
+    context, alpha = _attend_graph(p, z, y_emb, annotations, mask)
+    z_new = _gru_step(p, "dec", ad.concat(y_emb, context), z)
+    out_in = z_new
+    if drop_mask is not None:
+        out_in = out_in * ad.Var(drop_mask)
+    logits = p["out_W"] @ out_in + p["out_b"]
+    return z_new, alpha, ad.log_softmax(logits)
+
+
+def _nll_graph(p, config, src_ids, tgt_ids, drop_masks=None):
+    annotations = _encode_graph(p, config, src_ids)
+    mask = np.ones(len(src_ids))
+    z = _init_graph(p, annotations)
+    loss = None
+    for t in range(1, len(tgt_ids)):
+        drop = drop_masks[t - 1] if drop_masks is not None else None
+        z, _, logp = _decode_graph(p, z, tgt_ids[t - 1], annotations, mask, drop)
+        term = -ad.pick(logp, tgt_ids[t])
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def _dropout_masks(config, steps, rng):
+    keep = 1.0 - config.dropout_rate
+    # Inverted scaling: expected activation is unchanged.
+    return [
+        (rng.random(config.dec_hidden) >= config.dropout_rate) / keep
+        for _ in range(steps)
+    ]
+
+
+def tape_batch_loss(model, srcs, tgts, rng=None):
+    """Per-example losses of wrapped targets and the per-example sum of
+    their tape gradients.  With rng and a nonzero dropout rate, masks
+    are drawn example by example in batch order."""
+    config = model.config
+    p = _wrap(model.params)
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    losses = []
+    for src, tgt in zip(srcs, tgts):
+        masks = None
+        if rng is not None and config.dropout_rate > 0.0:
+            masks = _dropout_masks(config, len(tgt) - 1, rng)
+        loss = _nll_graph(p, config, tuple(src), tuple(tgt), masks)
+        losses.append(float(loss.value))
+        loss.backward()
+        for name, var in p.items():
+            if var.grad is not None:
+                grads[name] += var.grad
+                var.grad = None
+    return losses, grads
+
+
+def tuple_beam_decode(step, start, beam_width, max_len):
+    """Beam search over Python tuples, fully sorting beam x V candidates
+    at every step; step(state, prev_id) -> (state, log-probabilities)
+    advances one hypothesis."""
+    # A hypothesis is (ids including the leading BOS, summed log-prob,
+    # state ready to consume ids[-1]).
+    live = [((BOS_ID,), 0.0, start)]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for ids, score, state in live:
+            new_state, logp = step(state, ids[-1])
+            for w, lp in enumerate(logp):
+                candidates.append((ids + (w,), score + lp, new_state))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for ids, score, state in candidates[:beam_width]:
+            if ids[-1] == EOS_ID:
+                finished.append((ids, score))
+            else:
+                live.append((ids, score, state))
+        if len(finished) >= beam_width or not live:
+            break
+    if finished:
+        pool = [(ids[1:-1], score, len(ids) - 1) for ids, score in finished]
+    else:
+        pool = [(ids[1:], score, len(ids) - 1) for ids, score, _ in live]
+    best = min(pool, key=lambda c: (-c[1] / c[2], len(c[0]), c[0]))
+    return list(best[0])
+
+
+def tape_beam_decode(model, src_ids, beam_width, max_len):
+    """tuple_beam_decode with each hypothesis decoded on its own on the
+    tape."""
+    p = _wrap(model.params)
+    annotations = _encode_graph(p, model.config, src_ids)
+    mask = np.ones(len(src_ids))
+
+    def step(state, prev):
+        new_state, _, logp = _decode_graph(p, state, prev, annotations, mask)
+        return new_state, logp.value
+
+    return tuple_beam_decode(step, _init_graph(p, annotations), beam_width, max_len)

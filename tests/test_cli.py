@@ -3,11 +3,13 @@ import json
 import os
 import types
 
+import numpy as np
 import pytest
 
 from tarjama.cli import _exit_code, main
 from tarjama.corpus import CorpusError, Vocab
 from tarjama.ngram import ArpaError, lm_read_arpa, lm_score_set
+from tarjama.nmt import init_model, load_model
 from tarjama.pipeline import PipelineError
 
 
@@ -285,6 +287,28 @@ def test_translate_without_vocab_hints_exits_one(tmp_path):
     write(test_in, ["aa"])
     # The named vocabulary file is gone: a data problem.
     assert main(["translate", str(test_in), "--model", str(ckpt)]) == 2
+
+
+def test_train_zero_epochs_saves_initial_model(tmp_path, capsys):
+    src, tgt, dev_src, dev_tgt = tiny_parallel(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    dims = TRAIN_DIMS[:TRAIN_DIMS.index("--epochs")] + ["--epochs", "0"]
+    assert main(["train", "--train-src", str(src), "--train-tgt", str(tgt),
+                 "--dev-src", str(dev_src), "--dev-tgt", str(dev_tgt),
+                 "-o", str(ckpt), "--seed", "4"] + dims) == 0
+    assert "no epoch ran" in capsys.readouterr().out
+    model = load_model(str(ckpt))
+    want = init_model(model.config)
+    for name, arr in want.params.items():
+        assert np.array_equal(model.params[name], arr)
+
+
+def test_train_with_only_empty_sources_exits_two(tmp_path):
+    src, tgt, dev_src, dev_tgt = tiny_parallel(tmp_path)
+    write(src, [""] * 18)
+    assert main(["train", "--train-src", str(src), "--train-tgt", str(tgt),
+                 "--dev-src", str(dev_src), "--dev-tgt", str(dev_tgt),
+                 "-o", str(tmp_path / "model.ckpt")] + TRAIN_DIMS) == 2
 
 
 # ------------------------------------------------------------------- bleu

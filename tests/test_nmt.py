@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 import oracles
 from tarjama import nmt
 from tarjama.corpus import BOS_ID, EOS_ID
+from tarjama.nmt import decoding as nmt_decoding
 from tarjama.nmt import training as nmt_training
-from tarjama.nmt.model import read_header
+from tarjama.nmt.model import (_gru_layer, _gru_layer_grad, batch_backward,
+                               batch_forward, read_header)
 
 
 def tiny_config(**kwargs):
@@ -262,6 +266,117 @@ def test_gradients_match_finite_differences_spot_check():
         assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) <= 1e-4, name
 
 
+def random_batch(rng, config, size):
+    """Padded-batch material: sources of 1-6 ids, wrapped targets of
+    0-5 content ids, always including a length-1 source and an empty
+    target."""
+    srcs, tgts = [], []
+    for k in range(size):
+        n_src = 1 if k == 0 else int(rng.integers(1, 7))
+        n_tgt = 0 if k == 1 else int(rng.integers(0, 6))
+        srcs.append([int(x) for x in rng.integers(0, config.src_vocab_size, n_src)])
+        content = rng.integers(0, config.tgt_vocab_size, n_tgt)
+        tgts.append((BOS_ID,) + tuple(int(x) for x in content) + (EOS_ID,))
+    order = rng.permutation(size)
+    return [srcs[i] for i in order], [tgts[i] for i in order]
+
+
+@pytest.mark.parametrize("enc_layers", [1, 2])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.4])
+def test_batch_gradient_matches_tape_per_example_sum(enc_layers, dropout_rate):
+    config = tiny_config(enc_layers=enc_layers, dropout_rate=dropout_rate)
+    rng = np.random.default_rng(enc_layers * 10 + int(dropout_rate * 10))
+    for trial in range(3):
+        model = randomized_model(config, scale=0.6, seed=trial)
+        srcs, tgts = random_batch(rng, config, size=int(rng.integers(2, 6)))
+        losses, saved = batch_forward(model, srcs, tgts,
+                                      rng=np.random.default_rng(trial))
+        grads = batch_backward(saved)
+        want_losses, want_grads = oracles.tape_batch_loss(
+            model, srcs, tgts, rng=np.random.default_rng(trial))
+        assert np.max(np.abs(losses - want_losses)) <= 1e-10
+        assert set(grads) == set(model.params)
+        for name, g in grads.items():
+            assert g.shape == model.params[name].shape
+            assert np.max(np.abs(g - want_grads[name])) <= 1e-10, name
+
+
+def test_batch_losses_are_padding_invariant():
+    rng = np.random.default_rng(12)
+    for layers in (1, 2):
+        config = tiny_config(enc_layers=layers)
+        model = randomized_model(config, scale=0.8, seed=layers)
+        srcs, tgts = random_batch(rng, config, size=6)
+        losses, _ = batch_forward(model, srcs, tgts)
+        for k, (src, tgt) in enumerate(zip(srcs, tgts)):
+            alone, _ = batch_forward(model, [src], [tgt])
+            assert abs(losses[k] - alone[0]) <= 1e-12
+
+
+def test_decode_step_rows_match_single_steps():
+    config = tiny_config()
+    model = randomized_model(config)
+    enc = nmt.encode(model, [4, 6, 5, 1])
+    start = nmt.decoder_init(model, enc)
+    rows = nmt.DecoderState(np.stack([start.z] * 3), np.stack([start.alpha] * 3))
+    rows, _ = nmt.decode_step(model, rows, np.array([BOS_ID] * 3), enc)
+    prev = np.array([4, 0, 5])
+    new_rows, logp = nmt.decode_step(model, rows, prev, enc)
+    assert logp.shape == (3, config.tgt_vocab_size)
+    for k in range(3):
+        one = nmt.DecoderState(rows.z[k], rows.alpha[k])
+        state, want = nmt.decode_step(model, one, int(prev[k]), enc)
+        assert np.allclose(new_rows.z[k], state.z, atol=1e-14)
+        assert np.allclose(new_rows.alpha[k], state.alpha, atol=1e-14)
+        assert np.allclose(logp[k], want, atol=1e-14)
+    with pytest.raises(ValueError):
+        nmt.decode_step(model, rows, np.array([4, 99, 5]), enc)
+    with pytest.raises(ValueError):
+        nmt.decode_step(model, rows, np.array([4, 5]), enc)
+
+
+def test_gru_layer_gradient_crosses_masked_steps():
+    # Masks with holes: state and gradient both pass through a 0 step.
+    config = tiny_config()
+    params = randomized_model(config).params
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, 2, config.embed_dim))
+    m = np.array([[1, 1], [0, 1], [1, 0], [0, 1], [1, 1]], float)[:, :, None]
+    weights = rng.normal(size=(5, 2, config.enc_hidden))
+
+    def objective(inputs, reverse):
+        out, _ = _gru_layer(params, "enc_l1_fw", inputs, m, reverse)
+        return float((weights * out).sum())
+
+    for reverse in (False, True):
+        _, saved = _gru_layer(params, "enc_l1_fw", x, m, reverse)
+        dx = _gru_layer_grad(params, "enc_l1_fw", x, m, reverse, saved,
+                             weights, {})
+        for idx in np.ndindex(x.shape):
+            bumped = x.copy()
+            bumped[idx] += 1e-6
+            lowered = x.copy()
+            lowered[idx] -= 1e-6
+            fd = (objective(bumped, reverse) - objective(lowered, reverse)) / 2e-6
+            assert abs(fd - dx[idx]) <= 1e-7
+
+
+def test_encode_mask_carries_state_over_padding():
+    # A padded tail changes nothing the decoder can see.
+    config = tiny_config()
+    model = randomized_model(config)
+    short = nmt.encode(model, [4, 6, 5])
+    padded = nmt.encode(model, [4, 6, 5, 0, 0], mask=[1, 1, 1, 0, 0])
+    assert np.allclose(padded.annotations[:3], short.annotations, atol=1e-14)
+    a, b = nmt.decoder_init(model, short), nmt.decoder_init(model, padded)
+    assert np.allclose(a.z, b.z, atol=1e-14)
+    _, logp_a = nmt.decode_step(model, a, BOS_ID, short)
+    _, logp_b = nmt.decode_step(model, b, BOS_ID, padded)
+    assert np.allclose(logp_a, logp_b, atol=1e-14)
+    with pytest.raises(ValueError):
+        nmt.encode(model, [4, 5], mask=[1.0, 0.5])
+
+
 # -------------------------------------------------------------- optimizer
 
 def test_adadelta_first_step_frozen_value():
@@ -421,6 +536,13 @@ def test_train_raises_on_divergence():
             nmt.train_nmt(model, [((4, 5), (4,))], [((4,), (4,))], epochs=1)
 
 
+def test_train_raises_on_nan_dev_loss(monkeypatch):
+    monkeypatch.setattr(nmt_training, "_corpus_nll", lambda model, pairs: math.nan)
+    pairs = copy_pairs(np.random.default_rng(6), 4, vocab=6)
+    with pytest.raises(RuntimeError, match="training diverged"):
+        nmt.train_nmt(randomized_model(tiny_config()), pairs, pairs, epochs=3)
+
+
 # --------------------------------------------------------------- decoding
 
 def test_beam_width_one_equals_greedy():
@@ -470,6 +592,59 @@ def test_beam_never_beats_exhaustive_bound():
         assert out == want
         total, steps = force_score(model, enc, out)
         assert math.isclose(total / steps, bound, rel_tol=1e-12)
+
+
+def test_beam_matches_tuple_sorting_oracle():
+    rng = np.random.default_rng(41)
+    vocab = 6
+    models = [randomized_model(tiny_config(seed=s, enc_layers=1 + s % 2),
+                               scale=0.9, seed=s) for s in range(3)]
+    # With a zero output matrix the log-probabilities ignore the state:
+    # all equal when the bias is zero, and otherwise equal in sum for
+    # reorderings of the same ids.  Either way, exact ties leave the
+    # choice to the (-score, ids) order.
+    for bias_scale in (0.0, 1.0):
+        flat = randomized_model(tiny_config(seed=7), seed=7)
+        flat.params["out_W"][...] = 0.0
+        flat.params["out_b"][...] = rng.uniform(-bias_scale, bias_scale, vocab)
+        models.append(flat)
+    for model in models:
+        src = [int(x) for x in rng.integers(0, 7, size=int(rng.integers(1, 5)))]
+        for width in range(1, 2 * vocab + 1):
+            max_len = int(rng.integers(1, 6))
+            want = oracles.tape_beam_decode(model, src, width, max_len)
+            assert nmt.beam_decode(model, src, beam_width=width,
+                                   max_len=max_len) == want, (width, max_len)
+
+
+def test_beam_tie_order_matches_oracle(monkeypatch):
+    # Scripted integer log-probabilities that depend on the whole
+    # history: totals tie exactly and often, across rows whose order
+    # differs from their ids' order.
+    def scripted(code, vocab):
+        return -((code[..., None] * 31 + np.arange(vocab) * 7) % 4).astype(float)
+
+    def rows_step(model, state, prev, enc):
+        vocab = model.config.tgt_vocab_size
+        code = state.z[:, 0] * vocab + prev + 1
+        return nmt.DecoderState(code[:, None], state.alpha), scripted(code, vocab)
+
+    monkeypatch.setattr(nmt_decoding, "encode", lambda model, src: None)
+    monkeypatch.setattr(nmt_decoding, "decoder_init",
+                        lambda model, enc: nmt.DecoderState(np.zeros(1), np.ones(1)))
+    monkeypatch.setattr(nmt_decoding, "decode_step", rows_step)
+    for vocab in (4, 5, 6):
+        model = randomized_model(tiny_config(tgt_vocab_size=vocab))
+
+        def oracle_step(code, prev):
+            code = code * vocab + prev + 1
+            return code, scripted(np.asarray(code), vocab)
+
+        for width in range(1, 2 * vocab + 1):
+            for max_len in range(1, 6):
+                want = oracles.tuple_beam_decode(oracle_step, 0.0, width, max_len)
+                assert nmt.beam_decode(model, [4], beam_width=width,
+                                       max_len=max_len) == want, (vocab, width, max_len)
 
 
 def test_eos_peaked_model_yields_empty_output():
@@ -527,3 +702,42 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "cut.ckpt").write_bytes(data[:-16])
     with pytest.raises(ValueError, match="runs past"):
         nmt.load_model(str(tmp_path / "cut.ckpt"))
+
+
+def _rewrite_header(path, edit):
+    """Apply edit to a checkpoint's JSON header in place."""
+    data = path.read_bytes()
+    (length,) = struct.unpack("<Q", data[:8])
+    header = json.loads(data[8:8 + length])
+    edit(header)
+    payload = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(payload)) + payload + data[8 + length:])
+
+
+def test_checkpoint_rejects_inconsistent_tensor_tables(tmp_path):
+    model = randomized_model(tiny_config())
+    path = tmp_path / "model.ckpt"
+    nmt.save_model(model, str(path))
+    original = path.read_bytes()
+
+    def duplicate(header):
+        header["tensors"].append(dict(header["tensors"][-1]))
+
+    def negative(header):
+        header["tensors"][0]["offset"] = -8
+
+    def overlap(header):
+        header["tensors"][1]["offset"] = header["tensors"][0]["offset"] + 8
+
+    for edit, message in ((duplicate, "duplicate tensor out_b"),
+                          (negative, "invalid offset"),
+                          (overlap, "overlap")):
+        path.write_bytes(original)
+        _rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=message) as info:
+            nmt.load_model(str(path))
+        assert str(path) in str(info.value)
+    path.write_bytes(original + b"\0" * 8)
+    with pytest.raises(ValueError, match="8 trailing bytes") as info:
+        nmt.load_model(str(path))
+    assert str(path) in str(info.value)
