@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .corpus import (
     PAD, UNK, BOS, EOS, RESERVED,
-    Vocab, build_vocab, load_parallel, filter_by_length, find_duplicates,
+    Vocab, build_vocab, load_parallel, find_duplicates,
 )
 from .normalize import (
     NormRules, default_arabic_rules, normalize_arabic, lowercase,

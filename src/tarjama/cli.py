@@ -19,6 +19,7 @@ from .corpus import (
     find_duplicates,
     load_parallel,
     read_lines,
+    write_lines,
 )
 from .ngram import (
     ArpaError,
@@ -28,7 +29,7 @@ from .ngram import (
     lm_train,
     lm_write_arpa,
 )
-from .nmt import NmtConfig, beam_decode, init_model, load_model, save_model, train_nmt
+from .nmt import load_model
 from .nmt.model import read_header
 from .normalize import (
     NormRules,
@@ -39,12 +40,18 @@ from .normalize import (
     truecase_apply,
     truecase_train,
 )
-from .pipeline import PipelineConfig, PipelineError, StageError, run_experiment
+from .pipeline import (
+    PipelineConfig,
+    PipelineError,
+    StageError,
+    run_experiment,
+    train_model,
+    translate_sentences,
+)
 from .segment import (
     CliticInventory,
     DEFAULT_INVENTORY,
     DetokTable,
-    atb_segment,
     detokenize,
     segment_corpus,
     simple_tokenize,
@@ -59,34 +66,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
-
-
-def _input_lines(path):
-    if path in (None, "-"):
-        data = sys.stdin.buffer.read()
-        raw = data.split(b"\n")
-        if raw and raw[-1] == b"":
-            raw.pop()
-        lines = []
-        for i, chunk in enumerate(raw):
-            if chunk.endswith(b"\r"):
-                chunk = chunk[:-1]
-            try:
-                lines.append(chunk.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise CorpusError("stdin: invalid UTF-8 on line %d" % (i + 1)) from exc
-        return lines
-    return read_lines(path)
-
-
-def _write_lines(path, lines):
-    text = "".join(line + "\n" for line in lines)
-    if path in (None, "-"):
-        sys.stdout.buffer.write(text.encode("utf-8"))
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 def _inventory(args):
@@ -107,54 +86,47 @@ def _inventory(args):
     return DEFAULT_INVENTORY
 
 
-def _cmd_normalize(args):
-    lines = _input_lines(args.input)
-    if args.lower:
-        out = [lowercase(line) for line in lines]
-    else:
-        if args.rules:
-            rules = NormRules.load(args.rules)
-        else:
-            rules = default_arabic_rules(args.lrb, args.rrb)
-        out = [normalize_arabic(line, rules) for line in lines]
-    _write_lines(args.output, out)
+def _map_lines(args, convert):
+    """Write convert(line) for every input line."""
+    write_lines(args.output, [convert(line) for line in read_lines(args.input)])
     return 0
+
+
+def _cmd_normalize(args):
+    if args.lower:
+        return _map_lines(args, lowercase)
+    if args.rules:
+        rules = NormRules.load(args.rules)
+    else:
+        rules = default_arabic_rules(args.lrb, args.rrb)
+    return _map_lines(args, lambda line: normalize_arabic(line, rules))
 
 
 def _cmd_tokenize(args):
-    lines = _input_lines(args.input)
-    _write_lines(args.output, [" ".join(simple_tokenize(line)) for line in lines])
-    return 0
+    return _map_lines(args, lambda line: " ".join(simple_tokenize(line)))
 
 
 def _cmd_segment(args):
     inv = _inventory(args)
-    corpus = [line.split() for line in _input_lines(args.input)]
+    corpus = [line.split() for line in read_lines(args.input)]
+    segmented, table = segment_corpus(corpus, inv)
     if args.table_out:
-        segmented, table = segment_corpus(corpus, inv)
         table.save(args.table_out)
-    else:
-        segmented = [
-            [seg for tok in sent for seg in atb_segment(tok, inv)]
-            for sent in corpus
-        ]
-    _write_lines(args.output, [" ".join(sent) for sent in segmented])
+    write_lines(args.output, [" ".join(sent) for sent in segmented])
     return 0
 
 
 def _cmd_detokenize(args):
     inv = _inventory(args)
     table = DetokTable.load(args.table, inv) if args.table else None
-    out = []
-    for line in _input_lines(args.input):
-        out.append(" ".join(detokenize(line.split(), table, inv)))
-    _write_lines(args.output, out)
-    return 0
+    return _map_lines(
+        args, lambda line: " ".join(detokenize(line.split(), table, inv))
+    )
 
 
 def _cmd_bpe_learn(args):
     freqs = {}
-    for line in _input_lines(args.input):
+    for line in read_lines(args.input):
         for tok in line.split():
             freqs[tok] = freqs.get(tok, 0) + 1
     if not freqs:
@@ -166,38 +138,28 @@ def _cmd_bpe_learn(args):
 
 def _cmd_bpe_apply(args):
     model = BpeModel.load(args.model)
-    out = []
-    for line in _input_lines(args.input):
-        out.append(" ".join(apply_bpe(line.split(), model)))
-    _write_lines(args.output, out)
-    return 0
+    return _map_lines(args, lambda line: " ".join(apply_bpe(line.split(), model)))
 
 
 def _cmd_bpe_undo(args):
-    out = []
-    for line in _input_lines(args.input):
-        out.append(" ".join(undo_bpe(line.split())))
-    _write_lines(args.output, out)
-    return 0
+    return _map_lines(args, lambda line: " ".join(undo_bpe(line.split())))
 
 
 def _cmd_truecase_train(args):
-    corpus = [line.split() for line in _input_lines(args.input)]
+    corpus = [line.split() for line in read_lines(args.input)]
     truecase_train(corpus).save(args.output)
     return 0
 
 
 def _cmd_truecase(args):
     model = TruecaseModel.load(args.model)
-    out = []
-    for line in _input_lines(args.input):
-        out.append(" ".join(truecase_apply(line.split(), model)))
-    _write_lines(args.output, out)
-    return 0
+    return _map_lines(
+        args, lambda line: " ".join(truecase_apply(line.split(), model))
+    )
 
 
 def _cmd_lm_train(args):
-    corpus = [line.split() for line in _input_lines(args.input)]
+    corpus = [line.split() for line in read_lines(args.input)]
     model = lm_train(corpus, args.order, args.discount)
     lm_write_arpa(model, args.output)
     return 0
@@ -205,82 +167,70 @@ def _cmd_lm_train(args):
 
 def _cmd_lm_score(args):
     model = lm_read_arpa(args.model)
-    sentences = [line.split() for line in _input_lines(args.set)]
+    sentences = [line.split() for line in read_lines(args.set)]
     if args.per_sentence:
         out = ["%.4f" % lm_score_sentence(model, s) for s in sentences]
-        _write_lines(args.output, out)
+        write_lines(args.output, out)
     else:
         if not sentences:
             raise CorpusError("no sentences to score")
-        _write_lines(args.output, ["%.4f" % lm_score_set(model, sentences)])
+        write_lines(args.output, ["%.4f" % lm_score_set(model, sentences)])
     return 0
 
 
 def _cmd_vocab(args):
-    corpus = [line.split() for line in _input_lines(args.input)]
+    corpus = [line.split() for line in read_lines(args.input)]
     build_vocab(corpus, args.max_size).save(args.output)
     return 0
 
 
 def _cmd_dedup(args):
     train = [line.split() for line in read_lines(args.train)]
-    eval_lines = _input_lines(args.input)
+    eval_lines = read_lines(args.input)
     dup = set(find_duplicates(train, [line.split() for line in eval_lines]))
     if args.list:
-        _write_lines(args.output, [str(i) for i in sorted(dup)])
+        write_lines(args.output, [str(i) for i in sorted(dup)])
     else:
-        _write_lines(
+        write_lines(
             args.output,
             [line for i, line in enumerate(eval_lines) if i not in dup],
         )
     return 0
 
 
+# `train` options and the PipelineConfig fields they set; each default
+# is the field's default.  --max-vocab caps both vocabularies.
+_TRAIN_OPTIONS = (
+    ("--max-vocab", "src_vocab_max"),
+    ("--embed-dim", "embed_dim"),
+    ("--enc-hidden", "enc_hidden"),
+    ("--enc-layers", "enc_layers"),
+    ("--dec-hidden", "dec_hidden"),
+    ("--attn-hidden", "attn_hidden"),
+    ("--dropout", "dropout_rate"),
+    ("--l2", "l2_coeff"),
+    ("--epochs", "epochs"),
+    ("--batch-size", "batch_size"),
+    ("--patience", "patience"),
+)
+
+
 def _cmd_train(args):
-    train = load_parallel(args.train_src, args.train_tgt)
-    dev = load_parallel(args.dev_src, args.dev_tgt)
-    src_vocab = build_vocab([s for s, _ in train.pairs], args.max_vocab)
-    tgt_vocab = build_vocab([t for _, t in train.pairs], args.max_vocab)
-    src_vocab_path = args.output + ".src-vocab.tsv"
-    tgt_vocab_path = args.output + ".tgt-vocab.tsv"
-    src_vocab.save(src_vocab_path)
-    tgt_vocab.save(tgt_vocab_path)
-    config = NmtConfig(
-        src_vocab_size=len(src_vocab),
-        tgt_vocab_size=len(tgt_vocab),
-        embed_dim=args.embed_dim,
-        enc_hidden=args.enc_hidden,
-        enc_layers=args.enc_layers,
-        dec_hidden=args.dec_hidden,
-        attn_hidden=args.attn_hidden,
-        dropout_rate=args.dropout,
-        l2_coeff=args.l2,
-        seed=args.seed if args.seed is not None else 1,
+    config = PipelineConfig(
+        train_src=args.train_src, train_tgt=args.train_tgt,
+        dev_src=args.dev_src, dev_tgt=args.dev_tgt,
+        tgt_vocab_max=args.src_vocab_max,
+        **{name: getattr(args, name) for _, name in _TRAIN_OPTIONS},
     )
-    pairs = [
-        (src_vocab.encode(s), tgt_vocab.encode(t))
-        for s, t in train.pairs
-        if len(s) > 0
-    ]
-    dev_pairs = [
-        (src_vocab.encode(s), tgt_vocab.encode(t))
-        for s, t in dev.pairs
-        if len(s) > 0
-    ]
-    for path, kept in ((args.train_src, pairs), (args.dev_src, dev_pairs)):
-        if not kept:
-            raise CorpusError("%s: every source line is empty" % path)
-    model = init_model(config)
-    model, record = train_nmt(
-        model, pairs, dev_pairs, epochs=args.epochs,
-        batch_size=args.batch_size, patience=args.patience,
-    )
-    save_model(
-        model, args.output,
-        vocab_files={
-            "src": os.path.basename(src_vocab_path),
-            "tgt": os.path.basename(tgt_vocab_path),
-        },
+    if args.seed is not None:
+        config.seed = args.seed
+    _, _, _, record = train_model(
+        config,
+        load_parallel(args.train_src, args.train_tgt),
+        load_parallel(args.dev_src, args.dev_tgt),
+        args.output,
+        args.output + ".src-vocab.tsv",
+        args.output + ".tgt-vocab.tsv",
     )
     if record.best_epoch:
         print(
@@ -293,42 +243,35 @@ def _cmd_train(args):
 
 
 def _load_translate_vocabs(args):
-    header = read_header(args.model)
+    names = read_header(args.model).get("vocab_files") or {}
+    if not isinstance(names, dict):
+        raise ValueError("%s: vocab_files is not a table" % args.model)
     base = os.path.dirname(os.path.abspath(args.model))
-    names = header.get("vocab_files") or {}
-    src_path = args.src_vocab or (
-        os.path.join(base, names["src"]) if "src" in names else None
-    )
-    tgt_path = args.tgt_vocab or (
-        os.path.join(base, names["tgt"]) if "tgt" in names else None
-    )
-    if not src_path or not tgt_path:
+    paths = [
+        given or (os.path.join(base, names[side])
+                  if isinstance(names.get(side), str) else None)
+        for side, given in (("src", args.src_vocab), ("tgt", args.tgt_vocab))
+    ]
+    if None in paths:
         raise PipelineError(
             "checkpoint names no vocabulary files; pass --src-vocab/--tgt-vocab"
         )
-    return Vocab.load(src_path), Vocab.load(tgt_path)
+    return [Vocab.load(path) for path in paths]
 
 
 def _cmd_translate(args):
     model = load_model(args.model)
     src_vocab, tgt_vocab = _load_translate_vocabs(args)
-    out = []
-    for line in _input_lines(args.input):
-        tokens = line.split()
-        if not tokens:
-            out.append("")
-            continue
-        ids = beam_decode(
-            model, src_vocab.encode(tokens),
-            beam_width=args.beam, max_len=args.max_len,
-        )
-        out.append(" ".join(tgt_vocab.decode(ids)))
-    _write_lines(args.output, out)
+    sentences = [line.split() for line in read_lines(args.input)]
+    decoded = translate_sentences(
+        model, src_vocab, tgt_vocab, sentences, args.beam, args.max_len
+    )
+    write_lines(args.output, [" ".join(tokens) for tokens in decoded])
     return 0
 
 
 def _cmd_bleu(args):
-    hyp_lines = _input_lines(args.input)
+    hyp_lines = read_lines(args.input)
     if not hyp_lines:
         raise CorpusError("hypothesis corpus is empty")
     ref_sets = []
@@ -347,9 +290,9 @@ def _cmd_bleu(args):
     ]
     report = bleu(hyps, refs, fold_case=args.lowercase)
     if args.json:
-        _write_lines(args.output, [report.to_json()])
+        write_lines(args.output, [report.to_json()])
     else:
-        _write_lines(args.output, [report.summary()])
+        write_lines(args.output, [report.summary()])
     return 0
 
 
@@ -379,8 +322,7 @@ def build_parser():
     parser = _Parser(prog="tarjama", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="override random seed")
     parser.add_argument("--config", default=None,
-                        help="key=value file: pipeline config for `experiment`, "
-                             "option defaults for other subcommands")
+                        help="pipeline config file, read only by `experiment`")
     parser.add_argument("--quiet", action="store_true", help="only report errors")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -461,24 +403,21 @@ def build_parser():
                      help="print duplicate indices instead of filtering")
     sub.set_defaults(func=_cmd_dedup)
 
+    # A subcommand's --seed or --config must not overwrite one given
+    # before the subcommand, so these copies have no default.
     sub = commands.add_parser("train", help="train the translation model")
-    sub.add_argument("--seed", type=int, default=None, help="override random seed")
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                     help="override random seed")
     sub.add_argument("--train-src", required=True)
     sub.add_argument("--train-tgt", required=True)
     sub.add_argument("--dev-src", required=True)
     sub.add_argument("--dev-tgt", required=True)
     sub.add_argument("--output", "-o", required=True, help="checkpoint file")
-    sub.add_argument("--max-vocab", type=int, default=20000)
-    sub.add_argument("--embed-dim", type=int, default=32)
-    sub.add_argument("--enc-hidden", type=int, default=32)
-    sub.add_argument("--enc-layers", type=int, default=1)
-    sub.add_argument("--dec-hidden", type=int, default=32)
-    sub.add_argument("--attn-hidden", type=int, default=16)
-    sub.add_argument("--dropout", type=float, default=0.0)
-    sub.add_argument("--l2", type=float, default=1e-4)
-    sub.add_argument("--epochs", type=int, default=30)
-    sub.add_argument("--batch-size", type=int, default=8)
-    sub.add_argument("--patience", type=int, default=3)
+    defaults = PipelineConfig()
+    for flag, name in _TRAIN_OPTIONS:
+        default = getattr(defaults, name)
+        sub.add_argument(flag, dest=name, type=type(default), default=default,
+                         metavar=flag[2:].upper().replace("-", "_"))
     sub.set_defaults(func=_cmd_train)
 
     sub = commands.add_parser("translate", help="decode with a trained model")
@@ -499,26 +438,14 @@ def build_parser():
     sub.set_defaults(func=_cmd_bleu)
 
     sub = commands.add_parser("experiment", help="run one pipeline configuration")
-    sub.add_argument("--config", default=None, help="pipeline config file")
-    sub.add_argument("--seed", type=int, default=None, help="override random seed")
+    sub.add_argument("--config", default=argparse.SUPPRESS,
+                     help="pipeline config file")
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                     help="override random seed")
     sub.add_argument("--out-dir", default=None, help="override config out_dir")
     sub.set_defaults(func=_cmd_experiment)
 
     return parser
-
-
-def _coerce(value):
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    for kind in (int, float):
-        try:
-            return kind(value)
-        except ValueError:
-            pass
-    return value
 
 
 def _exit_code(exc):
@@ -530,54 +457,20 @@ def _exit_code(exc):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
-
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    pre_args, _ = pre.parse_known_args(argv)
-    if pre_args.config:
-        # Config-file values become option defaults for the subcommand;
-        # explicit command-line options still win.  `experiment` reads
-        # the same file itself as a pipeline config.
-        try:
-            lines = read_lines(pre_args.config)
-        except (OSError, CorpusError) as exc:
-            log.error("%s", exc)
-            return 2
-        defaults = {}
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in ("config", "seed", "quiet", "command", "func", "input"):
-                continue
-            defaults[key] = _coerce(value.strip())
-        parser.set_defaults(**defaults)
-
     args = parser.parse_args(argv)
-    # Subparser defaults clobber top-level values, so a --config given
-    # before the subcommand needs restoring for `experiment`.
-    if getattr(args, "config", None) is None and pre_args.config:
-        args.config = pre_args.config
+    if args.config is not None and args.command != "experiment":
+        parser.error("--config is read only by `experiment`")
     logging.basicConfig(
         level=logging.ERROR if args.quiet else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
         return args.func(args)
-    except StageError as exc:
+    except (StageError, PipelineError, CorpusError, ArpaError, OSError,
+            ValueError, RuntimeError) as exc:
         log.error("%s", exc)
-        return _exit_code(exc.cause)
-    except (PipelineError, ValueError) as exc:
-        log.error("%s", exc)
-        return 1
-    except (CorpusError, ArpaError, OSError, UnicodeDecodeError, RuntimeError) as exc:
-        log.error("%s", exc)
-        return _exit_code(exc)
+        return _exit_code(exc.cause if isinstance(exc, StageError) else exc)
 
 
 if __name__ == "__main__":

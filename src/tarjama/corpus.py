@@ -1,6 +1,7 @@
-"""Parallel corpus ingestion: loading, length filtering, deduplication,
+"""Parallel corpus ingestion: line reading and writing, deduplication,
 vocabulary indexing, and the TSV vocabulary format shared by the trainer."""
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -18,14 +19,18 @@ class CorpusError(Exception):
 
 
 def read_lines(path):
-    """Read a UTF-8 text file into a list of lines.
+    """Read a UTF-8 text file, or stdin when path is None or "-", into a
+    list of lines.
 
     Decodes line by line so errors can name the offending line.  A single
     trailing LF does not create a phantom empty line; interior empty lines
     are kept to preserve alignment.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    if path in (None, "-"):
+        path, data = "stdin", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     raw = data.split(b"\n")
     if raw and raw[-1] == b"":
         raw.pop()
@@ -40,20 +45,21 @@ def read_lines(path):
     return lines
 
 
-@dataclass
-class ParallelCorpus:
-    pairs: list  # list of (source tokens, target tokens)
-    side_labels: tuple = ("source", "target")
+def write_lines(path, lines):
+    """Write lines as UTF-8 with LF endings to a file, or to stdout when
+    path is None or "-"."""
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    if path in (None, "-"):
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
-    def __len__(self):
-        return len(self.pairs)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-def load_parallel(src_path, tgt_path, side_labels=("source", "target")):
-    """Load two line-aligned files into a ParallelCorpus of token lists.
+def load_parallel(src_path, tgt_path):
+    """Load two line-aligned files into a list of (source tokens, target
+    tokens) pairs.
 
     Tokens are whatever is separated by whitespace; empty lines become empty
     token lists rather than errors so that alignment survives.
@@ -65,18 +71,7 @@ def load_parallel(src_path, tgt_path, side_labels=("source", "target")):
             "line count mismatch: %s has %d lines, %s has %d"
             % (src_path, len(src_lines), tgt_path, len(tgt_lines))
         )
-    pairs = [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
-    return ParallelCorpus(pairs, tuple(side_labels))
-
-
-def filter_by_length(corpus, max_len):
-    """Keep only pairs where both sides have at most max_len tokens."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    kept = [
-        (s, t) for s, t in corpus.pairs if len(s) <= max_len and len(t) <= max_len
-    ]
-    return ParallelCorpus(kept, corpus.side_labels)
+    return [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
 
 
 def find_duplicates(train, eval_set):

@@ -15,7 +15,7 @@ the reference for these gradients.
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -614,9 +614,30 @@ def read_header(path):
     return header
 
 
+def _header_config(path, header):
+    raw = header.get("config")
+    if not isinstance(raw, dict):
+        raise ValueError("%s: checkpoint header has no config table" % path)
+    # A missing or unknown key is left to the NmtConfig call below.
+    for f in fields(NmtConfig):
+        value = raw.get(f.name, 0)
+        allowed = (int, float) if f.type is float else int
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(
+                "%s: config %s is %r, not %s" % (path, f.name, value, f.type.__name__)
+            )
+    try:
+        return NmtConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("%s: bad checkpoint config: %s" % (path, exc)) from exc
+
+
 def load_model(path):
     header = read_header(path)
-    config = NmtConfig(**header["config"])
+    config = _header_config(path, header)
+    tensors = header.get("tensors")
+    if not isinstance(tensors, list):
+        raise ValueError("%s: checkpoint header has no tensor list" % path)
     expected = param_shapes(config)
     with open(path, "rb") as handle:
         (length,) = struct.unpack("<Q", handle.read(8))
@@ -624,7 +645,17 @@ def load_model(path):
         data = handle.read()
     params = {}
     spans = []
-    for entry in header["tensors"]:
+    for entry in tensors:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(isinstance(n, int) for n in entry["shape"])
+        ):
+            raise ValueError(
+                "%s: tensor entry %r needs a string name and a list of "
+                "integer dimensions" % (path, entry)
+            )
         name = entry["name"]
         shape = tuple(entry["shape"])
         if name not in expected:
@@ -637,7 +668,7 @@ def load_model(path):
                 % (path, name, shape, expected[name])
             )
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        start = entry.get("offset")
         if not isinstance(start, int) or start < 0:
             raise ValueError("%s: tensor %s has invalid offset %r" % (path, name, start))
         end = start + 8 * count
@@ -655,4 +686,7 @@ def load_model(path):
         raise ValueError(
             "%s: %d trailing bytes after the last tensor" % (path, len(data) - last)
         )
-    return NmtModel(config, params)
+    try:
+        return NmtModel(config, params)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc

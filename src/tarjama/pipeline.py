@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from . import corpus as corpus_io
 from .bleu import bleu
 from .bpe import apply_bpe, learn_bpe, undo_bpe, BpeModel
-from .corpus import build_vocab, read_lines
+from .corpus import build_vocab, read_lines, write_lines
 from .nmt import NmtConfig, beam_decode, init_model, save_model, train_nmt
 from .normalize import (
     TruecaseModel,
@@ -323,20 +323,10 @@ def prepare_references(config, lines):
     so hypotheses and references live in the same space; truecasing is
     not, since postprocessing restores surface casing.
     """
-    target_is_arabic = config.arabic_side() == "tgt"
-    rules = default_arabic_rules()
-    out = []
-    for line in lines:
-        if target_is_arabic:
-            if config.arabic_norm:
-                line = normalize_arabic(line, rules)
-            tokens = simple_tokenize(line) if config.arabic_tok else line.split()
-        else:
-            tokens = simple_tokenize(line) if config.english_tok else line.split()
-            if config.english_lower:
-                tokens = [lowercase(t) for t in tokens]
-        out.append(tokens)
-    return out
+    if config.arabic_side() == "tgt":
+        rules = default_arabic_rules()
+        return [_arabic_tokens(config, line, rules) for line in lines]
+    return [_english_tokens(config, line, None) for line in lines]
 
 
 def retokenize(config, surface_lines):
@@ -357,10 +347,50 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_text(path, lines):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def train_model(config, train_pairs, dev_pairs, ckpt_path, src_vocab_path,
+                tgt_vocab_path):
+    """Build both vocabularies from the training token pairs, train on
+    the train and dev pairs whose source is not empty, and save the
+    checkpoint, which names the two vocabulary files beside it.
+
+    Returns (model, src_vocab, tgt_vocab, TrainLog).
+    """
+    src_vocab = build_vocab([s for s, _ in train_pairs], config.src_vocab_max)
+    tgt_vocab = build_vocab([t for _, t in train_pairs], config.tgt_vocab_max)
+    src_vocab.save(src_vocab_path)
+    tgt_vocab.save(tgt_vocab_path)
+    ids = {}
+    for name, pairs in (("train", train_pairs), ("dev", dev_pairs)):
+        ids[name] = [
+            (src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in pairs if s
+        ]
+        if not ids[name]:
+            raise corpus_io.CorpusError(
+                "%s: every source line is empty" % getattr(config, name + "_src")
+            )
+    model = init_model(config.nmt_config(len(src_vocab), len(tgt_vocab)))
+    model, record = train_nmt(
+        model, ids["train"], ids["dev"], epochs=config.epochs,
+        batch_size=config.batch_size, patience=config.patience,
+    )
+    save_model(model, ckpt_path, vocab_files={
+        "src": os.path.basename(src_vocab_path),
+        "tgt": os.path.basename(tgt_vocab_path),
+    })
+    return model, src_vocab, tgt_vocab, record
+
+
+def translate_sentences(model, src_vocab, tgt_vocab, sentences, beam_width,
+                        max_len):
+    """Beam-decode source token lists into target token lists; an empty
+    sentence translates to an empty list."""
+    return [
+        tgt_vocab.decode(beam_decode(
+            model, src_vocab.encode(tokens), beam_width=beam_width,
+            max_len=max_len,
+        )) if tokens else []
+        for tokens in sentences
+    ]
 
 
 def run_experiment(config):
@@ -384,12 +414,11 @@ def run_experiment(config):
             for name in ("train_src", "train_tgt", "dev_src", "dev_tgt",
                          "test_src", "test_tgt")
         }
-        if len(raw["train_src"]) != len(raw["train_tgt"]):
-            raise corpus_io.CorpusError("train sides have different line counts")
-        if len(raw["dev_src"]) != len(raw["dev_tgt"]):
-            raise corpus_io.CorpusError("dev sides have different line counts")
-        if len(raw["test_src"]) != len(raw["test_tgt"]):
-            raise corpus_io.CorpusError("test sides have different line counts")
+        for split in ("train", "dev", "test"):
+            if len(raw[split + "_src"]) != len(raw[split + "_tgt"]):
+                raise corpus_io.CorpusError(
+                    "%s sides have different line counts" % split
+                )
 
         stage = "preprocess"
         train_pairs, arts = run_preprocess(
@@ -405,51 +434,24 @@ def run_experiment(config):
         test_pairs = apply_preprocess(config, raw["test_src"], raw["test_tgt"], arts)
         written += arts.save(config.out_dir)
 
-        stage = "vocab"
-        src_vocab = build_vocab([s for s, _ in train_pairs], config.src_vocab_max)
-        tgt_vocab = build_vocab([t for _, t in train_pairs], config.tgt_vocab_max)
-        src_vocab_path = os.path.join(config.out_dir, "vocab.src.tsv")
-        tgt_vocab_path = os.path.join(config.out_dir, "vocab.tgt.tsv")
-        src_vocab.save(src_vocab_path)
-        tgt_vocab.save(tgt_vocab_path)
-        written += [src_vocab_path, tgt_vocab_path]
-
         stage = "train"
-        train_ids = [
-            (src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in train_pairs
-        ]
-        dev_ids = [
-            (src_vocab.encode(s), tgt_vocab.encode(t))
-            for s, t in dev_pairs
-            if len(s) > 0
-        ]
-        nmt_config = config.nmt_config(len(src_vocab), len(tgt_vocab))
-        model = init_model(nmt_config)
-        model, train_record = train_nmt(
-            model, train_ids, dev_ids, epochs=config.epochs,
-            batch_size=config.batch_size, patience=config.patience,
+        paths = [os.path.join(config.out_dir, name)
+                 for name in ("model.ckpt", "vocab.src.tsv", "vocab.tgt.tsv")]
+        model, src_vocab, tgt_vocab, train_record = train_model(
+            config, train_pairs, dev_pairs, *paths
         )
-        ckpt_path = os.path.join(config.out_dir, "model.ckpt")
-        save_model(model, ckpt_path,
-                   vocab_files={"src": "vocab.src.tsv", "tgt": "vocab.tgt.tsv"})
-        written.append(ckpt_path)
+        written += paths
 
         stage = "decode"
-        decoded = []
-        for src_tokens, _ in test_pairs:
-            if not src_tokens:
-                decoded.append([])
-                continue
-            ids = beam_decode(
-                model, src_vocab.encode(src_tokens),
-                beam_width=config.beam_width, max_len=config.max_decode_len,
-            )
-            decoded.append(tgt_vocab.decode(ids))
+        decoded = translate_sentences(
+            model, src_vocab, tgt_vocab, [s for s, _ in test_pairs],
+            config.beam_width, config.max_decode_len,
+        )
 
         stage = "postprocess"
         hypotheses = run_postprocess(config, decoded, arts)
         hyp_path = os.path.join(config.out_dir, "hypotheses.txt")
-        _write_text(hyp_path, hypotheses)
+        write_lines(hyp_path, hypotheses)
         written.append(hyp_path)
 
         stage = "evaluate"
@@ -457,8 +459,7 @@ def run_experiment(config):
         hyp_tokens = retokenize(config, hypotheses)
         report = bleu(hyp_tokens, [[r] for r in refs])
         report_path = os.path.join(config.out_dir, "report.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        write_lines(report_path, [report.to_json()])
         written.append(report_path)
 
         stage = "manifest"
@@ -472,9 +473,8 @@ def run_experiment(config):
                 os.path.basename(p): _sha256(p) for p in sorted(written)
             },
         }
-        manifest_path = os.path.join(config.out_dir, "manifest.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        write_lines(os.path.join(config.out_dir, "manifest.json"),
+                    [json.dumps(manifest, sort_keys=True, indent=2)])
     except StageError:
         raise
     except Exception as exc:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import struct
 import types
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from tarjama.cli import _exit_code, main
 from tarjama.corpus import CorpusError, Vocab
 from tarjama.ngram import ArpaError, lm_read_arpa, lm_score_set
-from tarjama.nmt import init_model, load_model
+from tarjama.nmt import NmtConfig, init_model, load_model, save_model
 from tarjama.pipeline import PipelineError
 
 
@@ -53,6 +54,14 @@ def test_invalid_utf8_exits_two(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"fine\n\xff\xfe broken\n")
     assert main(["tokenize", str(bad)]) == 2
+
+
+def test_undecodable_model_file_exits_two(tmp_path):
+    text = tmp_path / "in.txt"
+    write(text, ["a b"])
+    model = tmp_path / "bpe.model"
+    model.write_bytes(b"\xff\xfe\n")
+    assert main(["bpe-apply", str(text), "--model", str(model)]) == 2
 
 
 def test_validation_problems_exit_one(tmp_path):
@@ -303,6 +312,61 @@ def test_train_zero_epochs_saves_initial_model(tmp_path, capsys):
         assert np.array_equal(model.params[name], arr)
 
 
+def test_seed_before_train_matches_seed_after(tmp_path, capsys):
+    src, tgt, dev_src, dev_tgt = tiny_parallel(tmp_path)
+    train = ["train", "--train-src", str(src), "--train-tgt", str(tgt),
+             "--dev-src", str(dev_src), "--dev-tgt", str(dev_tgt)] + TRAIN_DIMS
+    blobs = []
+    for sub, argv in (("after", train + ["--seed", "4"]),
+                      ("before", ["--seed", "4"] + train)):
+        ckpt = tmp_path / sub / "model.ckpt"
+        ckpt.parent.mkdir()
+        assert main(argv + ["-o", str(ckpt)]) == 0
+        blobs.append(ckpt.read_bytes())
+    capsys.readouterr()
+    assert blobs[0] == blobs[1]
+
+
+HEADER_DEFECTS = {
+    "no-config": (lambda h: h.pop("config"), "no config table"),
+    "unknown-config-key": (lambda h: h["config"].update(colour=1),
+                           "unexpected keyword argument 'colour'"),
+    "config-is-list": (lambda h: h.update(config=list(h["config"].values())),
+                       "no config table"),
+    "string-dimension": (lambda h: h["config"].update(embed_dim="4"),
+                         "config embed_dim is '4'"),
+    "no-tensors": (lambda h: h.pop("tensors"), "no tensor list"),
+    "nameless-tensor": (lambda h: h["tensors"][0].pop("name"), "string name"),
+    "scalar-shape": (lambda h: h["tensors"][0].update(shape=5),
+                     "integer dimensions"),
+    "vocab-files-string": (lambda h: h.update(vocab_files="src"),
+                           "vocab_files is not a table"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+def test_translate_rejects_malformed_checkpoint_header(tmp_path, caplog, defect):
+    mutate, message = HEADER_DEFECTS[defect]
+    config = NmtConfig(src_vocab_size=5, tgt_vocab_size=5, embed_dim=3,
+                       enc_hidden=3, enc_layers=1, dec_hidden=3, attn_hidden=2)
+    ckpt = tmp_path / "model.ckpt"
+    save_model(init_model(config), str(ckpt))
+    blob = ckpt.read_bytes()
+    (length,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8:8 + length])
+    mutate(header)
+    payload = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(struct.pack("<Q", len(payload)) + payload + blob[8 + length:])
+    vocab = tmp_path / "vocab.tsv"
+    write(vocab, ["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t4"])
+    text = tmp_path / "in.txt"
+    write(text, ["a"])
+    assert main(["translate", str(text), "--model", str(ckpt),
+                 "--src-vocab", str(vocab), "--tgt-vocab", str(vocab)]) == 1
+    assert "%s: " % ckpt in caplog.text
+    assert message in caplog.text
+
+
 def test_train_with_only_empty_sources_exits_two(tmp_path):
     src, tgt, dev_src, dev_tgt = tiny_parallel(tmp_path)
     write(src, [""] * 18)
@@ -404,6 +468,61 @@ def test_experiment_runs_from_config_file(tmp_path, capsys):
     assert (out_dir / "hypotheses.txt").exists()
 
 
+def small_experiment(tmp_path, extra=()):
+    """A small experiment config over experiment_files(); returns the
+    config path and the corpus paths."""
+    paths = experiment_files(tmp_path)
+    config = tmp_path / "exp.cfg"
+    write(config, ["%s=%s" % kv for kv in paths.items()] + [
+        "embed_dim=8", "enc_hidden=6", "dec_hidden=8", "attn_hidden=4",
+        "l2_coeff=0", "epochs=1", "batch_size=4", "beam_width=1",
+        "max_decode_len=8",
+    ] + list(extra))
+    return str(config), paths
+
+
+def test_seed_before_experiment_reaches_manifest(tmp_path, capsys):
+    config, _ = small_experiment(tmp_path)
+    out_dir = tmp_path / "run"
+    assert main(["--seed", "3", "experiment", "--config", config,
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    with open(out_dir / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["seed"] == 3
+
+
+def test_train_matches_experiment_with_every_step_off(tmp_path, capsys):
+    # Same corpus, vocabulary cap, dimensions and seed: `train` and the
+    # experiment's train stage must give the same model and vocabularies.
+    config, paths = small_experiment(tmp_path, [
+        "src_vocab_max=12", "tgt_vocab_max=12", "epochs=2", "seed=5",
+    ])
+    out_dir = tmp_path / "run"
+    assert main(["experiment", "--config", config, "--out-dir", str(out_dir)]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--train-src", paths["train_src"],
+                 "--train-tgt", paths["train_tgt"],
+                 "--dev-src", paths["dev_src"], "--dev-tgt", paths["dev_tgt"],
+                 "-o", str(ckpt), "--max-vocab", "12", "--seed", "5"]
+                + TRAIN_DIMS) == 0
+    capsys.readouterr()
+    for side in ("src", "tgt"):
+        assert ((tmp_path / ("model.ckpt.%s-vocab.tsv" % side)).read_bytes()
+                == (out_dir / ("vocab.%s.tsv" % side)).read_bytes())
+    mine, theirs = load_model(str(ckpt)), load_model(str(out_dir / "model.ckpt"))
+    assert mine.config == theirs.config
+    for name, arr in theirs.params.items():
+        assert np.array_equal(mine.params[name], arr), name
+
+
+def test_experiment_with_empty_dev_sources_exits_two(tmp_path, caplog):
+    config, paths = small_experiment(tmp_path)
+    write(tmp_path / "dev.ar", ["", ""])
+    assert main(["experiment", "--config", config,
+                 "--out-dir", str(tmp_path / "run")]) == 2
+    assert "%s: every source line is empty" % paths["dev_src"] in caplog.text
+
+
 def test_experiment_accepts_config_before_subcommand(tmp_path, capsys):
     paths = experiment_files(tmp_path)
     config = tmp_path / "exp.cfg"
@@ -432,21 +551,18 @@ def test_experiment_missing_data_exits_two(tmp_path):
     assert main(["experiment", "--config", str(config)]) == 2
 
 
-def test_config_file_sets_option_defaults(tmp_path):
+def test_config_with_other_subcommand_is_usage_error(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     write(corpus, ["the cat sat", "a dog ran"])
     config = tmp_path / "defaults.cfg"
-    write(config, ["order=3", "# comment", "input=ignored"])
-    arpa = tmp_path / "m.arpa"
-    assert main(["--config", str(config), "lm-train", str(corpus),
-                 "-o", str(arpa)]) == 0
-    assert "\\3-grams:" in arpa.read_text(encoding="utf-8")
-    # An explicit option still beats the config default.
-    assert main(["--config", str(config), "lm-train", str(corpus),
-                 "-o", str(arpa), "--order", "2"]) == 0
-    text = arpa.read_text(encoding="utf-8")
-    assert "\\2-grams:" in text and "\\3-grams:" not in text
+    write(config, ["order=3"])
+    with pytest.raises(SystemExit) as info:
+        main(["--config", str(config), "lm-train", str(corpus),
+              "-o", str(tmp_path / "m.arpa")])
+    assert info.value.code == 1
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "m.arpa").exists()
 
 
 def test_config_file_missing_exits_two(tmp_path):
-    assert main(["--config", str(tmp_path / "nope.cfg"), "tokenize"]) == 2
+    assert main(["--config", str(tmp_path / "nope.cfg"), "experiment"]) == 2

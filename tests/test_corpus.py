@@ -1,3 +1,6 @@
+import io
+import types
+
 import pytest
 
 from tarjama.corpus import (
@@ -9,7 +12,6 @@ from tarjama.corpus import (
     UNK_ID,
     Vocab,
     build_vocab,
-    filter_by_length,
     find_duplicates,
     load_parallel,
     read_lines,
@@ -42,11 +44,21 @@ def test_read_lines_reports_bad_utf8_line(tmp_path):
         read_lines(path)
 
 
+def test_read_lines_from_stdin(monkeypatch):
+    def stdin(data):
+        monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(data)))
+
+    stdin(b"x\r\n\ny\n")
+    assert read_lines("-") == ["x", "", "y"]
+    stdin(b"ok\n\xff\xfe\n")
+    with pytest.raises(CorpusError, match="^stdin: invalid UTF-8 on line 2"):
+        read_lines(None)
+
+
 def test_load_parallel_splits_and_aligns(tmp_path):
     src = write(tmp_path / "s", "a b\n\nc\n")
     tgt = write(tmp_path / "t", "x\ny z\nw\n")
-    corpus = load_parallel(src, tgt)
-    assert corpus.pairs == [(["a", "b"], ["x"]), ([], ["y", "z"]), (["c"], ["w"])]
+    assert load_parallel(src, tgt) == [(["a", "b"], ["x"]), ([], ["y", "z"]), (["c"], ["w"])]
 
 
 def test_load_parallel_mismatch_names_both_counts(tmp_path):
@@ -54,16 +66,6 @@ def test_load_parallel_mismatch_names_both_counts(tmp_path):
     tgt = write(tmp_path / "t", "x\n")
     with pytest.raises(CorpusError, match="2.*1"):
         load_parallel(src, tgt)
-
-
-def test_filter_by_length(tmp_path):
-    src = write(tmp_path / "s", "a b c\nd\n")
-    tgt = write(tmp_path / "t", "x\ny z\n")
-    corpus = load_parallel(src, tgt)
-    kept = filter_by_length(corpus, 2)
-    assert kept.pairs == [(["d"], ["y", "z"])]
-    with pytest.raises(ValueError):
-        filter_by_length(corpus, 0)
 
 
 def test_find_duplicates_is_exact_and_ascending():
