@@ -2,13 +2,17 @@
 
 Learning iteratively merges the most frequent adjacent symbol pair across
 word types (frequency-weighted, every adjacency counted); application
-replays the merge list on each word and marks non-final subwords with the
-``@@`` continuation suffix, which undo_bpe concatenates away.
+merges each word's pairs in rank order, with the same result as replaying
+the merge list, and marks non-final subwords with the ``@@`` continuation
+suffix, which undo_bpe concatenates away.
 """
 
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+
+from .corpus import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -23,6 +27,7 @@ class BpeModel:
     def __post_init__(self):
         if len(set(self.merges)) != len(self.merges):
             raise ValueError("merge list contains duplicate pairs")
+        self._ranks = {pair: rank for rank, pair in enumerate(self.merges)}
         self._cache = {}
 
     def save(self, path):
@@ -33,20 +38,19 @@ class BpeModel:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith("#bpe v1 vocab="):
-                raise ValueError(f"{path}: bad model header {header!r}")
-            target = int(header.split("=", 1)[1])
-            merges = []
-            for lineno, line in enumerate(fh, 2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}: malformed merge line {lineno}: {line!r}")
-                merges.append((parts[0], parts[1]))
+        lines = read_lines(path) or [""]
+        header = lines[0]
+        if not header.startswith("#bpe v1 vocab="):
+            raise ValueError(f"{path}: bad model header {header!r}")
+        target = int(header.split("=", 1)[1])
+        merges = []
+        for lineno, line in enumerate(lines[1:], 2):
+            if not line:
+                continue
+            parts = line.split(" ")
+            if len(parts) != 2:
+                raise ValueError(f"{path}: malformed merge line {lineno}: {line!r}")
+            merges.append((parts[0], parts[1]))
         return cls(merges, target)
 
 
@@ -94,15 +98,16 @@ def learn_bpe(word_freqs, target_vocab_size):
     if target_vocab_size < 1:
         raise ValueError("target_vocab_size must be positive")
     vocab = {}
+    # symbol -> number of words holding it; its length is the symbol
+    # vocabulary, kept current by touching only the words a merge changes.
+    holders = Counter()
     for word, freq in word_freqs.items():
         if freq < 1:
             raise ValueError(f"word {word!r} has count {freq}; counts must be >= 1")
         vocab[word] = (tuple(word), freq)
+        holders.update(set(word))
 
-    def symbol_count():
-        return len({s for symbols, _ in vocab.values() for s in symbols})
-
-    initial = symbol_count()
+    initial = len(holders)
     if target_vocab_size < initial:
         raise ValueError(
             "target_vocab_size %d is below the initial character vocabulary; "
@@ -111,7 +116,7 @@ def learn_bpe(word_freqs, target_vocab_size):
 
     merges = []
     counts, where = _pair_counts(vocab)
-    while symbol_count() < target_vocab_size and counts:
+    while len(holders) < target_vocab_size and counts:
         pair = _best_pair(counts)
         if counts[pair] < 2:
             break
@@ -123,24 +128,42 @@ def learn_bpe(word_freqs, target_vocab_size):
                 if counts[(a, b)] <= 0:
                     del counts[(a, b)]
                 where[(a, b)].discard(word)
+            holders.subtract(set(symbols))
             symbols = merge_word(symbols, pair)
             vocab[word] = (symbols, freq)
+            holders.update(set(symbols))
             for a, b in zip(symbols, symbols[1:]):
                 counts[(a, b)] += freq
                 where[(a, b)].add(word)
+        for s in set(pair):  # only the merged symbols can disappear
+            if not holders[s]:
+                del holders[s]
     return BpeModel(merges, target_vocab_size)
 
 
 def segment_word(word, model):
-    """Subword symbols for one word: split to characters, replay merges."""
+    """Subword symbols for one word: split to characters, then merge pairs
+    in rank order.
+
+    Each step merges the present pair of lowest rank above the last merge
+    applied, which is replaying the merge list with the merges that find
+    nothing to join skipped.  The lowest present rank alone would differ:
+    a merge can create a pair of lower rank than itself, which replay has
+    already passed.
+    """
     cached = model._cache.get(word)
     if cached is not None:
         return cached
+    ranks = model._ranks
     symbols = tuple(word)
-    for pair in model.merges:
-        if len(symbols) == 1:
+    last = -1
+    while len(symbols) > 1:
+        rank = min((r for r in map(ranks.get, zip(symbols, symbols[1:]), repeat(-1))
+                    if r > last), default=None)
+        if rank is None:
             break
-        symbols = merge_word(symbols, pair)
+        symbols = merge_word(symbols, model.merges[rank])
+        last = rank
     model._cache[word] = symbols
     return symbols
 

@@ -18,31 +18,37 @@ class CorpusError(Exception):
     """Raised for malformed or misaligned corpus files."""
 
 
-def read_lines(path):
-    """Read a UTF-8 text file, or stdin when path is None or "-", into a
-    list of lines.
+def read_text(path):
+    """Decode a UTF-8 file, or stdin when path is None or "-", whole.
 
-    Decodes line by line so errors can name the offending line.  A single
-    trailing LF does not create a phantom empty line; interior empty lines
-    are kept to preserve alignment.
+    Invalid UTF-8 raises CorpusError naming the file and the line.
     """
     if path in (None, "-"):
         path, data = "stdin", sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    raw = data.split(b"\n")
-    if raw and raw[-1] == b"":
-        raw.pop()
-    lines = []
-    for i, chunk in enumerate(raw):
-        if chunk.endswith(b"\r"):
-            chunk = chunk[:-1]
-        try:
-            lines.append(chunk.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}: invalid UTF-8 on line {i + 1}: {exc}") from exc
-    return lines
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, start) + 1
+        raise CorpusError(f"{path}: invalid UTF-8 on line {line} at byte "
+                          f"{exc.start - start + 1}: {exc.reason}") from exc
+
+
+def read_lines(path):
+    """Read a UTF-8 text file, or stdin when path is None or "-", into a
+    list of lines.
+
+    A single trailing LF does not create a phantom empty line, and a CR
+    ending a line is dropped; interior empty lines are kept to preserve
+    alignment.
+    """
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def write_lines(path, lines):

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import BOS, EOS, UNK, PAD, RESERVED, Vocab, build_vocab
+from .corpus import BOS, EOS, UNK, PAD, RESERVED, Vocab, build_vocab, read_text
 
 FLOOR = -99.0
 
@@ -75,8 +75,7 @@ def lm_train(corpus, order, discount=0.75):
     for sent in corpus:
         wrapped = (BOS,) + tuple(sent) + (EOS,)
         for m in range(1, order + 1):
-            for i in range(len(wrapped) - m + 1):
-                raw[m][wrapped[i:i + m]] += 1
+            raw[m].update(zip(*(wrapped[k:] for k in range(m))))
 
     probs, backoffs = {}, {}
 
@@ -91,21 +90,23 @@ def lm_train(corpus, order, discount=0.75):
         return NgramModel(order, probs, backoffs, vocab)
 
     # Continuation counts: distinct non-BOS left extensions of each m-gram.
-    cont = {m: Counter() for m in range(1, order)}
-    for m in range(1, order):
-        for gram in raw[m + 1]:
-            if gram[0] != BOS:
-                cont[m][gram[1:]] += 1
+    cont = {m: Counter(g[1:] for g in raw[m + 1] if g[0] != BOS) for m in range(1, order)}
 
-    def totals(counter):
-        tot, distinct_ext = Counter(), Counter()
-        for gram, c in counter.items():
-            tot[gram[:-1]] += c
-            distinct_ext[gram[:-1]] += 1
-        return tot, distinct_ext
-
-    raw_tot = {m: totals(raw[m]) for m in range(2, order + 1)}
-    cont_tot = {m: totals(cont[m]) for m in range(2, order)}
+    # Each order's context -> (counts, context_total, gamma), resolved
+    # once, with gamma = discount * distinct_extensions / total: the highest
+    # order reads raw counts; lower orders read continuation counts, or raw
+    # counts for contexts nothing extends to the left.  Every context listed
+    # has a positive total; one missing has 0.
+    stats = {}
+    for m in range(2, order + 1):
+        stats[m] = {}
+        for counts in [raw[m]] if m == order else [raw[m], cont[m]]:
+            tot, distinct_ext = {}, Counter(g[:-1] for g in counts)
+            for gram, c in counts.items():
+                ctx = gram[:-1]
+                tot[ctx] = tot.get(ctx, 0) + c
+            stats[m].update((ctx, (counts, total, discount * distinct_ext[ctx] / total))
+                            for ctx, total in tot.items())
 
     cont_unigram_total = sum(cont[1].values())
     if cont_unigram_total > 0:
@@ -113,29 +114,6 @@ def lm_train(corpus, order, discount=0.75):
     else:
         total = sum(c for g, c in raw[1].items() if g != (BOS,))
         p_unigram = {w: raw[1].get((w,), 0) / total for w in events}
-
-    def route(context):
-        """(counts, context_total, distinct_extensions) for one context."""
-        m = len(context) + 1
-        if m == order:
-            tot, dis = raw_tot[m]
-            return raw[m], tot[context], dis[context]
-        tot, dis = cont_tot[m]
-        if tot[context] > 0:
-            return cont[m], tot[context], dis[context]
-        tot, dis = raw_tot[m]
-        return raw[m], tot[context], dis[context]
-
-    def prob(context, w):
-        """Fully interpolated p(w | context), exact floats, zero allowed."""
-        if not context:
-            return p_unigram.get(w, 0.0)
-        counts, total, distinct_ext = route(context)
-        if total == 0:
-            return prob(context[1:], w)
-        num = max(counts.get(context + (w,), 0) - discount, 0.0)
-        gamma = discount * distinct_ext / total
-        return num / total + gamma * prob(context[1:], w)
 
     # Which n-grams get stored: the highest order stores everything seen;
     # middle orders store continuation-seen grams, BOS-headed raw grams
@@ -151,18 +129,36 @@ def lm_train(corpus, order, discount=0.75):
         grams |= {g[:-1] for g in stored[m + 1]}
         stored[m] = grams
 
+    # Interpolated probabilities bottom-up.  Each order's table holds the
+    # grams it stores plus the grams a higher order interpolates with, so
+    # p(w | context) = num / total + gamma * p(w | context[1:]) reads the
+    # lower value from the table below; a context with total 0 passes the
+    # lower value through.  Zero probabilities are kept until storage, and
+    # a context's backoff is the log10 of its gamma.
+    needed = {order: stored[order]}
+    for m in range(order - 1, 0, -1):
+        needed[m] = stored[m] | {g[1:] for g in needed[m + 1]}
+    table = {g: p_unigram.get(g[0], 0.0) for g in needed[1]}
     for m in range(1, order + 1):
+        if m > 1:
+            lower, table, by_context = table, {}, stats[m]
+            for gram in needed[m]:
+                entry = by_context.get(gram[:-1])
+                if entry is None:
+                    table[gram] = lower[gram[1:]]
+                else:
+                    counts, total, gamma = entry
+                    num = max(counts.get(gram, 0) - discount, 0.0)
+                    table[gram] = num / total + gamma * lower[gram[1:]]
+            for context in {g[:-1] for g in stored[m]}:
+                entry = by_context.get(context)
+                if entry is not None:
+                    backoffs[context] = math.log10(entry[2])
         for gram in stored[m]:
             if gram == (BOS,):
                 probs[gram] = FLOOR
             else:
-                store(gram, prob(gram[:-1], gram[-1]))
-
-    for m in range(2, order + 1):
-        for context in {g[:-1] for g in stored[m]}:
-            _, total, distinct_ext = route(context)
-            if total > 0:
-                backoffs[context] = math.log10(discount * distinct_ext / total)
+                store(gram, table[gram])
 
     return NgramModel(order, probs, backoffs, vocab)
 
@@ -213,8 +209,8 @@ def lm_write_arpa(model, path):
 
 def lm_read_arpa(path):
     """Parse an ARPA file back into an NgramModel."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    # CRLF and lone CR end lines too, as in a text-mode open.
+    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
     def fail(lineno, msg):
         raise ArpaError("%s:%d: %s" % (path, lineno, msg))

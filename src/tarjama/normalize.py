@@ -9,6 +9,8 @@ alone.  Truecasing is the most-frequent-casing heuristic.
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+from .corpus import read_lines
+
 ALIF = "ا"
 ALIF_MADDA = "آ"
 ALIF_HAMZA_ABOVE = "أ"
@@ -55,19 +57,17 @@ class NormRules:
     @classmethod
     def load(cls, path):
         char_map, strip_set = {}, set()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}: malformed rule line {lineno}: {line!r}")
-                src = chr(int(parts[0], 16))
-                if parts[1]:
-                    char_map[src] = parts[1]
-                else:
-                    strip_set.add(src)
+        for lineno, line in enumerate(read_lines(path), 1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(f"{path}: malformed rule line {lineno}: {line!r}")
+            src = chr(int(parts[0], 16))
+            if parts[1]:
+                char_map[src] = parts[1]
+            else:
+                strip_set.add(src)
         return cls(char_map, strip_set)
 
 
@@ -122,17 +122,13 @@ class TruecaseModel:
     @classmethod
     def load(cls, path):
         case_freq = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}: malformed truecase line {lineno}: {line!r}"
-                    )
-                case_freq[parts[0]] = (parts[1], int(parts[2]))
+        for lineno, line in enumerate(read_lines(path), 1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}: malformed truecase line {lineno}: {line!r}")
+            case_freq[parts[0]] = (parts[1], int(parts[2]))
         return cls(case_freq)
 
 

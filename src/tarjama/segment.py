@@ -13,6 +13,9 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from .corpus import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -74,32 +77,33 @@ class CliticInventory:
         if self.min_stem_len < 1:
             raise ValueError("min_stem_len must be positive")
 
-    @property
+    # Derived once per (frozen) inventory.
+    @cached_property
     def conjunction_slot(self):
         return tuple(p[:-1] for p in self.proclitics if p[:-1] in _CONJUNCTIONS)
 
-    @property
+    @cached_property
     def particle_slot(self):
         return tuple(p[:-1] for p in self.proclitics if p[:-1] not in _CONJUNCTIONS)
 
+    @cached_property
     def enclitics_longest_first(self):
-        return sorted(self.enclitics, key=lambda e: (-len(e), e))
+        return tuple(sorted(self.enclitics, key=lambda e: (-len(e), e)))
 
     @classmethod
     def from_file(cls, path, **kwargs):
         """Read one clitic per line, ``X+`` for proclitics, ``+X`` for enclitics."""
         pro, enc = [], []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.endswith("+") and len(line) > 1:
-                    pro.append(line)
-                elif line.startswith("+") and len(line) > 1:
-                    enc.append(line[1:])
-                else:
-                    raise ValueError(f"{path}:{lineno}: expected X+ or +X, got {line!r}")
+        for lineno, line in enumerate(read_lines(path), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.endswith("+") and len(line) > 1:
+                pro.append(line)
+            elif line.startswith("+") and len(line) > 1:
+                enc.append(line[1:])
+            else:
+                raise ValueError(f"{path}:{lineno}: expected X+ or +X, got {line!r}")
         return cls(proclitics=tuple(pro), enclitics=tuple(enc), **kwargs)
 
 
@@ -146,7 +150,7 @@ def atb_segment(token, inv=DEFAULT_INVENTORY):
                 break
 
     enclitic = None
-    for cand in inv.enclitics_longest_first():
+    for cand in inv.enclitics_longest_first:
         if rest.endswith(cand) and len(rest) - len(cand) >= inv.min_stem_len:
             enclitic = cand
             rest = rest[: -len(cand)]
@@ -205,21 +209,19 @@ class DetokTable:
         segments to its key (violators are logged and kept, since the
         table is authoritative)."""
         table = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}: malformed table line {lineno}: {line!r}")
-                key, surface, count = parts[0], parts[1], int(parts[2])
-                if inv is not None and " ".join(atb_segment(surface, inv)) != key:
-                    log.warning(
-                        "detok table %s line %d: surface %r no longer segments to %r",
-                        path, lineno, surface, key,
-                    )
-                table.add(key, surface, count)
+        for lineno, line in enumerate(read_lines(path), 1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}: malformed table line {lineno}: {line!r}")
+            key, surface, count = parts[0], parts[1], int(parts[2])
+            if inv is not None and " ".join(atb_segment(surface, inv)) != key:
+                log.warning(
+                    "detok table %s line %d: surface %r no longer segments to %r",
+                    path, lineno, surface, key,
+                )
+            table.add(key, surface, count)
         return table
 
 
@@ -227,16 +229,21 @@ def segment_corpus(corpus, inv=DEFAULT_INVENTORY):
     """Segment every token of every sentence; build the detok table.
 
     Every word contributes a table entry, identity segmentations included,
-    so that seen data always round-trips by lookup.
+    so that seen data always round-trips by lookup.  Each distinct token is
+    segmented once.
     """
     table = DetokTable()
+    seen = {}  # token -> (segments, table key)
     segmented = []
     for sent in corpus:
         out = []
         for token in sent:
-            segs = atb_segment(token, inv)
-            out.extend(segs)
-            table.add(" ".join(segs), token)
+            hit = seen.get(token)
+            if hit is None:
+                segs = atb_segment(token, inv)
+                hit = seen[token] = (segs, " ".join(segs))
+            out.extend(hit[0])
+            table.add(hit[1], token)
         segmented.append(out)
     return segmented, table
 

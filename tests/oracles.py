@@ -60,6 +60,14 @@ def naive_bpe_learn(word_freqs, target_vocab_size):
     return merges
 
 
+def replay_segment_word(word, merges):
+    """Subwords of one word by applying every merge of the list in order."""
+    symbols = tuple(word)
+    for pair in merges:
+        symbols = _merge_once(symbols, pair)
+    return symbols
+
+
 # -------------------------------------------------------------------- BLEU
 
 def naive_bleu(hypotheses, references):
@@ -100,8 +108,8 @@ def naive_bleu(hypotheses, references):
 
 # ------------------------------------------------------------ language model
 
-def naive_kn_prob(corpus, order, discount, context, word):
-    """Interpolated Kneser-Ney p(word | context) from raw occurrence scans.
+def _naive_kn(corpus, order, discount):
+    """p(w | ctx) and the interpolation weight of ctx by raw occurrence scans.
 
     Highest order uses raw counts; lower orders use the number of distinct
     non-initial left extensions, falling back to raw counts for contexts
@@ -130,34 +138,52 @@ def naive_kn_prob(corpus, order, discount, context, word):
         }
         return len(heads)
 
-    if order == 1:
-        total = sum(raw((e,)) for e in events)
-        return raw((word,)) / total
+    def route(ctx):
+        """The counter read after ctx, and its count for every event."""
+        count = raw if len(ctx) == order - 1 else cont
+        if count is cont and sum(cont(ctx + (e,)) for e in events) == 0:
+            count = raw
+        return count, [count(ctx + (e,)) for e in events]
+
+    def gamma(ctx):
+        """discount * distinct extensions / total, or None at total 0."""
+        _, per_event = route(ctx)
+        if sum(per_event) == 0:
+            return None
+        return discount * sum(1 for c in per_event if c > 0) / sum(per_event)
 
     def prob(ctx, w):
+        if order == 1:
+            total = sum(raw((e,)) for e in events)
+            return raw((w,)) / total
         if not ctx:
             totals = [cont((e,)) for e in events]
             if sum(totals) == 0:
                 totals = [raw((e,)) for e in events]
                 return raw((w,)) / sum(totals)
             return cont((w,)) / sum(totals)
-        if len(ctx) == order - 1:
-            count = raw
-        else:
-            count = cont
-            if sum(cont(ctx + (e,)) for e in events) == 0:
-                count = raw
-        per_event = [count(ctx + (e,)) for e in events]
+        count, per_event = route(ctx)
         total = sum(per_event)
         if total == 0:
             return prob(ctx[1:], w)
         distinct = sum(1 for c in per_event if c > 0)
         top = max(count(ctx + (w,)) - discount, 0.0)
-        gamma = discount * distinct / total
-        return top / total + gamma * prob(ctx[1:], w)
+        weight = discount * distinct / total
+        return top / total + weight * prob(ctx[1:], w)
 
-    context = tuple(context)[-(order - 1):] if context else ()
-    return prob(context, word)
+    return prob, gamma
+
+
+def naive_kn_prob(corpus, order, discount, context, word):
+    """Interpolated Kneser-Ney p(word | context); see _naive_kn."""
+    context = tuple(context)[-(order - 1):] if context and order > 1 else ()
+    return _naive_kn(corpus, order, discount)[0](context, word)
+
+
+def naive_kn_backoff(corpus, order, discount, context):
+    """The interpolation weight gamma of a context (None if nothing follows
+    it), which an ARPA file stores as the context's log10 backoff."""
+    return _naive_kn(corpus, order, discount)[1](tuple(context))
 
 
 def naive_kn_sentence(corpus, order, discount, sentence):

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from oracles import naive_bpe_learn
+from oracles import naive_bpe_learn, replay_segment_word
 from tarjama.bpe import (
     BpeModel,
     apply_bpe,
@@ -10,6 +12,7 @@ from tarjama.bpe import (
     segment_word,
     undo_bpe,
 )
+from tarjama.corpus import CorpusError
 
 
 def test_merge_word_non_overlapping_left_to_right():
@@ -110,3 +113,36 @@ def test_round_trip_lossless():
         n = int(rng.integers(1, 12))
         sent = [lexicon[i] for i in rng.integers(0, len(lexicon), size=n)]
         assert undo_bpe(apply_bpe(sent, model)) == sent
+
+
+def test_segment_word_matches_replay_oracle():
+    # Small alphabets make merges build on one another, so most words take
+    # several merges in a row, some of them on symbols earlier merges made.
+    rng = np.random.default_rng(4321)
+    for _ in range(40):
+        alphabet = "abcd"[: int(rng.integers(2, 5))]
+        freqs = random_words(rng, int(rng.integers(5, 60)), alphabet)
+        model = learn_bpe(freqs, len(set("".join(freqs))) + int(rng.integers(1, 25)))
+        unseen = random_words(rng, 30, alphabet, max_len=12)
+        for word in list(freqs) + list(unseen):
+            assert segment_word(word, model) == replay_segment_word(word, model.merges), (
+                word, model.merges)
+
+
+def test_segment_word_merges_only_ranks_above_the_last(tmp_path):
+    # Replay skips the first three merges, which find nothing, then joins
+    # (b, c).  That creates (a, bc), which ranks lower than (b, c), so
+    # replay never applies it; "merge the lowest present rank" would, and
+    # would go on to (abc, d).
+    path = tmp_path / "hand.bpe"
+    path.write_text("#bpe v1 vocab=8\nab c\nabc d\na bc\nb c\n", encoding="utf-8")
+    model = BpeModel.load(str(path))
+    assert replay_segment_word("abcd", model.merges) == ("a", "bc", "d")
+    assert segment_word("abcd", model) == ("a", "bc", "d")
+
+
+def test_model_load_names_file_with_undecodable_bytes(tmp_path):
+    path = tmp_path / "bad.bpe"
+    path.write_bytes(b"#bpe v1 vocab=10\n\xff\xfe\n")
+    with pytest.raises(CorpusError, match=re.escape(str(path)) + ": invalid UTF-8 on line 2"):
+        BpeModel.load(str(path))

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oracles import naive_kn_prob, naive_kn_sentence
+from oracles import naive_kn_backoff, naive_kn_prob, naive_kn_sentence
+from tarjama.corpus import CorpusError
 from tarjama.ngram import (
     ArpaError,
     lm_read_arpa,
@@ -71,6 +73,27 @@ def test_matches_recursive_oracle_on_random_corpora():
                 want = naive_kn_prob(corpus, order, 0.75, ctx, w)
                 assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (
                     order, ctx, w, got, want)
+
+
+def test_stored_values_equal_oracle_log10_exactly():
+    # Every stored log-probability and backoff is the log10 of the oracle's
+    # value to the last bit, at the orders the benchmark and the paper use.
+    # Words seen only sentence-initially have no continuation count, so
+    # contexts ending in them take the raw-count fallback.
+    rng = np.random.default_rng(11)
+    for order in (2, 3, 4):
+        for _ in range(3):
+            corpus = random_corpus(rng, sentences=10, vocab=4, max_len=6)
+            corpus += [["first"] + corpus[0], ["opens", "red"], ["opens"]]
+            model = lm_train(corpus, order=order)
+            for gram, logp in model.probs.items():
+                p = naive_kn_prob(corpus, order, 0.75, gram[:-1], gram[-1])
+                want = math.log10(p) if p > 0.0 and gram != ("<s>",) else -99.0
+                assert logp == want, (order, gram, logp, want)
+            contexts = {g[:-1] for g in model.probs if len(g) > 1}
+            weights = {c: naive_kn_backoff(corpus, order, 0.75, c) for c in contexts}
+            assert model.backoffs == {
+                c: math.log10(w) for c, w in weights.items() if w is not None}
 
 
 def test_sentence_scores_match_oracle():
@@ -173,6 +196,13 @@ def test_arpa_parser_rejects_malformed_files(tmp_path):
     path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\ta\n",
                     encoding="utf-8")
     with pytest.raises(ArpaError, match="end"):
+        lm_read_arpa(str(path))
+
+
+def test_read_arpa_names_file_with_undecodable_bytes(tmp_path):
+    path = tmp_path / "bad.arpa"
+    path.write_bytes(b"\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\t\xff\xfe\n")
+    with pytest.raises(CorpusError, match=re.escape(str(path)) + ": invalid UTF-8 on line 5"):
         lm_read_arpa(str(path))
 
 

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from tarjama.corpus import CorpusError
 from tarjama.normalize import (
     NormRules,
     TruecaseModel,
@@ -67,6 +70,15 @@ def test_rules_save_load_round_trip(tmp_path):
     again = NormRules.load(str(path))
     assert again.char_map == rules.char_map
     assert again.strip_set == rules.strip_set
+
+
+@pytest.mark.parametrize("loader", [NormRules.load, TruecaseModel.load],
+                         ids=["NormRules", "TruecaseModel"])
+def test_loaders_name_file_with_undecodable_bytes(tmp_path, loader):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(CorpusError, match=re.escape(str(path)) + ": invalid UTF-8 on line 1"):
+        loader(str(path))
 
 
 def test_lowercase():

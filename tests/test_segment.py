@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from tarjama.corpus import CorpusError
 from tarjama.segment import (
     CliticInventory,
     DEFAULT_INVENTORY,
@@ -125,6 +128,15 @@ def test_detok_table_save_load(tmp_path):
     again = DetokTable.load(str(path), inv=DEFAULT_INVENTORY)
     assert again.lookup("و+ قلم") == ("وقلم", 3)
     assert len(again) == 2
+
+
+@pytest.mark.parametrize("loader", [DetokTable.load, CliticInventory.from_file],
+                         ids=["DetokTable", "CliticInventory"])
+def test_loaders_name_file_with_undecodable_bytes(tmp_path, loader):
+    path = tmp_path / "bad.txt"
+    path.write_bytes("و+\n".encode("utf-8") + b"\xff\xfe\n")
+    with pytest.raises(CorpusError, match=re.escape(str(path)) + ": invalid UTF-8 on line 2"):
+        loader(str(path))
 
 
 def test_segment_corpus_round_trips_by_lookup():
