@@ -7,6 +7,7 @@ the merge list, and marks non-final subwords with the ``@@`` continuation
 suffix, which undo_bpe concatenates away.
 """
 
+import heapq
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -82,11 +83,6 @@ def _pair_counts(vocab):
     return counts, where
 
 
-def _best_pair(counts):
-    # Highest count first; ties go to the lexicographically smallest pair.
-    return min(counts, key=lambda p: (-counts[p], p))
-
-
 def learn_bpe(word_freqs, target_vocab_size):
     """Learn a merge list from word frequencies.
 
@@ -116,28 +112,41 @@ def learn_bpe(word_freqs, target_vocab_size):
 
     merges = []
     counts, where = _pair_counts(vocab)
-    while len(holders) < target_vocab_size and counts:
-        pair = _best_pair(counts)
-        if counts[pair] < 2:
+    # (-count, pair) entries, ties going to the smallest pair.  A merge pushes
+    # every count it changes; an entry whose count no longer holds is stale.
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
+    while len(holders) < target_vocab_size and heap:
+        neg, pair = heapq.heappop(heap)
+        if counts.get(pair) != -neg:
+            continue
+        if -neg < 2:
             break
         merges.append(pair)
-        for word in sorted(where[pair]):
+        delta = Counter()
+        # Only the pair's symbols can leave a word, only the merged one join.
+        changing = {*pair, "".join(pair)}
+        for word in where.pop(pair):  # no word holds the pair afterwards
             symbols, freq = vocab[word]
-            for a, b in zip(symbols, symbols[1:]):
-                counts[(a, b)] -= freq
-                if counts[(a, b)] <= 0:
-                    del counts[(a, b)]
-                where[(a, b)].discard(word)
-            holders.subtract(set(symbols))
-            symbols = merge_word(symbols, pair)
-            vocab[word] = (symbols, freq)
-            holders.update(set(symbols))
-            for a, b in zip(symbols, symbols[1:]):
-                counts[(a, b)] += freq
-                where[(a, b)].add(word)
-        for s in set(pair):  # only the merged symbols can disappear
-            if not holders[s]:
-                del holders[s]
+            new = merge_word(symbols, pair)
+            vocab[word] = (new, freq)
+            for p in zip(symbols, symbols[1:]):
+                delta[p] -= freq
+                where[p].discard(word)
+            for p in zip(new, new[1:]):
+                delta[p] += freq
+                where[p].add(word)
+            for s in changing:
+                holders[s] += (s in new) - (s in symbols)
+                if not holders[s]:  # pair symbols only fall, the merged one only rises
+                    del holders[s]
+        for p, change in delta.items():
+            if change:
+                counts[p] += change
+                if counts[p] > 0:
+                    heapq.heappush(heap, (-counts[p], p))
+                else:
+                    del counts[p]
     return BpeModel(merges, target_vocab_size)
 
 

@@ -14,6 +14,8 @@ the reference for these gradients.
 """
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
 
@@ -92,8 +94,43 @@ def param_shapes(config):
     return shapes
 
 
+class FlatParams(dict):
+    """Parameter tensors by name, all views of one float64 vector `flat` (zeros,
+    or a copy of `values`).  With gates stacked z, r, h, `gru[prefix]` holds the
+    views (W, b, U for z and r, U for h) of a GRU; for "enc_l<k>" with a (fw, bw) axis."""
+
+    def __init__(self, config, values=None):
+        self.config, shapes = config, param_shapes(config)
+        total = sum(math.prod(shape) for shape in shapes.values())
+        self.flat = np.zeros(total) if values is None else np.array(values, dtype=float)
+        self.gru, views, offset = {}, {}, 0
+        grus = [("enc_l%d" % k, ("_fw", "_bw")) for k in range(1, config.enc_layers + 1)]
+        for prefix, dirs in grus + [("dec", ("",))]:
+            n, in_dim = shapes[prefix + dirs[0] + "_Wz"]
+            self.gru[prefix] = stacked = []
+            for shape, gates in (((3 * n, in_dim), ("_Wz", "_Wr", "_Wh")),
+                                 ((3 * n,), ("_bz", "_br", "_bh")),
+                                 ((2 * n, n), ("_Uz", "_Ur")), ((n, n), ("_Uh",))):
+                size = len(dirs) * math.prod(shape)
+                block = self.flat[offset:offset + size].reshape((len(dirs),) + shape)
+                offset += size
+                stacked.append(block if len(dirs) == 2 else block[0])
+                for i, j in np.ndindex(len(dirs), len(gates)):
+                    views[prefix + dirs[i] + gates[j]] = block[i, j * n:(j + 1) * n]
+        for name, shape in shapes.items():
+            if name not in views:
+                views[name] = self.flat[offset:offset + math.prod(shape)].reshape(shape)
+                offset += math.prod(shape)
+        super().__init__((name, views[name]) for name in shapes)
+
+    def __reduce__(self):  # copies rebuild their views on a vector of their own
+        return FlatParams, (self.config, self.flat)
+
+
 @dataclass
 class NmtModel:
+    """A config and its parameters, which are copied into a FlatParams."""
+
     config: NmtConfig
     params: dict = field(repr=False)
 
@@ -106,6 +143,7 @@ class NmtModel:
                 "parameter set mismatch: missing %s, unexpected %s"
                 % (missing, extra)
             )
+        flat = FlatParams(self.config)
         for name, shape in expected.items():
             arr = self.params[name]
             if arr.shape != shape:
@@ -115,20 +153,20 @@ class NmtModel:
                 )
             if not np.isfinite(arr).all():
                 raise ValueError("parameter %s contains non-finite values" % name)
+            flat[name][...] = arr
+        self.params = flat
 
     def copy(self):
-        return NmtModel(self.config, {k: v.copy() for k, v in self.params.items()})
+        return NmtModel(self.config, self.params)
 
 
 def init_model(config):
     """Seeded uniform(-0.08, 0.08) weights, zero biases."""
     rng = np.random.default_rng(config.seed)
-    params = {}
+    params = FlatParams(config)
     for name, shape in param_shapes(config).items():
-        if len(shape) == 1:
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.uniform(-0.08, 0.08, shape)
+        if len(shape) > 1:
+            params[name][...] = rng.uniform(-0.08, 0.08, shape)
     return NmtModel(config, params)
 
 
@@ -163,17 +201,6 @@ def _log_softmax(x):
     return out
 
 
-def _stack(params, prefix):
-    """One GRU's weights with the gates stacked z, r, h, so that one
-    matmul feeds several gates: (W, b, U for z and r, U for h)."""
-    return (
-        np.concatenate([params[prefix + "_W" + g] for g in "zrh"]),
-        np.concatenate([params[prefix + "_b" + g] for g in "zrh"]),
-        np.concatenate([params[prefix + "_Uz"], params[prefix + "_Ur"]]),
-        params[prefix + "_Uh"],
-    )
-
-
 def _gru_step(xp, h, U, Uh):
     """One GRU step from the input projection xp (biases included).
 
@@ -181,9 +208,9 @@ def _gru_step(xp, h, U, Uh):
     Returns h' and what backprop needs: gates [u, r], candidate c, r*h.
     """
     n = h.shape[-1]
-    gates = _sigmoid(xp[..., :2 * n] + h @ U.T)
+    gates = _sigmoid(xp[..., :2 * n] + h @ U.swapaxes(-1, -2))
     rh = gates[..., n:] * h
-    c = np.tanh(xp[..., 2 * n:] + rh @ Uh.T)
+    c = np.tanh(xp[..., 2 * n:] + rh @ Uh.swapaxes(-1, -2))
     u = gates[..., :n]
     return u * h + (1.0 - u) * c, gates, c, rh
 
@@ -201,66 +228,66 @@ def _gru_step_grad(dh_new, h, gates, c, rh, U, Uh):
     return dh, np.concatenate([dgates, dc], axis=-1)
 
 
-def _gru_param_grads(grads, prefix, dpre, x, h_prev, rh):
-    """One GRU's weight gradients, summed over every (step, row), from
-    its stacked pre-activation gradients, inputs and previous states."""
-    n = h_prev.shape[-1]
-    dpre = dpre.reshape(-1, 3 * n)
-    dW = dpre.T @ x.reshape(len(dpre), -1)
-    dU = dpre[:, :2 * n].T @ h_prev.reshape(-1, n)
-    db = dpre.sum(axis=0)
-    for k, gate in enumerate("zrh"):
-        grads[prefix + "_W" + gate] = dW[k * n:(k + 1) * n]
-        grads[prefix + "_b" + gate] = db[k * n:(k + 1) * n]
-    grads[prefix + "_Uz"] = dU[:n]
-    grads[prefix + "_Ur"] = dU[n:]
-    grads[prefix + "_Uh"] = dpre[:, 2 * n:].T @ rh.reshape(-1, n)
+def _gru_param_grads(grads, dpre, x, h_prev, rh):
+    """Fill one GRU's stacked gradient views (W, b, U, Uh); rows on axis -2."""
+    W, b, U, Uh = grads
+    n = Uh.shape[-1]
+    dpre_t = dpre.swapaxes(-1, -2)
+    np.matmul(dpre_t, x, out=W)
+    np.matmul(dpre_t[..., :2 * n, :], h_prev, out=U)
+    np.matmul(dpre_t[..., 2 * n:, :], rh, out=Uh)
+    np.sum(dpre, axis=-2, out=b)
 
 
-def _gru_layer(params, prefix, x, m, reverse):
-    """One GRU direction over time-major inputs x (S, B, in) and masks
-    m (S, B, 1).  A padded step carries the state through unchanged."""
-    W, b, U, Uh = _stack(params, prefix)
-    xp = x @ W.T + b
+def _encoder_layer(gru, x, m):
+    """Both directions of one encoder layer over x (S, B, in) in one loop: step
+    k advances the forward GRU at position k and the backward one at S-1-k,
+    masks m (S, 2, B, 1) in that order; a padded step carries the state."""
+    W, b, U, Uh = gru
+    xp = np.stack([x, x[::-1]], axis=1) @ W.swapaxes(1, 2) + b[:, None, :]
     steps, rows = x.shape[:2]
-    n = Uh.shape[0]
-    out, h_prev, c, rh = (np.empty((steps, rows, n)) for _ in range(4))
-    gates = np.empty((steps, rows, 2 * n))
-    h = np.zeros((rows, n))
-    for t in reversed(range(steps)) if reverse else range(steps):
-        h_prev[t] = h
-        h_new, gates[t], c[t], rh[t] = _gru_step(xp[t], h, U, Uh)
-        h = out[t] = m[t] * h_new + (1.0 - m[t]) * h
+    n = Uh.shape[-1]
+    out, h_prev, c, rh, gates = (np.empty((steps, 2, rows, w * n)) for w in (1, 1, 1, 1, 2))
+    h = np.zeros((2, rows, n))
+    for k in range(steps):
+        h_prev[k] = h
+        h_new, gates[k], c[k], rh[k] = _gru_step(xp[k], h, U, Uh)
+        h = out[k] = m[k] * h_new + (1.0 - m[k]) * h
     return out, (h_prev, gates, c, rh)
 
 
-def _gru_layer_grad(params, prefix, x, m, reverse, saved, dout, grads):
-    """Backprop _gru_layer from the gradient of its outputs; fills the
-    GRU's parameter gradients and returns the gradient of x."""
-    W, _, U, Uh = _stack(params, prefix)
+def _encoder_layer_grad(gru, x, m, saved, dout, grads):
+    """Backprop _encoder_layer from the gradient of its annotations
+    dout (S, B, 2n) into the stacked views grads; returns that of x."""
+    W, _, U, Uh = gru
     h_prev, gates, c, rh = saved
-    dpre = np.empty(gates.shape[:2] + (3 * Uh.shape[0],))
+    n = Uh.shape[-1]
+    dout = np.stack([dout[..., :n], dout[::-1, :, n:]], axis=1)
+    dpre = np.empty(gates.shape[:-1] + (3 * n,))
     dh = np.zeros_like(dout[0])
-    for t in range(len(x)) if reverse else reversed(range(len(x))):
-        dh = dh + dout[t]
-        d_prev, dpre[t] = _gru_step_grad(
-            m[t] * dh, h_prev[t], gates[t], c[t], rh[t], U, Uh)
-        dh = d_prev + (1.0 - m[t]) * dh
-    _gru_param_grads(grads, prefix, dpre, x, h_prev, rh)
-    return dpre @ W
+    for k in reversed(range(len(x))):
+        dh = dh + dout[k]
+        d_prev, dpre[k] = _gru_step_grad(
+            m[k] * dh, h_prev[k], gates[k], c[k], rh[k], U, Uh)
+        dh = d_prev + (1.0 - m[k]) * dh
+    def time_major(a):  # (2, S*B, n): weight gradients sum in time order
+        return np.stack([a[:, 0], a[::-1, 1]]).reshape(2, -1, a.shape[-1])
+    _gru_param_grads(grads, time_major(dpre), x.reshape(-1, x.shape[-1]),
+                     time_major(h_prev), time_major(rh))
+    dx = dpre @ W
+    return dx[:, 0] + dx[::-1, 1]
 
 
 def _encode(params, config, src, mask):
     """Annotations (S, B, 2*enc_hidden) of time-major source ids, and
-    each layer's inputs and saved activations for backprop."""
+    each layer's inputs, masks and saved activations for backprop."""
     x = params["src_emb"][src]
-    m = mask[:, :, None]
+    m = np.stack([mask, mask[::-1]], axis=1)[..., None]
     layers = []
     for layer in range(1, config.enc_layers + 1):
-        fw, fw_saved = _gru_layer(params, "enc_l%d_fw" % layer, x, m, False)
-        bw, bw_saved = _gru_layer(params, "enc_l%d_bw" % layer, x, m, True)
-        layers.append((x, fw_saved, bw_saved))
-        x = np.concatenate([fw, bw], axis=2)
+        out, saved = _encoder_layer(params.gru["enc_l%d" % layer], x, m)
+        layers.append((x, m, saved))
+        x = np.concatenate([out[:, 0], out[::-1, 1]], axis=2)
     return x, layers
 
 
@@ -273,12 +300,12 @@ def _init_state(params, annotations, mask):
     return z, weights, mean
 
 
-def _target_inputs(params, dec, y):
+def _target_inputs(params, y):
     """Embeddings of target ids and their projections into the
     attention query and the decoder gates (biases included)."""
     emb = params["tgt_emb"][y]
     e = emb.shape[-1]
-    W, b = dec[:2]
+    W, b = params.gru["dec"][:2]
     return emb, emb @ params["att_Wy"].T + params["att_b"], emb @ W[:, :e].T + b
 
 
@@ -299,11 +326,11 @@ def _attend(params, keys, annotations, mask, z, y_att):
     return context, alpha
 
 
-def _decoder_step(params, dec, keys, annotations, mask, z, y_att, y_gru):
+def _decoder_step(params, keys, annotations, mask, z, y_att, y_gru):
     """Attention, then the decoder GRU, for one target position."""
     context, alpha = _attend(params, keys, annotations, mask, z, y_att)
     e = params["tgt_emb"].shape[1]
-    W, _, U, Uh = dec
+    W, _, U, Uh = params.gru["dec"]
     z_new, gates, c, rh = _gru_step(y_gru + context @ W[:, e:].T, z, U, Uh)
     return z_new, (context, alpha, gates, c, rh)
 
@@ -340,8 +367,7 @@ def batch_forward(model, srcs, tgts, rng=None):
     batch_mask = src_mask.T
     z, weights, mean = _init_state(params, annotations, batch_mask)
     keys = annotations @ params["att_Wh"].T
-    dec = _stack(params, "dec")
-    emb, y_att, y_gru = _target_inputs(params, dec, tgt)
+    emb, y_att, y_gru = _target_inputs(params, tgt)
 
     steps, rows = tgt.shape
     z_prev = np.empty((steps, rows, config.dec_hidden))
@@ -349,7 +375,7 @@ def batch_forward(model, srcs, tgts, rng=None):
     acts = []
     for t in range(steps):
         z_prev[t] = z
-        z, step = _decoder_step(params, dec, keys, annotations, batch_mask,
+        z, step = _decoder_step(params, keys, annotations, batch_mask,
                                 z, y_att[t], y_gru[t])
         z_out[t] = z
         acts.append(step)
@@ -370,7 +396,7 @@ def batch_forward(model, srcs, tgts, rng=None):
         model=model, src=src, src_mask=src_mask, layers=layers,
         annotations=annotations, weights=weights, mean=mean, z0=z_prev[0],
         keys=keys, tgt=tgt, tgt_mask=tgt_mask, y_out=y_out, emb=emb,
-        y_att=y_att, dec=dec, z_prev=z_prev, context=context, alpha=alpha,
+        y_att=y_att, z_prev=z_prev, context=context, alpha=alpha,
         gates=gates, c=c, rh=rh, drop=drop, out_in=out_in, logp=logp,
     )
     return losses, saved
@@ -378,10 +404,11 @@ def batch_forward(model, srcs, tgts, rng=None):
 
 def batch_backward(saved):
     """Gradient of the summed batch losses for every parameter, by
-    backpropagation through time over what batch_forward saved."""
+    backpropagation through time over what batch_forward saved, as a
+    FlatParams."""
     s = saved
     params, config = s["model"].params, s["model"].config
-    grads = {}
+    grads = FlatParams(config)
     steps, rows = s["tgt"].shape
     vocab, d, e = config.tgt_vocab_size, config.dec_hidden, config.embed_dim
 
@@ -390,8 +417,8 @@ def batch_backward(saved):
     t_idx, b_idx = np.indices(s["y_out"].shape)
     dlogits[t_idx, b_idx, s["y_out"]] -= s["tgt_mask"]
     flat = dlogits.reshape(-1, vocab)
-    grads["out_W"] = flat.T @ s["out_in"].reshape(-1, d)
-    grads["out_b"] = flat.sum(axis=0)
+    np.matmul(flat.T, s["out_in"].reshape(-1, d), out=grads["out_W"])
+    np.sum(flat, axis=0, out=grads["out_b"])
     dz_out = dlogits @ params["out_W"]
     if s["drop"] is not None:
         dz_out *= s["drop"]
@@ -399,13 +426,12 @@ def batch_backward(saved):
     # Decoder GRU and attention, back through time.  The attention
     # activations, (B, S, attn_hidden) per step, are recomputed here
     # rather than kept for every step.
-    W, _, U, Uh = s["dec"]
+    W, _, U, Uh = params.gru["dec"]
     annotations, alpha, keys = s["annotations"], s["alpha"], s["keys"]
     dpre = np.empty((steps, rows, 3 * d))
     dcontext = np.empty_like(s["context"])
     dquery = np.empty((steps, rows, config.attn_hidden))
     dkeys = np.zeros_like(keys)
-    dv = np.zeros_like(params["att_v"])
     dz = np.zeros((rows, d))
     for t in reversed(range(steps)):
         dz, dpre[t] = _gru_step_grad(dz + dz_out[t], s["z_prev"][t], s["gates"][t],
@@ -415,60 +441,52 @@ def batch_backward(saved):
         dscores = alpha[t] * (dalpha - (dalpha * alpha[t]).sum(axis=1, keepdims=True))
         hidden = _attention_hidden(params, keys, s["z_prev"][t], s["y_att"][t])
         datt = (1.0 - hidden * hidden) * dscores[:, :, None]
-        dv += (dscores[:, None, :] @ hidden).sum(axis=0)[0]
+        grads["att_v"] += (dscores[:, None, :] @ hidden).sum(axis=0)[0]
         dkeys += datt
         dquery[t] = datt.sum(axis=1) * params["att_v"]
         dz += dquery[t] @ params["att_Wz"]
 
-    _gru_param_grads(grads, "dec", dpre,
-                     np.concatenate([s["emb"], s["context"]], axis=2),
-                     s["z_prev"], s["rh"])
+    dec_in = np.concatenate([s["emb"], s["context"]], axis=2)
+    _gru_param_grads(grads.gru["dec"], dpre.reshape(-1, 3 * d),
+                     dec_in.reshape(steps * rows, -1),
+                     s["z_prev"].reshape(-1, d), s["rh"].reshape(-1, d))
     flat_q = dquery.reshape(-1, config.attn_hidden)
-    grads["att_Wz"] = flat_q.T @ s["z_prev"].reshape(-1, d)
-    grads["att_Wy"] = flat_q.T @ s["emb"].reshape(-1, e)
-    grads["att_b"] = flat_q.sum(axis=0)
-    grads["att_v"] = dv
+    np.matmul(flat_q.T, s["z_prev"].reshape(-1, d), out=grads["att_Wz"])
+    np.matmul(flat_q.T, s["emb"].reshape(-1, e), out=grads["att_Wy"])
+    np.sum(flat_q, axis=0, out=grads["att_b"])
     dkeys *= params["att_v"]
     ann_dim = annotations.shape[2]
-    grads["att_Wh"] = (dkeys.reshape(-1, config.attn_hidden).T
-                       @ annotations.reshape(-1, ann_dim))
+    np.matmul(dkeys.reshape(-1, config.attn_hidden).T,
+              annotations.reshape(-1, ann_dim), out=grads["att_Wh"])
     dann = dkeys @ params["att_Wh"] + np.einsum("tbs,tbk->bsk", alpha, dcontext)
     demb = dpre @ W[:, :e] + dquery @ params["att_Wy"]
-    grads["tgt_emb"] = np.zeros_like(params["tgt_emb"])
     np.add.at(grads["tgt_emb"], s["tgt"], demb)
 
     # Initial state from the mean annotation.
     dinit = dz * (1.0 - s["z0"] * s["z0"])
-    grads["init_W"] = dinit.T @ s["mean"]
-    grads["init_b"] = dinit.sum(axis=0)
+    np.matmul(dinit.T, s["mean"], out=grads["init_W"])
+    np.sum(dinit, axis=0, out=grads["init_b"])
     dann += s["weights"][:, :, None] * (dinit @ params["init_W"])[:, None, :]
 
     # Encoder layers, top down.
     dx = dann.transpose(1, 0, 2)
-    m = s["src_mask"][:, :, None]
-    h = config.enc_hidden
     for layer in reversed(range(1, config.enc_layers + 1)):
-        x, fw_saved, bw_saved = s["layers"][layer - 1]
-        dx = (_gru_layer_grad(params, "enc_l%d_fw" % layer, x, m, False,
-                              fw_saved, dx[..., :h], grads)
-              + _gru_layer_grad(params, "enc_l%d_bw" % layer, x, m, True,
-                                bw_saved, dx[..., h:], grads))
-    grads["src_emb"] = np.zeros_like(params["src_emb"])
+        prefix = "enc_l%d" % layer
+        dx = _encoder_layer_grad(params.gru[prefix], *s["layers"][layer - 1], dx,
+                                 grads.gru[prefix])
     np.add.at(grads["src_emb"], s["src"], dx)
     return grads
 
 
 def l2_penalty(model, grads):
-    """Add the gradient of l2_coeff * sum of squared parameters to grads
-    in place, and return the penalty."""
+    """Add the gradient of l2_coeff * sum of squared parameters to the
+    FlatParams grads in place, and return the penalty."""
     coeff = model.config.l2_coeff
     if coeff == 0.0:
         return 0.0
-    total = 0.0
-    for name, arr in model.params.items():
-        total += float((arr * arr).sum())
-        grads[name] += 2.0 * coeff * arr
-    return coeff * total
+    theta = model.params.flat
+    grads.flat += 2.0 * coeff * theta
+    return coeff * float(theta @ theta)
 
 
 # ------------------------------------------------------------ public API
@@ -536,9 +554,8 @@ def decode_step(model, state, y_prev, enc):
     if z.shape[0] != len(y):
         raise ValueError("state has %d rows but %d target ids" % (z.shape[0], len(y)))
     p = model.params
-    dec = _stack(p, "dec")
-    _, y_att, y_gru = _target_inputs(p, dec, y)
-    z_new, (_, alpha, *_) = _decoder_step(p, dec, enc.keys, enc.annotations,
+    _, y_att, y_gru = _target_inputs(p, y)
+    z_new, (_, alpha, *_) = _decoder_step(p, enc.keys, enc.annotations,
                                           enc.mask, z, y_att, y_gru)
     logp = _output(p, z_new)
     if single:
@@ -602,6 +619,10 @@ def read_header(path):
         if len(prefix) < 8:
             raise ValueError("%s: truncated checkpoint" % path)
         (length,) = struct.unpack("<Q", prefix)
+        size = os.fstat(handle.fileno()).st_size
+        if length > size:
+            raise ValueError("%s: checkpoint header length %d exceeds file size %d"
+                             % (path, length, size))
         payload = handle.read(length)
     if len(payload) < length:
         raise ValueError("%s: truncated checkpoint header" % path)
@@ -674,8 +695,7 @@ def load_model(path):
         end = start + 8 * count
         if end > len(data):
             raise ValueError("%s: tensor %s runs past end of file" % (path, name))
-        arr = np.frombuffer(data[start:end], dtype="<f8").reshape(shape)
-        params[name] = arr.astype(np.float64)
+        params[name] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape)
         spans.append((start, end, name))
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):

@@ -4,27 +4,25 @@ import numpy as np
 
 
 class AdadeltaState:
-    """Running averages E[g^2] and E[dx^2], one pair per parameter."""
+    """Running averages E[g^2] and E[dx^2], one element per parameter."""
 
-    def __init__(self, params):
-        self.sq_grad = {name: np.zeros_like(arr) for name, arr in params.items()}
-        self.sq_delta = {name: np.zeros_like(arr) for name, arr in params.items()}
+    def __init__(self, theta):
+        self.sq_grad = np.zeros_like(theta)
+        self.sq_delta = np.zeros_like(theta)
 
 
-def adadelta_step(params, grads, state, rho=0.95, epsilon=1e-6):
-    """Apply one update in place and return (params, state).
+def adadelta_step(theta, grad, state, rho=0.95, epsilon=1e-6):
+    """Apply one update to the parameter vector theta in place and
+    return (theta, state).
 
     E[g^2] is refreshed before the step size is computed; E[dx^2] after,
     from the step actually taken.
     """
-    for name, theta in params.items():
-        g = grads[name]
-        eg2 = state.sq_grad[name]
-        ed2 = state.sq_delta[name]
-        eg2 *= rho
-        eg2 += (1.0 - rho) * g * g
-        delta = -np.sqrt((ed2 + epsilon) / (eg2 + epsilon)) * g
-        ed2 *= rho
-        ed2 += (1.0 - rho) * delta * delta
-        theta += delta
-    return params, state
+    eg2, ed2 = state.sq_grad, state.sq_delta
+    eg2 *= rho
+    eg2 += (1.0 - rho) * grad * grad
+    delta = -np.sqrt((ed2 + epsilon) / (eg2 + epsilon)) * grad
+    ed2 *= rho
+    ed2 += (1.0 - rho) * delta * delta
+    theta += delta
+    return theta, state

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corpus import BOS_ID, EOS_ID
-from .model import NmtModel, batch_backward, batch_forward, l2_penalty
+from .model import batch_backward, batch_forward, l2_penalty
 from .optimizer import AdadeltaState, adadelta_step
 
 log = logging.getLogger(__name__)
@@ -79,11 +79,12 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3,
     _validate_pairs(dev_pairs, config, "dev")
 
     current = model.copy()
+    theta = current.params.flat
     rng = np.random.default_rng(config.seed)
-    state = AdadeltaState(current.params)
+    state = AdadeltaState(theta)
     record = TrainLog()
     best_nll = None
-    best_params = None
+    best_theta = None
     bad_epochs = 0
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(train_pairs))
@@ -100,7 +101,7 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3,
             grads = batch_backward(saved)
             del saved  # free the activations before the next batch's
             l2_penalty(current, grads)
-            adadelta_step(current.params, grads, state, rho, epsilon)
+            adadelta_step(theta, grads.flat, state, rho, epsilon)
         record.train_nll.append(epoch_nll / len(train_pairs))
         dev = _corpus_nll(current, dev_pairs)
         if not np.isfinite(dev):
@@ -110,7 +111,7 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3,
                  epoch, record.train_nll[-1], dev)
         if best_nll is None or dev < best_nll:
             best_nll = dev
-            best_params = {k: v.copy() for k, v in current.params.items()}
+            best_theta = theta.copy()
             record.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -118,4 +119,5 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3,
             if bad_epochs >= patience:
                 record.stopped_early = True
                 break
-    return NmtModel(config, best_params), record
+    theta[...] = best_theta
+    return current, record

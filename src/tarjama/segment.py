@@ -212,10 +212,11 @@ class DetokTable:
         for lineno, line in enumerate(read_lines(path), 1):
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: malformed table line {lineno}: {line!r}")
-            key, surface, count = parts[0], parts[1], int(parts[2])
+            try:
+                key, surface, count = line.split("\t")
+                count = int(count)
+            except ValueError:
+                raise ValueError(f"{path}: malformed table line {lineno}: {line!r}") from None
             if inv is not None and " ".join(atb_segment(surface, inv)) != key:
                 log.warning(
                     "detok table %s line %d: surface %r no longer segments to %r",

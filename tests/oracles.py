@@ -280,6 +280,21 @@ def nll_forward(params, config, src_ids, wrapped_tgt, l2_coeff=0.0):
     return loss
 
 
+def dict_adadelta_step(params, grads, sq_grad, sq_delta, rho=0.95, epsilon=1e-6):
+    """One Adadelta update applied tensor by tensor, in place, over
+    name -> array dicts of parameters, gradients and both averages."""
+    for name, theta in params.items():
+        g = grads[name]
+        eg2 = sq_grad[name]
+        ed2 = sq_delta[name]
+        eg2 *= rho
+        eg2 += (1.0 - rho) * g * g
+        delta = -np.sqrt((ed2 + epsilon) / (eg2 + epsilon)) * g
+        ed2 *= rho
+        ed2 += (1.0 - rho) * delta * delta
+        theta += delta
+
+
 # ------------------------------------------------------------ tape model
 #
 # The per-sentence model built on the autodiff tape: one vector-matrix

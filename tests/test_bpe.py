@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import naive_bpe_learn, replay_segment_word
 from tarjama.bpe import (
@@ -102,6 +103,31 @@ def test_incremental_learner_matches_recount_oracle():
         chars = {c for w in freqs for c in w}
         model = learn_bpe(freqs, len(chars) + target)
         assert model.merges == naive_bpe_learn(freqs, len(chars) + target)
+
+
+# Word tables over two to four letters with counts of 1 to 3: most rounds
+# have several pairs tied for the highest count.
+tied_tables = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+    lambda letters: st.dictionaries(st.text(letters, min_size=2, max_size=16),
+                                    st.integers(1, 3), min_size=40, max_size=160))
+
+
+@settings(max_examples=60, deadline=None)
+@given(freqs=tied_tables, extra=st.integers(0, 300))
+def test_heap_learner_matches_recount_oracle_on_tied_counts(freqs, extra):
+    target = len({c for w in freqs for c in w}) + extra
+    assert learn_bpe(freqs, target).merges == naive_bpe_learn(freqs, target)
+
+
+def test_learner_skips_heap_entry_left_by_a_count_that_returned():
+    # Merging (a, b) rewrites "abcd", so (c, d) loses 3 and gains 3 back
+    # before the next pick: 4 before and after.  (c, d) then wins over
+    # (ab, c) at 3, and the entry it left with count 4 must not surface
+    # as a second merge.
+    freqs = {"abcd": 3, "cd": 1, "ab": 2}
+    want = [("a", "b"), ("c", "d"), ("ab", "cd")]
+    assert naive_bpe_learn(freqs, 10) == want
+    assert learn_bpe(freqs, 10).merges == want
 
 
 def test_round_trip_lossless():

@@ -367,6 +367,26 @@ def test_translate_rejects_malformed_checkpoint_header(tmp_path, caplog, defect)
     assert message in caplog.text
 
 
+@pytest.mark.parametrize("model_lines", [
+    ["plain text, not a checkpoint"],
+    ["", "\\data\\", "ngram 1=3", "", "\\1-grams:", "-0.5\t<s>\t-0.3",
+     "-0.4\t</s>", "-0.6\ta", "", "\\end\\"],
+], ids=["text", "arpa"])
+def test_translate_rejects_oversized_checkpoint_header_length(tmp_path, caplog, model_lines):
+    # The first 8 bytes of a text file read as a huge header length.
+    model = tmp_path / "model.txt"
+    write(model, model_lines)
+    vocab = tmp_path / "vocab.tsv"
+    write(vocab, ["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t4"])
+    text = tmp_path / "in.txt"
+    write(text, ["a"])
+    assert main(["translate", str(text), "--model", str(model),
+                 "--src-vocab", str(vocab), "--tgt-vocab", str(vocab)]) == 1
+    size = model.stat().st_size
+    assert "%s: checkpoint header length " % model in caplog.text
+    assert "exceeds file size %d" % size in caplog.text
+
+
 def test_train_with_only_empty_sources_exits_two(tmp_path):
     src, tgt, dev_src, dev_tgt = tiny_parallel(tmp_path)
     write(src, [""] * 18)

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import struct
 import warnings
 
@@ -11,8 +13,8 @@ from tarjama import nmt
 from tarjama.corpus import BOS_ID, EOS_ID
 from tarjama.nmt import decoding as nmt_decoding
 from tarjama.nmt import training as nmt_training
-from tarjama.nmt.model import (_gru_layer, _gru_layer_grad, batch_backward,
-                               batch_forward, read_header)
+from tarjama.nmt.model import (_encoder_layer, _encoder_layer_grad, batch_backward,
+                               batch_forward, l2_penalty, read_header)
 
 
 def tiny_config(**kwargs):
@@ -337,27 +339,33 @@ def test_decode_step_rows_match_single_steps():
 
 def test_gru_layer_gradient_crosses_masked_steps():
     # Masks with holes: state and gradient both pass through a 0 step.
+    # The objective weighs the forward half, the backward half, then both
+    # halves of the annotations.
     config = tiny_config()
-    params = randomized_model(config).params
+    gru = randomized_model(config).params.gru["enc_l1"]
     rng = np.random.default_rng(8)
     x = rng.normal(size=(5, 2, config.embed_dim))
-    m = np.array([[1, 1], [0, 1], [1, 0], [0, 1], [1, 1]], float)[:, :, None]
-    weights = rng.normal(size=(5, 2, config.enc_hidden))
+    mask = np.array([[1, 1], [0, 1], [1, 0], [0, 1], [1, 1]], float)
+    m = np.stack([mask, mask[::-1]], axis=1)[..., None]  # encoder step order
+    h = config.enc_hidden
 
-    def objective(inputs, reverse):
-        out, _ = _gru_layer(params, "enc_l1_fw", inputs, m, reverse)
-        return float((weights * out).sum())
+    def objective(inputs, weights):
+        out, _ = _encoder_layer(gru, inputs, m)
+        annotations = np.concatenate([out[:, 0], out[::-1, 1]], axis=2)
+        return float((weights * annotations).sum())
 
-    for reverse in (False, True):
-        _, saved = _gru_layer(params, "enc_l1_fw", x, m, reverse)
-        dx = _gru_layer_grad(params, "enc_l1_fw", x, m, reverse, saved,
-                             weights, {})
+    for half in (slice(0, h), slice(h, 2 * h), slice(0, 2 * h)):
+        weights = np.zeros((5, 2, 2 * h))
+        weights[..., half] = rng.normal(size=(5, 2, half.stop - half.start))
+        _, saved = _encoder_layer(gru, x, m)
+        grads = tuple(np.zeros_like(w) for w in gru)
+        dx = _encoder_layer_grad(gru, x, m, saved, weights, grads)
         for idx in np.ndindex(x.shape):
             bumped = x.copy()
             bumped[idx] += 1e-6
             lowered = x.copy()
             lowered[idx] -= 1e-6
-            fd = (objective(bumped, reverse) - objective(lowered, reverse)) / 2e-6
+            fd = (objective(bumped, weights) - objective(lowered, weights)) / 2e-6
             assert abs(fd - dx[idx]) <= 1e-7
 
 
@@ -380,19 +388,18 @@ def test_encode_mask_carries_state_over_padding():
 # -------------------------------------------------------------- optimizer
 
 def test_adadelta_first_step_frozen_value():
-    params = {"w": np.zeros(3)}
-    state = nmt.AdadeltaState(params)
-    grads = {"w": np.ones(3)}
-    nmt.adadelta_step(params, grads, state)
+    theta = np.zeros(3)
+    state = nmt.AdadeltaState(theta)
+    nmt.adadelta_step(theta, np.ones(3), state)
     want = -math.sqrt(1e-6 / (0.05 + 1e-6))
-    assert np.allclose(params["w"], want, rtol=1e-12)
+    assert np.allclose(theta, want, rtol=1e-12)
     assert math.isclose(want, -4.4721e-3, rel_tol=1e-4)
 
 
 def test_adadelta_accumulator_update_order():
     # Gradient average moves before the step is sized; step average after.
-    params = {"w": np.array([0.0])}
-    state = nmt.AdadeltaState(params)
+    theta = np.array([0.0])
+    state = nmt.AdadeltaState(theta)
     rho, eps = 0.95, 1e-6
     eg2 = ed2 = 0.0
     w = 0.0
@@ -401,18 +408,96 @@ def test_adadelta_accumulator_update_order():
         delta = -math.sqrt((ed2 + eps) / (eg2 + eps)) * g
         ed2 = rho * ed2 + (1 - rho) * delta * delta
         w += delta
-        nmt.adadelta_step(params, {"w": np.array([g])}, state, rho, eps)
-        assert math.isclose(params["w"][0], w, rel_tol=1e-12)
-    assert math.isclose(state.sq_grad["w"][0], eg2, rel_tol=1e-12)
-    assert math.isclose(state.sq_delta["w"][0], ed2, rel_tol=1e-12)
+        nmt.adadelta_step(theta, np.array([g]), state, rho, eps)
+        assert math.isclose(theta[0], w, rel_tol=1e-12)
+    assert math.isclose(state.sq_grad[0], eg2, rel_tol=1e-12)
+    assert math.isclose(state.sq_delta[0], ed2, rel_tol=1e-12)
 
 
 def test_adadelta_updates_in_place():
-    params = {"w": np.zeros(2)}
-    state = nmt.AdadeltaState(params)
-    out, _ = nmt.adadelta_step(params, {"w": np.ones(2)}, state)
-    assert out is params
-    assert out["w"] is params["w"]
+    theta = np.zeros(2)
+    state = nmt.AdadeltaState(theta)
+    out, _ = nmt.adadelta_step(theta, np.ones(2), state)
+    assert out is theta
+
+
+def flat_span(model, name):
+    """Slice of the model's flat vector that holds tensor `name`."""
+    arr = model.params[name]
+    start = (arr.__array_interface__["data"][0]
+             - model.params.flat.__array_interface__["data"][0]) // 8
+    return slice(start, start + arr.size)
+
+
+def test_flat_adadelta_matches_per_tensor_loop():
+    # Whole-vector steps on real gradients, L2 included, are bit for bit
+    # the update applied one tensor at a time.
+    config = tiny_config(l2_coeff=1e-3, dropout_rate=0.3)
+    model = randomized_model(config)
+    ref = {k: v.copy() for k, v in model.params.items()}
+    sq_grad = {k: np.zeros_like(v) for k, v in ref.items()}
+    sq_delta = {k: np.zeros_like(v) for k, v in ref.items()}
+    state = nmt.AdadeltaState(model.params.flat)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        srcs, tgts = random_batch(rng, config, size=3)
+        grads = batch_backward(batch_forward(model, srcs, tgts, rng)[1])
+        l2_penalty(model, grads)
+        oracles.dict_adadelta_step(ref, grads, sq_grad, sq_delta, 0.9, 1e-5)
+        nmt.adadelta_step(model.params.flat, grads.flat, state, 0.9, 1e-5)
+        for name, arr in model.params.items():
+            assert arr.tobytes() == ref[name].tobytes(), name
+            assert state.sq_grad[flat_span(model, name)].tobytes() == sq_grad[name].tobytes()
+            assert state.sq_delta[flat_span(model, name)].tobytes() == sq_delta[name].tobytes()
+
+
+def test_params_are_views_of_one_vector(tmp_path):
+    config = tiny_config()
+    model = randomized_model(config)
+    path = tmp_path / "model.ckpt"
+    nmt.save_model(model, str(path))
+    plain = {k: v.copy() for k, v in model.params.items()}
+    same = [model.copy(), nmt.NmtModel(config, plain), nmt.load_model(str(path))]
+    for built in [nmt.init_model(config), model] + same:
+        params = built.params
+        assert list(params) == list(nmt.param_shapes(config))
+        covered = np.zeros(params.flat.size, dtype=int)
+        for name, arr in params.items():
+            assert arr.base is params.flat, name
+            covered[flat_span(built, name)] += 1
+        assert np.all(covered == 1)
+        # Each GRU's stacked weights are views holding the named tensors.
+        for layer in (1, 2):
+            W, b, U, Uh = params.gru["enc_l%d" % layer]
+            assert all(a.base is params.flat for a in (W, b, U, Uh))
+            for i, direction in enumerate(("fw", "bw")):
+                prefix = "enc_l%d_%s" % (layer, direction)
+                assert np.array_equal(
+                    W[i], np.concatenate([params[prefix + "_W" + g] for g in "zrh"]))
+                assert np.array_equal(
+                    b[i], np.concatenate([params[prefix + "_b" + g] for g in "zrh"]))
+                assert np.array_equal(
+                    U[i], np.concatenate([params[prefix + "_Uz"], params[prefix + "_Ur"]]))
+                assert np.array_equal(Uh[i], params[prefix + "_Uh"])
+        W, b, U, Uh = params.gru["dec"]
+        assert all(a.base is params.flat for a in (W, b, U, Uh))
+        assert np.array_equal(W, np.concatenate([params["dec_W" + g] for g in "zrh"]))
+    for built in same:
+        assert built.params.flat is not model.params.flat
+        for name, arr in built.params.items():
+            assert np.array_equal(arr, model.params[name])
+    # Copies made by copy.deepcopy and pickle are views of their own vector.
+    for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        other.params.flat[:] = 1.0
+        assert all(np.all(arr == 1.0) for arr in other.params.values())
+        assert all(np.all(arr == 1.0) for arr in other.params.gru["dec"])
+        assert not np.all(model.params.flat == 1.0)
+    # A write through a named view shows in the stacked view, and in no
+    # other model.
+    clone = model.copy()
+    clone.params["dec_Wr"][0, 0] = 7.0
+    assert clone.params.gru["dec"][0][config.dec_hidden, 0] == 7.0
+    assert model.params["dec_Wr"][0, 0] != 7.0
 
 
 # --------------------------------------------------------------- training

@@ -130,6 +130,16 @@ def test_detok_table_save_load(tmp_path):
     assert len(again) == 2
 
 
+@pytest.mark.parametrize("line", ["k\tsurface\tz", "k\tsurface", "k\ts\t1\t2"],
+                         ids=["count", "two-fields", "four-fields"])
+def test_detok_table_load_names_file_and_line_of_malformed_line(tmp_path, line):
+    path = tmp_path / "table.tsv"
+    path.write_text("k\tgood\t2\n\n" + line + "\n", encoding="utf-8")
+    want = "%s: malformed table line 3: %r" % (path, line)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        DetokTable.load(str(path))
+
+
 @pytest.mark.parametrize("loader", [DetokTable.load, CliticInventory.from_file],
                          ids=["DetokTable", "CliticInventory"])
 def test_loaders_name_file_with_undecodable_bytes(tmp_path, loader):
