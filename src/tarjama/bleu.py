@@ -42,8 +42,12 @@ class BleuReport:
         )
 
 
-def _ngrams(tokens, n):
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens):
+    """Counts of every n-gram of orders 1..MAX_ORDER, in one Counter."""
+    counts = Counter()
+    for n in range(1, MAX_ORDER + 1):
+        counts.update(zip(*(tokens[k:] for k in range(n))))
+    return counts
 
 
 def _closest_ref_len(hyp_len, ref_lens):
@@ -80,19 +84,13 @@ def bleu(hypotheses, references, fold_case=False):
             refs = [[t.lower() for t in ref] for ref in refs]
         hyp_len += len(hyp)
         ref_len += _closest_ref_len(len(hyp), [len(r) for r in refs])
-        for n in range(1, MAX_ORDER + 1):
-            hyp_counts = _ngrams(hyp, n)
-            if not hyp_counts:
-                continue
-            max_ref = Counter()
-            for ref in refs:
-                for gram, count in _ngrams(ref, n).items():
-                    if count > max_ref[gram]:
-                        max_ref[gram] = count
-            totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum(
-                min(count, max_ref[gram]) for gram, count in hyp_counts.items()
-            )
+        max_ref = _ngrams(refs[0])
+        for ref in refs[1:]:
+            max_ref |= _ngrams(ref)
+        for gram, count in _ngrams(hyp).items():
+            matches[len(gram) - 1] += min(count, max_ref[gram])
+        for n in range(1, min(len(hyp), MAX_ORDER) + 1):
+            totals[n - 1] += len(hyp) - n + 1
 
     precisions = tuple(
         (matches[n] / totals[n]) if totals[n] else 0.0 for n in range(MAX_ORDER)

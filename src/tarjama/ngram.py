@@ -11,8 +11,9 @@ finite and out-of-vocabulary text remains orderable.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import BOS, EOS, UNK, PAD, RESERVED, Vocab, build_vocab, read_text
 
@@ -57,7 +58,14 @@ class NgramModel:
 
 
 def lm_train(corpus, order, discount=0.75):
-    """Estimate an NgramModel from a tokenized corpus."""
+    """Estimate an NgramModel from a tokenized corpus.
+
+    Tokens get ids in sorted string order, and each order's n-grams form a
+    table of unique rows in sorted tuple order: a row is keyed by the id of
+    its (n-1)-gram prefix times the vocabulary size plus its last token, so
+    one np.unique over the keys at every corpus position gives the rows
+    and their raw counts, and every per-context statistic is a bincount.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0.0 < discount < 1.0:
@@ -68,97 +76,94 @@ def lm_train(corpus, order, discount=0.75):
 
     distinct = {tok for sent in corpus for tok in sent}
     vocab = build_vocab(corpus, max_size=len(distinct) + 5)
-    events = sorted(distinct - set(RESERVED)) + [UNK, EOS]
+    tokens = sorted(distinct | {BOS, EOS, UNK})
+    size = len(tokens)
+    index = {tok: i for i, tok in enumerate(tokens)}
+    bos = index[BOS]
+    ids = np.array([i for sent in corpus
+                    for i in (bos, *(index[tok] for tok in sent), index[EOS])], np.int64)
+    lengths = np.array([len(sent) + 2 for sent in corpus])
+    # Tokens left in each position's BOS/EOS-wrapped sentence, itself included.
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
 
-    # Raw counts per order over BOS/EOS-wrapped sentences.
-    raw = {m: Counter() for m in range(1, order + 1)}
-    for sent in corpus:
-        wrapped = (BOS,) + tuple(sent) + (EOS,)
-        for m in range(1, order + 1):
-            raw[m].update(zip(*(wrapped[k:] for k in range(m))))
-
-    probs, backoffs = {}, {}
-
-    def store(gram, p):
-        probs[gram] = math.log10(p) if p > 0.0 else FLOOR
-
-    if order == 1:
-        total = sum(c for g, c in raw[1].items() if g != (BOS,))
-        for w in events:
-            store((w,), raw[1].get((w,), 0) / total)
-        probs[(BOS,)] = FLOOR
-        return NgramModel(order, probs, backoffs, vocab)
+    # Per order m: the rows' prefix ids (into order m-1), last tokens,
+    # suffix ids (the (m-1)-gram one position later), first tokens and raw
+    # counts.  The unigram table holds every token, seen or not.
+    prefix, last, suffix = {}, {}, {}
+    head = {1: np.arange(size)}
+    raw = {1: np.bincount(ids, minlength=size)}
+    gram_at = ids  # each position's m-gram row, valid where room >= m
+    for m in range(2, order + 1):
+        pos = np.flatnonzero(room >= m)
+        keys, inverse, raw[m] = np.unique(gram_at[pos] * size + ids[pos + m - 1],
+                                          return_inverse=True, return_counts=True)
+        prefix[m], last[m] = np.divmod(keys, size)
+        suffix[m] = np.empty(len(keys), np.int64)
+        suffix[m][inverse] = gram_at[pos + 1]
+        head[m] = head[m - 1][prefix[m]]
+        gram_at = np.full(len(ids), -1, np.int64)
+        gram_at[pos] = inverse
 
     # Continuation counts: distinct non-BOS left extensions of each m-gram.
-    cont = {m: Counter(g[1:] for g in raw[m + 1] if g[0] != BOS) for m in range(1, order)}
+    cont = {m - 1: np.bincount(suffix[m][head[m] != bos], minlength=len(raw[m - 1]))
+            for m in range(2, order + 1)}
 
-    # Each order's context -> (counts, context_total, gamma), resolved
-    # once, with gamma = discount * distinct_extensions / total: the highest
-    # order reads raw counts; lower orders read continuation counts, or raw
-    # counts for contexts nothing extends to the left.  Every context listed
-    # has a positive total; one missing has 0.
-    stats = {}
+    # The lowest level is the continuation ratio over every token (or the
+    # raw relative frequency without BOS, for unigram models and corpora
+    # of empty sentences); only events get probability.
+    is_event = np.array([tok not in RESERVED for tok in tokens])
+    is_event[[index[UNK], index[EOS]]] = True
+    counts = cont[1] if order > 1 and cont[1].sum() > 0 else np.where(
+        head[1] == bos, 0, raw[1])
+    p = {1: np.where(is_event, counts / counts.sum(), 0.0)}
+
+    # Each order's p(w | ctx) = max(c - D, 0) / total + gamma * p(w | ctx[1:])
+    # with gamma = D * distinct / total.  The highest order reads raw counts;
+    # a lower-order context reads continuation counts when any are positive,
+    # raw counts otherwise.  Every row's context has a positive total.
+    gamma = {}
     for m in range(2, order + 1):
-        stats[m] = {}
-        for counts in [raw[m]] if m == order else [raw[m], cont[m]]:
-            tot, distinct_ext = {}, Counter(g[:-1] for g in counts)
-            for gram, c in counts.items():
-                ctx = gram[:-1]
-                tot[ctx] = tot.get(ctx, 0) + c
-            stats[m].update((ctx, (counts, total, discount * distinct_ext[ctx] / total))
-                            for ctx, total in tot.items())
-
-    cont_unigram_total = sum(cont[1].values())
-    if cont_unigram_total > 0:
-        p_unigram = {w: cont[1].get((w,), 0) / cont_unigram_total for w in events}
-    else:
-        total = sum(c for g, c in raw[1].items() if g != (BOS,))
-        p_unigram = {w: raw[1].get((w,), 0) / total for w in events}
+        c = raw[m]
+        if m < order:
+            cont_total = np.bincount(prefix[m], weights=cont[m], minlength=len(raw[m - 1]))
+            c = np.where(cont_total[prefix[m]] > 0, cont[m], c)
+        total = np.bincount(prefix[m], weights=c, minlength=len(raw[m - 1]))
+        distinct_ext = np.bincount(prefix[m][c > 0], minlength=len(raw[m - 1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma[m] = discount * distinct_ext / total
+        p[m] = (np.maximum(c - discount, 0.0) / total[prefix[m]]
+                + gamma[m][prefix[m]] * p[m - 1][suffix[m]])
 
     # Which n-grams get stored: the highest order stores everything seen;
-    # middle orders store continuation-seen grams, BOS-headed raw grams
-    # (their special case), and prefixes of longer stored grams so every
-    # backoff weight has a line to live on; unigrams cover all events.
-    stored = {order: set(raw[order])}
+    # middle orders store continuation-seen grams, BOS-headed grams (their
+    # special case), and prefixes of longer stored grams so every backoff
+    # weight has a line to live on; unigrams cover all events and BOS.
+    stored = {1: is_event | (head[1] == bos)}
+    if order > 1:
+        stored[order] = np.ones(len(raw[order]), bool)
     for m in range(order - 1, 0, -1):
-        if m == 1:
-            grams = {(w,) for w in events} | {(BOS,)}
-        else:
-            grams = {g for g, c in cont[m].items() if c > 0}
-            grams |= {g for g in raw[m] if g[0] == BOS}
-        grams |= {g[:-1] for g in stored[m + 1]}
-        stored[m] = grams
-
-    # Interpolated probabilities bottom-up.  Each order's table holds the
-    # grams it stores plus the grams a higher order interpolates with, so
-    # p(w | context) = num / total + gamma * p(w | context[1:]) reads the
-    # lower value from the table below; a context with total 0 passes the
-    # lower value through.  Zero probabilities are kept until storage, and
-    # a context's backoff is the log10 of its gamma.
-    needed = {order: stored[order]}
-    for m in range(order - 1, 0, -1):
-        needed[m] = stored[m] | {g[1:] for g in needed[m + 1]}
-    table = {g: p_unigram.get(g[0], 0.0) for g in needed[1]}
-    for m in range(1, order + 1):
         if m > 1:
-            lower, table, by_context = table, {}, stats[m]
-            for gram in needed[m]:
-                entry = by_context.get(gram[:-1])
-                if entry is None:
-                    table[gram] = lower[gram[1:]]
-                else:
-                    counts, total, gamma = entry
-                    num = max(counts.get(gram, 0) - discount, 0.0)
-                    table[gram] = num / total + gamma * lower[gram[1:]]
-            for context in {g[:-1] for g in stored[m]}:
-                entry = by_context.get(context)
-                if entry is not None:
-                    backoffs[context] = math.log10(entry[2])
-        for gram in stored[m]:
-            if gram == (BOS,):
-                probs[gram] = FLOOR
-            else:
-                store(gram, table[gram])
+            stored[m] = (cont[m] > 0) | (head[m] == bos)
+        stored[m][prefix[m + 1][stored[m + 1]]] = True
+
+    # Fill the dicts order by order in sorted gram order; a context's
+    # backoff is the log10 of its gamma.  The prefix of a stored gram is
+    # stored, so each gram extends a tuple built one order down.
+    probs, backoffs = {}, {}
+    for m in range(1, order + 1):
+        rows = np.flatnonzero(stored[m])
+        if m == 1:
+            grams = [(tokens[r],) for r in rows.tolist()]
+        else:
+            rank = np.cumsum(stored[m - 1]) - 1
+            grams = [lower[k] + (tokens[w],) for k, w in
+                     zip(rank[prefix[m][rows]].tolist(), last[m][rows].tolist())]
+            contexts = np.unique(prefix[m][rows])
+            backoffs.update(zip([lower[k] for k in rank[contexts].tolist()],
+                                map(math.log10, gamma[m][contexts].tolist())))
+        probs.update(zip(grams, [math.log10(x) if x > 0.0 else FLOOR
+                                 for x in p[m][rows].tolist()]))
+        lower = grams
 
     return NgramModel(order, probs, backoffs, vocab)
 
@@ -182,29 +187,23 @@ def lm_score_set(model, sentences):
     return sum(lm_score_sentence(model, s) for s in sentences) / len(sentences)
 
 
-def _fmt(x):
-    return "%.7g" % x
-
-
 def lm_write_arpa(model, path):
     """Serialize to ARPA: counts header, per-order sections, \\end\\."""
     by_order = {m: [] for m in range(1, model.order + 1)}
     for gram in model.probs:
         by_order[len(gram)].append(gram)
-    for grams in by_order.values():
+    probs, backoffs = model.probs, model.backoffs
+    parts = ["\\data\\\n"]
+    parts += ["ngram %d=%d\n" % (m, len(grams)) for m, grams in by_order.items()]
+    for m, grams in by_order.items():
         grams.sort()
+        parts.append("\n\\%d-grams:\n" % m)
+        parts.append("".join(
+            "%.7g\t%s\t%.7g\n" % (probs[g], " ".join(g), backoffs[g]) if g in backoffs
+            else "%.7g\t%s\n" % (probs[g], " ".join(g)) for g in grams))
+    parts.append("\n\\end\\\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\\data\\\n")
-        for m in range(1, model.order + 1):
-            fh.write("ngram %d=%d\n" % (m, len(by_order[m])))
-        for m in range(1, model.order + 1):
-            fh.write("\n\\%d-grams:\n" % m)
-            for gram in by_order[m]:
-                line = "%s\t%s" % (_fmt(model.probs[gram]), " ".join(gram))
-                if gram in model.backoffs:
-                    line += "\t%s" % _fmt(model.backoffs[gram])
-                fh.write(line + "\n")
-        fh.write("\n\\end\\\n")
+        fh.write("".join(parts))
 
 
 def lm_read_arpa(path):

@@ -215,6 +215,8 @@ class DetokTable:
             try:
                 key, surface, count = line.split("\t")
                 count = int(count)
+                if count <= 0:
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: malformed table line {lineno}: {line!r}") from None
             if inv is not None and " ".join(atb_segment(surface, inv)) != key:

@@ -5,16 +5,19 @@ direct way available: the subword learner recounts pair statistics from
 scratch every round, the language model probabilities come straight from
 the recursive definition over raw occurrence scans, BLEU is the textbook
 formula, and the network forward passes are plain numpy with no tape.
-Slow is fine; shared code with the package is not, with one exception:
+Slow is fine; shared code with the package is not, with two exceptions:
 the reference gradients come from the package's autodiff tape, which
-the model itself does not use.
+the model itself does not use, and the dict-based language model trainer
+fills the package's NgramModel and vocabulary containers.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
-from tarjama.corpus import BOS_ID, EOS_ID
+from tarjama.corpus import BOS_ID, EOS_ID, RESERVED, build_vocab
+from tarjama.ngram import FLOOR, NgramModel
 from tarjama.nmt import autodiff as ad
 
 BOS = "<s>"
@@ -201,6 +204,97 @@ def naive_kn_sentence(corpus, order, discount, sentence):
         score += math.log10(p)
         history.append(tok)
     return score
+
+
+def dict_kn_train(corpus, order, discount=0.75):
+    """lm_train over Counters and sets of string tuples.
+
+    The package estimates the same model with numpy passes over
+    integer-coded n-gram tables; this keeps the dict formulation that it
+    replaced, whose stored values equal the package's bit for bit.
+    """
+    corpus = [list(sent) for sent in corpus]
+    distinct = {tok for sent in corpus for tok in sent}
+    vocab = build_vocab(corpus, max_size=len(distinct) + 5)
+    events = sorted(distinct - set(RESERVED)) + [UNK, EOS]
+
+    raw = {m: Counter() for m in range(1, order + 1)}
+    for sent in corpus:
+        wrapped = (BOS,) + tuple(sent) + (EOS,)
+        for m in range(1, order + 1):
+            raw[m].update(zip(*(wrapped[k:] for k in range(m))))
+
+    probs, backoffs = {}, {}
+
+    def store(gram, p):
+        probs[gram] = math.log10(p) if p > 0.0 else FLOOR
+
+    if order == 1:
+        total = sum(c for g, c in raw[1].items() if g != (BOS,))
+        for w in events:
+            store((w,), raw[1].get((w,), 0) / total)
+        probs[(BOS,)] = FLOOR
+        return NgramModel(order, probs, backoffs, vocab)
+
+    # Continuation counts: distinct non-BOS left extensions of each m-gram.
+    cont = {m: Counter(g[1:] for g in raw[m + 1] if g[0] != BOS) for m in range(1, order)}
+
+    # context -> (counts, total, gamma): continuation counts where they
+    # exist below the highest order, raw counts otherwise.
+    stats = {}
+    for m in range(2, order + 1):
+        stats[m] = {}
+        for counts in [raw[m]] if m == order else [raw[m], cont[m]]:
+            tot, distinct_ext = {}, Counter(g[:-1] for g in counts)
+            for gram, c in counts.items():
+                ctx = gram[:-1]
+                tot[ctx] = tot.get(ctx, 0) + c
+            stats[m].update((ctx, (counts, total, discount * distinct_ext[ctx] / total))
+                            for ctx, total in tot.items())
+
+    cont_unigram_total = sum(cont[1].values())
+    if cont_unigram_total > 0:
+        p_unigram = {w: cont[1].get((w,), 0) / cont_unigram_total for w in events}
+    else:
+        total = sum(c for g, c in raw[1].items() if g != (BOS,))
+        p_unigram = {w: raw[1].get((w,), 0) / total for w in events}
+
+    stored = {order: set(raw[order])}
+    for m in range(order - 1, 0, -1):
+        if m == 1:
+            grams = {(w,) for w in events} | {(BOS,)}
+        else:
+            grams = {g for g, c in cont[m].items() if c > 0}
+            grams |= {g for g in raw[m] if g[0] == BOS}
+        grams |= {g[:-1] for g in stored[m + 1]}
+        stored[m] = grams
+
+    needed = {order: stored[order]}
+    for m in range(order - 1, 0, -1):
+        needed[m] = stored[m] | {g[1:] for g in needed[m + 1]}
+    table = {g: p_unigram.get(g[0], 0.0) for g in needed[1]}
+    for m in range(1, order + 1):
+        if m > 1:
+            lower, table, by_context = table, {}, stats[m]
+            for gram in needed[m]:
+                entry = by_context.get(gram[:-1])
+                if entry is None:
+                    table[gram] = lower[gram[1:]]
+                else:
+                    counts, total, gamma = entry
+                    num = max(counts.get(gram, 0) - discount, 0.0)
+                    table[gram] = num / total + gamma * lower[gram[1:]]
+            for context in {g[:-1] for g in stored[m]}:
+                entry = by_context.get(context)
+                if entry is not None:
+                    backoffs[context] = math.log10(entry[2])
+        for gram in stored[m]:
+            if gram == (BOS,):
+                probs[gram] = FLOOR
+            else:
+                store(gram, table[gram])
+
+    return NgramModel(order, probs, backoffs, vocab)
 
 
 # ------------------------------------------------------------------ network

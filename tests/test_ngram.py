@@ -3,8 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import naive_kn_backoff, naive_kn_prob, naive_kn_sentence
+from oracles import dict_kn_train, naive_kn_backoff, naive_kn_prob, naive_kn_sentence
 from tarjama.corpus import CorpusError
 from tarjama.ngram import (
     ArpaError,
@@ -94,6 +95,27 @@ def test_stored_values_equal_oracle_log10_exactly():
             weights = {c: naive_kn_backoff(corpus, order, 0.75, c) for c in contexts}
             assert model.backoffs == {
                 c: math.log10(w) for c, w in weights.items() if w is not None}
+
+
+# Sentences over a few words and the literal reserved tokens, empty ones
+# included: the start marker can then head grams mid-sentence, and the
+# padding token is counted without ever being an event.
+small_corpora = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "<s>", "</s>", "<unk>", "<pad>"]), max_size=7),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=small_corpora, order=st.integers(1, 5))
+def test_table_estimator_equals_dict_oracle_exactly(tmp_path_factory, corpus, order):
+    model = lm_train(corpus, order)
+    want = dict_kn_train(corpus, order)
+    assert model.probs == want.probs
+    assert model.backoffs == want.backoffs
+    directory = tmp_path_factory.mktemp("arpa")
+    lm_write_arpa(model, directory / "got.arpa")
+    lm_write_arpa(want, directory / "want.arpa")
+    assert (directory / "got.arpa").read_bytes() == (directory / "want.arpa").read_bytes()
 
 
 def test_sentence_scores_match_oracle():

@@ -130,8 +130,10 @@ def test_detok_table_save_load(tmp_path):
     assert len(again) == 2
 
 
-@pytest.mark.parametrize("line", ["k\tsurface\tz", "k\tsurface", "k\ts\t1\t2"],
-                         ids=["count", "two-fields", "four-fields"])
+@pytest.mark.parametrize("line", ["k\tsurface\tz", "k\tsurface", "k\ts\t1\t2",
+                                  "k\tbad\t-7", "j\tzero\t0"],
+                         ids=["count", "two-fields", "four-fields", "negative-count",
+                              "zero-count"])
 def test_detok_table_load_names_file_and_line_of_malformed_line(tmp_path, line):
     path = tmp_path / "table.tsv"
     path.write_text("k\tgood\t2\n\n" + line + "\n", encoding="utf-8")
