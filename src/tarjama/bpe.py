@@ -13,11 +13,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .corpus import read_lines
+from .corpus import read_table
 
 log = logging.getLogger(__name__)
 
 CONTINUATION = "@@"
+_HEADER = "#bpe v1 vocab="
 
 
 @dataclass
@@ -33,26 +34,20 @@ class BpeModel:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#bpe v1 vocab={self.target_vocab_size}\n")
+            fh.write(f"{_HEADER}{self.target_vocab_size}\n")
             for left, right in self.merges:
                 fh.write(f"{left} {right}\n")
 
     @classmethod
     def load(cls, path):
-        lines = read_lines(path) or [""]
-        header = lines[0]
-        if not header.startswith("#bpe v1 vocab="):
-            raise ValueError(f"{path}: bad model header {header!r}")
-        target = int(header.split("=", 1)[1])
-        merges = []
-        for lineno, line in enumerate(lines[1:], 2):
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: malformed merge line {lineno}: {line!r}")
-            merges.append((parts[0], parts[1]))
-        return cls(merges, target)
+        target, (left, right) = read_table(path, "bpe", str, str, sep=" ", header=_vocab_size)
+        return cls(list(zip(left, right)), target)
+
+
+def _vocab_size(header):
+    if not header.startswith(_HEADER):
+        raise ValueError
+    return int(header[len(_HEADER):])
 
 
 def merge_word(symbols, pair):

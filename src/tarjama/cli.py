@@ -9,6 +9,7 @@ import argparse
 import logging
 import os
 import sys
+from collections import Counter
 
 from .bleu import bleu
 from .bpe import BpeModel, apply_bpe, learn_bpe, undo_bpe
@@ -22,7 +23,6 @@ from .corpus import (
     write_lines,
 )
 from .ngram import (
-    ArpaError,
     lm_read_arpa,
     lm_score_sentence,
     lm_score_set,
@@ -125,10 +125,7 @@ def _cmd_detokenize(args):
 
 
 def _cmd_bpe_learn(args):
-    freqs = {}
-    for line in read_lines(args.input):
-        for tok in line.split():
-            freqs[tok] = freqs.get(tok, 0) + 1
+    freqs = Counter(tok for line in read_lines(args.input) for tok in line.split())
     if not freqs:
         raise CorpusError("no tokens in input")
     model = learn_bpe(freqs, args.vocab_size)
@@ -449,7 +446,7 @@ def build_parser():
 
 
 def _exit_code(exc):
-    if isinstance(exc, (CorpusError, ArpaError, OSError, UnicodeDecodeError)):
+    if isinstance(exc, (CorpusError, OSError, UnicodeDecodeError)):
         return 2
     if isinstance(exc, RuntimeError):
         return 3
@@ -467,8 +464,8 @@ def main(argv=None):
     )
     try:
         return args.func(args)
-    except (StageError, PipelineError, CorpusError, ArpaError, OSError,
-            ValueError, RuntimeError) as exc:
+    except (StageError, PipelineError, CorpusError, OSError, ValueError,
+            RuntimeError) as exc:
         log.error("%s", exc)
         return _exit_code(exc.cause if isinstance(exc, StageError) else exc)
 

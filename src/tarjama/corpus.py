@@ -18,6 +18,10 @@ class CorpusError(Exception):
     """Raised for malformed or misaligned corpus files."""
 
 
+class FormatError(CorpusError, ValueError):
+    """A model or table file that does not parse, naming the file and line."""
+
+
 def read_text(path):
     """Decode a UTF-8 file, or stdin when path is None or "-", whole.
 
@@ -49,6 +53,42 @@ def read_lines(path):
     if lines[-1] == "":
         lines.pop()
     return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def read_table(path, kind, *types, sep="\t", header=None):
+    """Columns of a line table, one per type: every non-empty line splits on
+    sep into one field per type, converted by that type.  With header, a
+    function, line 1 is no row and the result is (header(line 1), columns).
+    A wrong field count, or a ValueError or OverflowError from a converter,
+    raises FormatError naming the file, the line number and the line.
+    """
+    lines = read_lines(path) or [""]
+    start = 1 if header is None else 2  # line number of the first row
+    if header is not None:
+        try:
+            value = header(lines[0])
+        except (ValueError, OverflowError):
+            raise FormatError(f"{path}: malformed {kind} header line 1: {lines[0]!r}") from None
+    body = lines[start - 1:]
+    try:
+        columns = _columns([line.split(sep) for line in body if line], types)
+    except (ValueError, OverflowError):
+        # Some line is bad: convert them one at a time to find the first.
+        for lineno, line in enumerate(body, start):
+            try:
+                if line:
+                    _columns([line.split(sep)], types)
+            except (ValueError, OverflowError):
+                raise FormatError(f"{path}: malformed {kind} line {lineno}: {line!r}") from None
+    return columns if header is None else (value, columns)
+
+
+def _columns(rows, types):
+    """Transpose split rows into columns, converting every non-str one."""
+    if set(map(len, rows)) - {len(types)}:
+        raise ValueError
+    columns = list(zip(*rows)) or [()] * len(types)
+    return [col if t is str else list(map(t, col)) for t, col in zip(types, columns)]
 
 
 def write_lines(path, lines):
@@ -137,15 +177,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        mapping = {}
-        for i, line in enumerate(read_lines(path)):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusError(f"{path}: malformed vocab line {i + 1}: {line!r}")
-            mapping[parts[0]] = int(parts[1])
-        return cls(mapping)
+        return cls(dict(zip(*read_table(path, "vocab", str, int))))
 
 
 def build_vocab(sentences, max_size):

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS, EOS, UNK, PAD, RESERVED, Vocab, build_vocab, read_text
+from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, Vocab, build_vocab, read_text
 
 FLOOR = -99.0
 
 
-class ArpaError(Exception):
+class ArpaError(FormatError):
     """Raised for malformed ARPA files."""
 
 
@@ -252,7 +252,10 @@ def lm_read_arpa(path):
             break
         if not (line.startswith("\\") and line.endswith("-grams:")):
             fail(i + 1, "expected section header, got %r" % line)
-        m = int(line[1:-len("-grams:")])
+        try:
+            m = int(line[1:-len("-grams:")])
+        except ValueError:
+            fail(i + 1, "expected section header, got %r" % line)
         if m not in counts:
             fail(i + 1, "section order %d not declared in \\data\\" % m)
         i += 1

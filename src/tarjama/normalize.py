@@ -9,7 +9,7 @@ alone.  Truecasing is the most-frequent-casing heuristic.
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import read_lines
+from .corpus import read_table
 
 ALIF = "ا"
 ALIF_MADDA = "آ"
@@ -57,15 +57,9 @@ class NormRules:
     @classmethod
     def load(cls, path):
         char_map, strip_set = {}, set()
-        for lineno, line in enumerate(read_lines(path), 1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: malformed rule line {lineno}: {line!r}")
-            src = chr(int(parts[0], 16))
-            if parts[1]:
-                char_map[src] = parts[1]
+        for src, repl in zip(*read_table(path, "rule", lambda h: chr(int(h, 16)), str)):
+            if repl:
+                char_map[src] = repl
             else:
                 strip_set.add(src)
         return cls(char_map, strip_set)
@@ -121,15 +115,8 @@ class TruecaseModel:
 
     @classmethod
     def load(cls, path):
-        case_freq = {}
-        for lineno, line in enumerate(read_lines(path), 1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: malformed truecase line {lineno}: {line!r}")
-            case_freq[parts[0]] = (parts[1], int(parts[2]))
-        return cls(case_freq)
+        lower, surface, count = read_table(path, "truecase", str, str, int)
+        return cls(dict(zip(lower, zip(surface, count))))
 
 
 def _best_casing(tally):

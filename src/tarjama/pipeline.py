@@ -10,7 +10,8 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields
 
 from . import corpus as corpus_io
 from .bleu import bleu
@@ -28,7 +29,7 @@ from .normalize import (
 from .segment import (
     DEFAULT_INVENTORY,
     DetokTable,
-    atb_segment,
+    atb_segment,  # not called here; bench/tracing.py wraps pipeline.atb_segment
     detokenize,
     segment_corpus,
     simple_tokenize,
@@ -175,23 +176,24 @@ class PipelineConfig:
 
 @dataclass
 class PipelineArtifacts:
-    norm_rules: object = None
-    inventory: object = None
+    norm_rules: object = field(default_factory=default_arabic_rules)
+    inventory: object = DEFAULT_INVENTORY
     detok_table: DetokTable = None
     truecase: TruecaseModel = None
     bpe_src: BpeModel = None
     bpe_tgt: BpeModel = None
 
+    # attribute -> (file name, loader)
     _FILES = {
-        "detok_table": "detok.tsv",
-        "truecase": "truecase.tsv",
-        "bpe_src": "bpe.src",
-        "bpe_tgt": "bpe.tgt",
+        "detok_table": ("detok.tsv", DetokTable.load),
+        "truecase": ("truecase.tsv", TruecaseModel.load),
+        "bpe_src": ("bpe.src", BpeModel.load),
+        "bpe_tgt": ("bpe.tgt", BpeModel.load),
     }
 
     def save(self, out_dir):
         written = []
-        for attr, name in self._FILES.items():
+        for attr, (name, _) in self._FILES.items():
             model = getattr(self, attr)
             if model is None:
                 continue
@@ -202,93 +204,83 @@ class PipelineArtifacts:
 
     @classmethod
     def load(cls, out_dir, config):
-        arts = cls(norm_rules=default_arabic_rules(), inventory=DEFAULT_INVENTORY)
-        for attr, name in cls._FILES.items():
+        arts = cls()
+        for attr, (name, loader) in cls._FILES.items():
             path = os.path.join(out_dir, name)
             if os.path.exists(path):
-                loader = {
-                    "detok_table": DetokTable.load,
-                    "truecase": TruecaseModel.load,
-                    "bpe_src": BpeModel.load,
-                    "bpe_tgt": BpeModel.load,
-                }[attr]
                 setattr(arts, attr, loader(path))
         return arts
 
 
-def _arabic_tokens(config, line, rules):
-    if config.arabic_norm:
-        line = normalize_arabic(line, rules)
-    if config.arabic_tok:
-        return simple_tokenize(line)
-    return line.split()
+def _splitter(config, side):
+    """simple_tokenize when the side's tokenize step is on, else str.split."""
+    on = config.arabic_tok if side == config.arabic_side() else config.english_tok
+    return simple_tokenize if on else str.split
 
 
-def _english_tokens(config, line, truecase):
-    tokens = simple_tokenize(line) if config.english_tok else line.split()
-    if config.english_lower:
-        tokens = [lowercase(t) for t in tokens]
-    elif config.english_true and truecase is not None:
-        tokens = truecase_apply(tokens, truecase)
-    return tokens
+def _tokenize(config, side, lines, rules):
+    """First step: normalize Arabic, tokenize, and lowercase English when
+    so configured."""
+    arabic = side == config.arabic_side()
+    if arabic and config.arabic_norm:
+        lines = [normalize_arabic(line, rules) for line in lines]
+    split = _splitter(config, side)
+    sents = [split(line) for line in lines]
+    if config.english_lower and not arabic:
+        sents = [[lowercase(t) for t in sent] for sent in sents]
+    return sents
+
+
+def _segment_or_truecase(config, side, sents, arts):
+    """Second step: clitic-segment Arabic, truecase English.  Returns the
+    sentences and, for segmented Arabic, their detokenization table."""
+    if side == config.arabic_side():
+        if config.arabic_atb:
+            return segment_corpus(sents, arts.inventory)
+    elif config.english_true and arts.truecase is not None:
+        return [truecase_apply(sent, arts.truecase) for sent in sents], None
+    return sents, None
+
+
+def _subwords(side, sents, arts):
+    """Last step: BPE, when this side has a model."""
+    model = getattr(arts, "bpe_" + side)
+    return sents if model is None else [apply_bpe(sent, model) for sent in sents]
 
 
 def run_preprocess(config, src_lines, tgt_lines):
     """Apply the configured steps to a training corpus, learning every
-    side artifact (detokenization table, truecase model, BPE models).
+    side artifact (detokenization table, truecase model, BPE models) just
+    before the step that uses it.
 
     Returns (pairs, artifacts) where pairs are token-list tuples.
     """
     config.validate()
-    arts = PipelineArtifacts(
-        norm_rules=default_arabic_rules(), inventory=DEFAULT_INVENTORY
-    )
-    ar_side = config.arabic_side()
-    sides = {}
+    arts = PipelineArtifacts()
+    sides = []
     for side, lines in (("src", src_lines), ("tgt", tgt_lines)):
-        if side == ar_side:
-            sides[side] = [_arabic_tokens(config, ln, arts.norm_rules) for ln in lines]
-        else:
-            sides[side] = [_english_tokens(config, ln, None) for ln in lines]
-            if config.english_true:
-                arts.truecase = truecase_train(sides[side])
-                sides[side] = [truecase_apply(s, arts.truecase) for s in sides[side]]
-    if config.arabic_atb:
-        segmented, table = segment_corpus(sides[ar_side], arts.inventory)
-        sides[ar_side] = segmented
-        arts.detok_table = table
-    if config.bpe_size > 0:
-        for side in ("src", "tgt"):
-            freqs = {}
-            for sent in sides[side]:
-                for tok in sent:
-                    freqs[tok] = freqs.get(tok, 0) + 1
-            model = learn_bpe(freqs, config.bpe_size)
-            setattr(arts, "bpe_" + side, model)
-            sides[side] = [apply_bpe(s, model) for s in sides[side]]
-    return list(zip(sides["src"], sides["tgt"])), arts
+        sents = _tokenize(config, side, lines, arts.norm_rules)
+        if config.english_true and side != config.arabic_side():
+            arts.truecase = truecase_train(sents)
+        sents, table = _segment_or_truecase(config, side, sents, arts)
+        if table is not None:
+            arts.detok_table = table
+        if config.bpe_size > 0:
+            freqs = Counter(tok for sent in sents for tok in sent)
+            setattr(arts, "bpe_" + side, learn_bpe(freqs, config.bpe_size))
+        sides.append(_subwords(side, sents, arts))
+    return list(zip(*sides)), arts
 
 
 def apply_preprocess(config, src_lines, tgt_lines, arts):
     """Apply already-learned artifacts to held-out corpora."""
     config.validate()
-    ar_side = config.arabic_side()
-    sides = {}
+    sides = []
     for side, lines in (("src", src_lines), ("tgt", tgt_lines)):
-        if side == ar_side:
-            tokens = [_arabic_tokens(config, ln, arts.norm_rules) for ln in lines]
-            if config.arabic_atb:
-                tokens = [
-                    [seg for tok in sent for seg in atb_segment(tok, arts.inventory)]
-                    for sent in tokens
-                ]
-        else:
-            tokens = [_english_tokens(config, ln, arts.truecase) for ln in lines]
-        bpe_model = getattr(arts, "bpe_" + side)
-        if bpe_model is not None:
-            tokens = [apply_bpe(s, bpe_model) for s in tokens]
-        sides[side] = tokens
-    return list(zip(sides["src"], sides["tgt"]))
+        sents = _tokenize(config, side, lines, arts.norm_rules)
+        sents, _ = _segment_or_truecase(config, side, sents, arts)
+        sides.append(_subwords(side, sents, arts))
+    return list(zip(*sides))
 
 
 def run_postprocess(config, decoded, arts):
@@ -323,20 +315,13 @@ def prepare_references(config, lines):
     so hypotheses and references live in the same space; truecasing is
     not, since postprocessing restores surface casing.
     """
-    if config.arabic_side() == "tgt":
-        rules = default_arabic_rules()
-        return [_arabic_tokens(config, line, rules) for line in lines]
-    return [_english_tokens(config, line, None) for line in lines]
+    return _tokenize(config, "tgt", lines, default_arabic_rules())
 
 
 def retokenize(config, surface_lines):
     """Tokenize postprocessed hypotheses for scoring."""
-    target_is_arabic = config.arabic_side() == "tgt"
-    use_simple = config.arabic_tok if target_is_arabic else config.english_tok
-    return [
-        simple_tokenize(line) if use_simple else line.split()
-        for line in surface_lines
-    ]
+    split = _splitter(config, "tgt")
+    return [split(line) for line in surface_lines]
 
 
 def _sha256(path):

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .corpus import read_lines
+from .corpus import read_lines, read_table
 
 log = logging.getLogger(__name__)
 
@@ -209,23 +209,18 @@ class DetokTable:
         segments to its key (violators are logged and kept, since the
         table is authoritative)."""
         table = cls()
-        for lineno, line in enumerate(read_lines(path), 1):
-            if not line:
-                continue
-            try:
-                key, surface, count = line.split("\t")
-                count = int(count)
-                if count <= 0:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"{path}: malformed table line {lineno}: {line!r}") from None
+        for key, surface, count in zip(*read_table(path, "table", str, str, _positive_int)):
             if inv is not None and " ".join(atb_segment(surface, inv)) != key:
-                log.warning(
-                    "detok table %s line %d: surface %r no longer segments to %r",
-                    path, lineno, surface, key,
-                )
+                log.warning("detok table %s: surface %r no longer segments to %r", path, surface, key)
             table.add(key, surface, count)
         return table
+
+
+def _positive_int(text):
+    count = int(text)
+    if count <= 0:
+        raise ValueError
+    return count
 
 
 def segment_corpus(corpus, inv=DEFAULT_INVENTORY):

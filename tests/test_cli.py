@@ -64,6 +64,51 @@ def test_undecodable_model_file_exits_two(tmp_path):
     assert main(["bpe-apply", str(text), "--model", str(model)]) == 2
 
 
+# Each case: a corrupt model file's lines, the command that reads it, and
+# where the error must point ({model} is the file).
+MALFORMED_MODEL_FILES = {
+    "rules-overflow": (["0627\tx", "FFFFFFFFFFFFFFFFFFFF\tx"],
+                       ["normalize", "{text}", "--rules", "{model}"],
+                       "{model}: malformed rule line 2"),
+    "truecase-count": (["the\tThe\t3", "a\tA\tz"],
+                       ["truecase", "{text}", "--model", "{model}"],
+                       "{model}: malformed truecase line 2"),
+    "bpe-header": (["#bpe v1 vocab=x", "a b"],
+                   ["bpe-apply", "{text}", "--model", "{model}"],
+                   "{model}: malformed bpe header line 1"),
+    "bpe-merge": (["#bpe v1 vocab=5", "a b", "", "a b c"],
+                  ["bpe-apply", "{text}", "--model", "{model}"],
+                  "{model}: malformed bpe line 4"),
+    "detok-count": (["k\tgood\t2", "k\tbad\tz"],
+                    ["detokenize", "{text}", "--table", "{model}"],
+                    "{model}: malformed table line 2"),
+    "vocab-id": (["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\tz"],
+                 ["translate", "{text}", "--model", "{ckpt}",
+                  "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
+                 "{model}: malformed vocab line 5"),
+    "arpa-section-order": (["\\data\\", "ngram 1=1", "", "\\x-grams:", "-0.5\ta", "",
+                            "\\end\\"],
+                           ["lm-score", "--model", "{model}", "--set", "{text}"],
+                           "{model}:4: expected section header"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_FILES))
+def test_malformed_model_file_exits_two_naming_file_and_line(tmp_path, caplog, capsys,
+                                                               case):
+    lines, argv, where = MALFORMED_MODEL_FILES[case]
+    paths = {"model": str(tmp_path / "model.txt"), "text": str(tmp_path / "in.txt"),
+             "ckpt": str(tmp_path / "model.ckpt")}
+    write(tmp_path / "model.txt", lines)
+    write(tmp_path / "in.txt", ["a"])
+    save_model(init_model(NmtConfig(src_vocab_size=5, tgt_vocab_size=5, embed_dim=3,
+                                    enc_hidden=3, enc_layers=1, dec_hidden=3,
+                                    attn_hidden=2)), paths["ckpt"])
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert where.format(**paths) in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+
 def test_validation_problems_exit_one(tmp_path):
     src = tmp_path / "in.txt"
     write(src, ["a b c"])

@@ -7,6 +7,7 @@ from tarjama.corpus import (
     BOS_ID,
     CorpusError,
     EOS_ID,
+    FormatError,
     PAD_ID,
     RESERVED,
     UNK_ID,
@@ -15,6 +16,7 @@ from tarjama.corpus import (
     find_duplicates,
     load_parallel,
     read_lines,
+    read_table,
 )
 
 
@@ -121,3 +123,31 @@ def test_vocab_save_load_round_trip(tmp_path):
     vocab.save(path)
     again = Vocab.load(str(path))
     assert again.token_to_id == vocab.token_to_id
+
+
+def _version(line):
+    return int(line.partition("=")[2])
+
+
+def test_read_table_converts_columns_and_skips_empty_lines(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("#v=7\na\t1\n\nb\t-2\n", encoding="utf-8")
+    assert read_table(str(path), "t", str, int, header=_version) == (7, [("a", "b"), [1, -2]])
+    path.write_text("\n", encoding="utf-8")
+    assert read_table(str(path), "t", str, int) == [(), []]
+
+
+@pytest.mark.parametrize("text, where", [
+    ("#v=7\na\t1\nb\t2\tc\n", "line 3: 'b\\t2\\tc'"),
+    ("#v=7\na\tz\n", "line 2: 'a\\tz'"),
+    ("#v=x\na\t1\n", "header line 1: '#v=x'"),
+    ("", "header line 1: ''"),
+    ("#v=7\nb\t1\na\tz\nc\n", "line 3: 'a\\tz'"),
+], ids=["field-count", "converter", "header", "empty", "first-of-two"])
+def test_read_table_error_names_file_line_and_text(tmp_path, text, where):
+    path = tmp_path / "t.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        read_table(str(path), "t", str, int, header=_version)
+    assert str(info.value).startswith("%s: malformed t %s" % (path, where))
+    assert isinstance(info.value, CorpusError) and isinstance(info.value, ValueError)

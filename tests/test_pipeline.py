@@ -17,7 +17,7 @@ from tarjama.pipeline import (
     run_postprocess,
     run_preprocess,
 )
-from tarjama.segment import simple_tokenize
+from tarjama.segment import atb_segment, simple_tokenize
 
 AR_LINES = [
     "والكتاب على الطاولة .",
@@ -150,6 +150,21 @@ def test_preprocess_normalizes_before_segmenting():
     assert "الي" in " ".join(src)
     for token in src:
         assert "إ" not in token
+
+
+def test_apply_preprocess_segments_unseen_words_like_per_token_atb_segment():
+    config = full_ar2en_config(bpe_size=0)
+    _, arts = run_preprocess(config, AR_LINES, EN_LINES)
+    heldout = ["وبمدرستهم الجديدة وبمدرستهم .", "", "فكتبوها لكم ( غدا ) والكتاب ."]
+    got = apply_preprocess(config, heldout, ["x"] * len(heldout), arts)
+    rules = default_arabic_rules()
+    words = [simple_tokenize(normalize_arabic(line, rules)) for line in heldout]
+    want = [[seg for tok in sent for seg in atb_segment(tok, arts.inventory)]
+            for sent in words]
+    assert [src for src, _ in got] == want
+    trained = {tok for line in AR_LINES for tok in simple_tokenize(normalize_arabic(line, rules))}
+    assert any(tok not in trained for sent in words for tok in sent)
+    assert any(seg.endswith("+") for sent in want for seg in sent)
 
 
 def test_postprocess_inverts_arabic_target_pipeline():
