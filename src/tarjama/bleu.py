@@ -8,9 +8,12 @@ smoothing: any zero precision zeroes the score.
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
+
+import numpy as np
+
+from .ngram import ngram_rows
 
 MAX_ORDER = 4
 
@@ -42,14 +45,6 @@ class BleuReport:
         )
 
 
-def _ngrams(tokens):
-    """Counts of every n-gram of orders 1..MAX_ORDER, in one Counter."""
-    counts = Counter()
-    for n in range(1, MAX_ORDER + 1):
-        counts.update(zip(*(tokens[k:] for k in range(n))))
-    return counts
-
-
 def _closest_ref_len(hyp_len, ref_lens):
     # Closest reference length; ties go to the shorter reference.
     return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
@@ -60,6 +55,13 @@ def bleu(hypotheses, references, fold_case=False):
 
     references[i] is the list of reference token sequences for
     hypotheses[i].  With fold_case, tokens are lowercased before counting.
+
+    All counting is on integers.  ngram_rows numbers the n-grams of every
+    sentence together; with R distinct n-grams of an order, row r in
+    hypothesis i has key i * R + r and in its k-th reference key
+    (k * n + i) * R + r, for n hypotheses.  One np.unique per order counts
+    every key, and a hypothesis key's count in reference k lies k * n * R
+    further on.
     """
     hypotheses = list(hypotheses)
     references = list(references)
@@ -70,27 +72,46 @@ def bleu(hypotheses, references, fold_case=False):
             "got %d hypotheses but %d reference sets"
             % (len(hypotheses), len(references))
         )
+    references = [list(refs) for refs in references]
+    if not all(references):
+        raise ValueError("every hypothesis needs at least one reference")
+
+    n = len(hypotheses)
+    hyp_len = sum(map(len, hypotheses))
+    ref_len = sum(_closest_ref_len(len(hyp), [len(r) for r in refs])
+                  for hyp, refs in zip(hypotheses, references))
+
+    # Every sentence, with its group: i for hypothesis i, k * n + i for its
+    # k-th reference.
+    sentences = hypotheses + [ref for refs in references for ref in refs]
+    groups = list(range(n)) + [k * n + i for i, refs in enumerate(references)
+                               for k in range(1, len(refs) + 1)]
+    lengths = np.array(list(map(len, sentences)), np.int64)
+    group = np.repeat(np.array(groups, np.int64), lengths)
+
+    types = {}
+    ids = np.array([types.setdefault(t, len(types)) for sent in sentences for t in sent],
+                   np.int64)
+    if fold_case:  # fold each type once, then map every id through it
+        folded = {}
+        ids = np.array([folded.setdefault(t.lower(), len(folded)) for t in types], np.int64)[ids]
+        types = folded
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
 
     matches = [0] * MAX_ORDER
     totals = [0] * MAX_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, refs in zip(hypotheses, references):
-        refs = list(refs)
-        if not refs:
-            raise ValueError("every hypothesis needs at least one reference")
-        if fold_case:
-            hyp = [t.lower() for t in hyp]
-            refs = [[t.lower() for t in ref] for ref in refs]
-        hyp_len += len(hyp)
-        ref_len += _closest_ref_len(len(hyp), [len(r) for r in refs])
-        max_ref = _ngrams(refs[0])
-        for ref in refs[1:]:
-            max_ref |= _ngrams(ref)
-        for gram, count in _ngrams(hyp).items():
-            matches[len(gram) - 1] += min(count, max_ref[gram])
-        for n in range(1, min(len(hyp), MAX_ORDER) + 1):
-            totals[n - 1] += len(hyp) - n + 1
+    for m, pos, grams, _, rows in ngram_rows(ids, room, len(types), MAX_ORDER):
+        stride = n * len(grams)  # one reference's keys past the hypotheses'
+        keys, counts = np.unique(group[pos] * len(grams) + rows[pos],
+                                 return_counts=True)
+        hyp = np.searchsorted(keys, stride)  # the hypotheses' keys sort first
+        max_ref = np.zeros(hyp, np.int64)
+        for k in range(1, max(map(len, references)) + 1):
+            want = keys[:hyp] + k * stride
+            at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+            max_ref = np.maximum(max_ref, np.where(keys[at] == want, counts[at], 0))
+        matches[m - 1] = int(np.minimum(counts[:hyp], max_ref).sum())
+        totals[m - 1] = int(counts[:hyp].sum())
 
     precisions = tuple(
         (matches[n] / totals[n]) if totals[n] else 0.0 for n in range(MAX_ORDER)

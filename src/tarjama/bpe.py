@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .corpus import read_table
+from .corpus import FormatError, read_table
 
 log = logging.getLogger(__name__)
 
@@ -30,7 +30,7 @@ class BpeModel:
         if len(set(self.merges)) != len(self.merges):
             raise ValueError("merge list contains duplicate pairs")
         self._ranks = {pair: rank for rank, pair in enumerate(self.merges)}
-        self._cache = {}
+        self._pieces = {}  # word -> apply_bpe's output for it
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -41,7 +41,10 @@ class BpeModel:
     @classmethod
     def load(cls, path):
         target, (left, right) = read_table(path, "bpe", str, str, sep=" ", header=_vocab_size)
-        return cls(list(zip(left, right)), target)
+        try:
+            return cls(list(zip(left, right)), target)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _vocab_size(header):
@@ -155,9 +158,6 @@ def segment_word(word, model):
     a merge can create a pair of lower rank than itself, which replay has
     already passed.
     """
-    cached = model._cache.get(word)
-    if cached is not None:
-        return cached
     ranks = model._ranks
     symbols = tuple(word)
     last = -1
@@ -168,17 +168,22 @@ def segment_word(word, model):
             break
         symbols = merge_word(symbols, model.merges[rank])
         last = rank
-    model._cache[word] = symbols
     return symbols
 
 
 def apply_bpe(sentence, model):
-    """Split every token into subwords, marking non-final pieces with @@."""
+    """Split every token into subwords, marking non-final pieces with @@.
+
+    Each word is segmented once per model; an empty token yields nothing.
+    """
     out = []
     for word in sentence:
-        symbols = segment_word(word, model)
-        for i, sym in enumerate(symbols):
-            out.append(sym if i == len(symbols) - 1 else sym + CONTINUATION)
+        pieces = model._pieces.get(word)
+        if pieces is None:
+            symbols = segment_word(word, model)
+            pieces = [sym + CONTINUATION for sym in symbols[:-1]] + list(symbols[-1:])
+            model._pieces[word] = pieces
+        out.extend(pieces)
     return out
 
 

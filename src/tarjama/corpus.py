@@ -177,7 +177,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        return cls(dict(zip(*read_table(path, "vocab", str, int))))
+        tokens, ids = read_table(path, "vocab", str, int)
+        try:
+            return cls(dict(zip(tokens, ids)))
+        except ValueError as exc:  # well-formed lines that make no vocabulary
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def build_vocab(sentences, max_size):

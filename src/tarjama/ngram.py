@@ -57,14 +57,34 @@ class NgramModel:
             context = context[1:]
 
 
+def ngram_rows(ids, room, size, order):
+    """Number the n-grams of a token stream, one order after another.
+
+    ids are token ids below size, sentence after sentence; room[i] counts
+    the tokens left in position i's sentence, itself included.  Yields
+    (m, pos, keys, counts, rows) for m = 1..order: the positions starting
+    an m-gram, the sorted distinct keys (prefix row * size + last token;
+    every id below size for m = 1), their counts, and each position's
+    index into keys, -1 where fewer than m tokens are left.  Rows sort
+    like the m-gram tuples whenever ids sort like the tokens.
+    """
+    rows = ids
+    yield 1, np.arange(len(ids)), np.arange(size), np.bincount(ids, minlength=size), rows
+    for m in range(2, order + 1):
+        pos = np.flatnonzero(room >= m)
+        keys, inverse, counts = np.unique(rows[pos] * size + ids[pos + m - 1],
+                                          return_inverse=True, return_counts=True)
+        rows = np.full(len(ids), -1, np.int64)
+        rows[pos] = inverse
+        yield m, pos, keys, counts, rows
+
+
 def lm_train(corpus, order, discount=0.75):
     """Estimate an NgramModel from a tokenized corpus.
 
     Tokens get ids in sorted string order, and each order's n-grams form a
-    table of unique rows in sorted tuple order: a row is keyed by the id of
-    its (n-1)-gram prefix times the vocabulary size plus its last token, so
-    one np.unique over the keys at every corpus position gives the rows
-    and their raw counts, and every per-context statistic is a bincount.
+    table of unique rows in sorted tuple order (see ngram_rows), and every
+    per-context statistic is a bincount.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -89,20 +109,15 @@ def lm_train(corpus, order, discount=0.75):
     # Per order m: the rows' prefix ids (into order m-1), last tokens,
     # suffix ids (the (m-1)-gram one position later), first tokens and raw
     # counts.  The unigram table holds every token, seen or not.
-    prefix, last, suffix = {}, {}, {}
-    head = {1: np.arange(size)}
-    raw = {1: np.bincount(ids, minlength=size)}
-    gram_at = ids  # each position's m-gram row, valid where room >= m
-    for m in range(2, order + 1):
-        pos = np.flatnonzero(room >= m)
-        keys, inverse, raw[m] = np.unique(gram_at[pos] * size + ids[pos + m - 1],
-                                          return_inverse=True, return_counts=True)
+    prefix, last, suffix, head, raw, at = {}, {}, {}, {}, {}, {}
+    for m, pos, keys, raw[m], at[m] in ngram_rows(ids, room, size, order):
+        if m == 1:
+            head[1] = keys
+            continue
         prefix[m], last[m] = np.divmod(keys, size)
         suffix[m] = np.empty(len(keys), np.int64)
-        suffix[m][inverse] = gram_at[pos + 1]
+        suffix[m][at[m][pos]] = at[m - 1][pos + 1]
         head[m] = head[m - 1][prefix[m]]
-        gram_at = np.full(len(ids), -1, np.int64)
-        gram_at[pos] = inverse
 
     # Continuation counts: distinct non-BOS left extensions of each m-gram.
     cont = {m - 1: np.bincount(suffix[m][head[m] != bos], minlength=len(raw[m - 1]))

@@ -14,8 +14,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
-from .corpus import read_lines, read_table
+from .corpus import FormatError, read_lines, read_table
 
 log = logging.getLogger(__name__)
 
@@ -98,12 +99,12 @@ class CliticInventory:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.endswith("+") and len(line) > 1:
+            if len(line) > 1 and line.endswith("+") and "+" not in line[:-1]:
                 pro.append(line)
-            elif line.startswith("+") and len(line) > 1:
+            elif len(line) > 1 and line.startswith("+") and "+" not in line[1:]:
                 enc.append(line[1:])
             else:
-                raise ValueError(f"{path}:{lineno}: expected X+ or +X, got {line!r}")
+                raise FormatError(f"{path}:{lineno}: expected X+ or +X, got {line!r}")
         return cls(proclitics=tuple(pro), enclitics=tuple(enc), **kwargs)
 
 
@@ -178,9 +179,12 @@ class DetokTable:
     to observed surface forms."""
 
     entries: dict = field(default_factory=dict)  # key -> Counter of surfaces
+    # key -> lookup(key), kept until the key's next add
+    _best: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, key, surface, count=1):
         self.entries.setdefault(key, Counter())[surface] += count
+        self._best.pop(key, None)
 
     def lookup(self, key):
         """Best (surface, count) for a segmented form, or None.
@@ -188,11 +192,14 @@ class DetokTable:
         Most frequent surface wins; count ties go to the lexicographically
         smaller surface.
         """
-        surfaces = self.entries.get(key)
-        if not surfaces:
-            return None
-        surface = min(surfaces, key=lambda s: (-surfaces[s], s))
-        return surface, surfaces[surface]
+        best = self._best.get(key)
+        if best is None:
+            surfaces = self.entries.get(key)
+            if not surfaces:
+                return None
+            surface = min(surfaces, key=lambda s: (-surfaces[s], s))
+            best = self._best[key] = (surface, surfaces[surface])
+        return best
 
     def __len__(self):
         return len(self.entries)
@@ -228,22 +235,15 @@ def segment_corpus(corpus, inv=DEFAULT_INVENTORY):
 
     Every word contributes a table entry, identity segmentations included,
     so that seen data always round-trips by lookup.  Each distinct token is
-    segmented once.
+    segmented once and enters the table once, with its count.
     """
+    corpus = list(corpus)
+    counts = Counter(chain.from_iterable(corpus))
+    segs = {token: atb_segment(token, inv) for token in counts}
     table = DetokTable()
-    seen = {}  # token -> (segments, table key)
-    segmented = []
-    for sent in corpus:
-        out = []
-        for token in sent:
-            hit = seen.get(token)
-            if hit is None:
-                segs = atb_segment(token, inv)
-                hit = seen[token] = (segs, " ".join(segs))
-            out.extend(hit[0])
-            table.add(hit[1], token)
-        segmented.append(out)
-    return segmented, table
+    for token, count in counts.items():
+        table.add(" ".join(segs[token]), token, count)
+    return [[seg for token in sent for seg in segs[token]] for sent in corpus], table
 
 
 def _is_proclitic_token(token):

@@ -8,7 +8,8 @@ formula, and the network forward passes are plain numpy with no tape.
 Slow is fine; shared code with the package is not, with two exceptions:
 the reference gradients come from the package's autodiff tape, which
 the model itself does not use, and the dict-based language model trainer
-fills the package's NgramModel and vocabulary containers.
+and the Counter-based BLEU fill the package's NgramModel, vocabulary and
+BleuReport containers.
 """
 
 import math
@@ -16,6 +17,7 @@ from collections import Counter
 
 import numpy as np
 
+from tarjama.bleu import BleuReport
 from tarjama.corpus import BOS_ID, EOS_ID, RESERVED, build_vocab
 from tarjama.ngram import FLOOR, NgramModel
 from tarjama.nmt import autodiff as ad
@@ -107,6 +109,47 @@ def naive_bleu(hypotheses, references):
     else:
         score = bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
     return score, precisions, bp, hyp_len, ref_len
+
+
+def counter_bleu(hypotheses, references, fold_case=False):
+    """Corpus BLEU-4 as a BleuReport, counting every n-gram of every
+    sentence in a Counter: the package's former implementation, which the
+    integer-table one must equal field for field."""
+    def ngrams(tokens):
+        counts = Counter()
+        for n in range(1, 5):
+            counts.update(zip(*(tokens[k:] for k in range(n))))
+        return counts
+
+    matches = [0] * 4
+    totals = [0] * 4
+    hyp_len = 0
+    ref_len = 0
+    for hyp, refs in zip(hypotheses, references):
+        refs = list(refs)
+        if fold_case:
+            hyp = [t.lower() for t in hyp]
+            refs = [[t.lower() for t in ref] for ref in refs]
+        hyp_len += len(hyp)
+        ref_len += min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
+        max_ref = ngrams(refs[0])
+        for ref in refs[1:]:
+            max_ref |= ngrams(ref)
+        for gram, count in ngrams(hyp).items():
+            matches[len(gram) - 1] += min(count, max_ref[gram])
+        for n in range(1, min(len(hyp), 4) + 1):
+            totals[n - 1] += len(hyp) - n + 1
+    precisions = tuple(
+        (matches[n] / totals[n]) if totals[n] else 0.0 for n in range(4)
+    )
+    if hyp_len == 0:
+        return BleuReport(0.0, precisions, 0.0, 0, ref_len)
+    bp = min(1.0, math.exp(1.0 - ref_len / hyp_len))
+    if any(p == 0.0 for p in precisions):
+        score = 0.0
+    else:
+        score = bp * math.exp(sum(math.log(p) for p in precisions) / 4)
+    return BleuReport(score, precisions, bp, hyp_len, ref_len)
 
 
 # ------------------------------------------------------------ language model

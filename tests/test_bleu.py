@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import naive_bleu
+from oracles import counter_bleu, naive_bleu
 from tarjama.bleu import BleuReport, bleu, bleu_delta
 
 LEXICON = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "away"]
@@ -135,3 +136,20 @@ def test_to_json_round_trips():
     assert data["bleu"] == 1.0
     assert data["precisions"] == [1.0, 1.0, 1.0, 1.0]
     assert data["hyp_len"] == 4 and data["ref_len"] == 4
+
+# Few types in two cases, so n-grams repeat within and across sentences.
+_sentences = st.lists(st.sampled_from(["a", "A", "b", "B", "c", "the", "The"]), max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=st.lists(st.tuples(_sentences, st.lists(_sentences, min_size=1, max_size=3)),
+                       min_size=1, max_size=6),
+       fold_case=st.booleans())
+def test_equals_counter_oracle_in_every_field(corpus, fold_case):
+    hyps = [hyp for hyp, _ in corpus]
+    refs = [refs for _, refs in corpus]
+    report = bleu(hyps, refs, fold_case=fold_case)
+    want = counter_bleu(hyps, refs, fold_case=fold_case)
+    assert report == want
+    assert report.to_json() == want.to_json()
+    assert [type(p) for p in report.precisions] == [float] * 4

@@ -60,6 +60,13 @@ def test_apply_marks_non_final_subwords():
     assert apply_bpe(["cat"], model) == ["c@@", "a@@", "t"]
 
 
+def test_apply_yields_nothing_for_an_empty_token():
+    model = learn_bpe({"low": 5, "lower": 2}, target_vocab_size=10)
+    assert apply_bpe([""], model) == []
+    assert apply_bpe(["", "low", "", "lowest", ""], model) == ["low", "low@@", "e@@", "s@@", "t"]
+    assert apply_bpe([""], model) == []  # and again, from the per-word cache
+
+
 def test_undo_concatenates_markers():
     assert undo_bpe(["low@@", "e@@", "s@@", "t", "low"]) == ["lowest", "low"]
     assert undo_bpe([]) == []

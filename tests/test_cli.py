@@ -65,7 +65,8 @@ def test_undecodable_model_file_exits_two(tmp_path):
 
 
 # Each case: a corrupt model file's lines, the command that reads it, and
-# where the error must point ({model} is the file).
+# where the error must point ({model} is the file, and the line when one
+# line is at fault).
 MALFORMED_MODEL_FILES = {
     "rules-overflow": (["0627\tx", "FFFFFFFFFFFFFFFFFFFF\tx"],
                        ["normalize", "{text}", "--rules", "{model}"],
@@ -90,6 +91,24 @@ MALFORMED_MODEL_FILES = {
                             "\\end\\"],
                            ["lm-score", "--model", "{model}", "--set", "{text}"],
                            "{model}:4: expected section header"),
+    # Files whose every line parses but which, taken whole, are no model.
+    "vocab-bijection": (["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t3"],
+                        ["translate", "{text}", "--model", "{ckpt}",
+                         "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
+                        "{model}: token_to_id is not a bijection"),
+    "vocab-reserved-id": (["<pad>\t1", "<unk>\t0", "<s>\t2", "</s>\t3", "a\t4"],
+                          ["translate", "{text}", "--model", "{ckpt}",
+                           "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
+                          "{model}: reserved token '<pad>' must have id 0"),
+    "bpe-duplicate-merge": (["#bpe v1 vocab=5", "a b", "c d", "a b"],
+                            ["bpe-apply", "{text}", "--model", "{model}"],
+                            "{model}: merge list contains duplicate pairs"),
+    "clitic-line": (["و+", "+ه", "bare"],
+                    ["segment", "{text}", "--clitics", "{model}"],
+                    "{model}:3: expected X+ or +X"),
+    "clitic-inner-marker": (["و+", "a+b+"],
+                            ["segment", "{text}", "--clitics", "{model}"],
+                            "{model}:2: expected X+ or +X"),
 }
 
 

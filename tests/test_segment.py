@@ -119,6 +119,19 @@ def test_detok_table_most_frequent_then_lexicographic():
     assert table.lookup("missing") is None
 
 
+def test_detok_table_add_replaces_a_remembered_lookup():
+    table = DetokTable()
+    assert table.lookup("j") is None
+    table.add("k", "b", 2)
+    assert table.lookup("k") == ("b", 2)
+    assert table.lookup("k") == ("b", 2)  # remembered
+    table.add("k", "a", 3)
+    assert table.lookup("k") == ("a", 3)
+    table.add("j", "z")  # a key once missing, and another key's add
+    assert table.lookup("j") == ("z", 1)
+    assert table.lookup("k") == ("a", 3)
+
+
 def test_detok_table_save_load(tmp_path):
     table = DetokTable()
     table.add("و+ قلم", "وقلم", 3)
@@ -159,6 +172,28 @@ def test_segment_corpus_round_trips_by_lookup():
     segmented, table = segment_corpus(corpus)
     for sent, segs in zip(corpus, segmented):
         assert detokenize(segs, table) == sent
+
+
+def test_segment_corpus_equals_per_token_segmenting_and_adding():
+    rng = np.random.default_rng(4)
+    words = ["ولمركبته", "والكتاب", "قال", "بيتها", "Reuters", "a+b", "", ".", "وقلم"]
+    corpus = [[words[i] for i in rng.integers(0, len(words), size=int(rng.integers(0, 9)))]
+              for _ in range(60)]
+    want_table = DetokTable()
+    want = []
+    for sent in corpus:
+        out = []
+        for token in sent:
+            segs = atb_segment(token)
+            out.extend(segs)
+            want_table.add(" ".join(segs), token)
+        want.append(out)
+    segmented, table = segment_corpus(iter(corpus))
+    assert segmented == want
+    assert table.entries == want_table.entries
+    assert list(table.entries) == list(want_table.entries)
+    for key in want_table.entries:
+        assert table.lookup(key) == want_table.lookup(key)
 
 
 def synth_surface(pros, stem, enc):
