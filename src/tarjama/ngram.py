@@ -11,7 +11,9 @@ finite and out-of-vocabulary text remains orderable.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -26,10 +28,37 @@ class ArpaError(FormatError):
 
 @dataclass
 class NgramModel:
+    """An n-gram model held as one column triple per order.
+
+    For each order m, grams[m - 1] lists the m-grams as ARPA text (words
+    joined by single spaces), logp[m - 1] their log10 probabilities and
+    bow[m - 1] their log10 backoff weights, NaN where a gram has none.
+    index[m - 1] maps gram text to row; it is built on the first query
+    when not given.
+    """
+
     order: int
-    probs: dict = field(default_factory=dict)     # ngram tuple -> log10 p
-    backoffs: dict = field(default_factory=dict)  # context tuple -> log10 bow
+    grams: list
+    logp: list
+    bow: list
     vocab: Vocab = None
+    index: list = None
+
+    @property
+    def probs(self):
+        """Read-only view: ngram tuple -> log10 p."""
+        return GramView(self, self.logp)
+
+    @property
+    def backoffs(self):
+        """Read-only view: context tuple -> log10 bow."""
+        return GramView(self, self.bow)
+
+    def rows(self):
+        """Per order, a dict from gram text to row."""
+        if self.index is None:
+            self.index = [dict(zip(grams, range(len(grams)))) for grams in self.grams]
+        return self.index
 
     def events(self):
         """Every predictable token: corpus vocabulary plus UNK and EOS."""
@@ -37,24 +66,52 @@ class NgramModel:
         return sorted(words) + [UNK, EOS]
 
     def known(self, token):
-        return (token,) in self.probs and token not in (BOS, PAD)
+        return token in self.rows()[0] and token not in (BOS, PAD)
 
     def conditional(self, context, word):
         """log10 p(word | context) via the backoff chain."""
         context = tuple(context)
-        if self.order == 1:
-            context = ()
-        elif len(context) > self.order - 1:
-            context = context[-(self.order - 1):]
+        context = context[max(len(context) - self.order + 1, 0):]
+        index = self.rows()
         acc = 0.0
         while True:
-            entry = self.probs.get(context + (word,))
-            if entry is not None:
-                return acc + entry
+            m = len(context)
+            row = index[m].get(" ".join(context + (word,)))
+            if row is not None:
+                return acc + self.logp[m][row]
             if not context:
                 return acc + FLOOR
-            acc += self.backoffs.get(context, 0.0)
+            row = index[m - 1].get(" ".join(context))
+            bow = 0.0 if row is None else self.bow[m - 1][row]
+            acc += 0.0 if math.isnan(bow) else bow
             context = context[1:]
+
+
+class GramView(Mapping):
+    """Read-only mapping from gram tuple to a model's value in one set of
+    per-order columns; NaN cells (a gram without a backoff) are absent."""
+
+    def __init__(self, model, columns):
+        self._model = model
+        self._columns = columns
+
+    def __getitem__(self, gram):
+        if isinstance(gram, tuple) and 1 <= len(gram) <= self._model.order:
+            row = self._model.rows()[len(gram) - 1].get(" ".join(gram))
+            if row is not None:
+                value = self._columns[len(gram) - 1][row]
+                if not math.isnan(value):
+                    return value
+        raise KeyError(gram)
+
+    def __iter__(self):
+        for grams, values in zip(self._model.grams, self._columns):
+            for gram, value in zip(grams, values):
+                if not math.isnan(value):
+                    yield tuple(gram.split(" "))
+
+    def __len__(self):
+        return sum(len(values) - sum(map(math.isnan, values)) for values in self._columns)
 
 
 def ngram_rows(ids, room, size, order):
@@ -95,6 +152,11 @@ def lm_train(corpus, order, discount=0.75):
         raise ValueError("training corpus is empty")
 
     distinct = {tok for sent in corpus for tok in sent}
+    # A gram's text joins its tokens with spaces, and ARPA lines split on
+    # whitespace, so a token holding any would not come back as itself.
+    bad = [tok for tok in distinct if "".join(tok.split()) != tok]
+    if bad:
+        raise ValueError("token %r holds whitespace" % min(bad))
     vocab = build_vocab(corpus, max_size=len(distinct) + 5)
     tokens = sorted(distinct | {BOS, EOS, UNK})
     size = len(tokens)
@@ -161,26 +223,30 @@ def lm_train(corpus, order, discount=0.75):
             stored[m] = (cont[m] > 0) | (head[m] == bos)
         stored[m][prefix[m + 1][stored[m + 1]]] = True
 
-    # Fill the dicts order by order in sorted gram order; a context's
-    # backoff is the log10 of its gamma.  The prefix of a stored gram is
-    # stored, so each gram extends a tuple built one order down.
-    probs, backoffs = {}, {}
+    # Emit each order's stored rows as columns, in row order, which is
+    # sorted gram order.  The prefix of a stored gram is stored, so each
+    # gram's text extends the text of a row one order down; a context's
+    # backoff is the log10 of its gamma.
+    grams, logp, bow = [], [], []
+    spaced = [" " + tok for tok in tokens]
     for m in range(1, order + 1):
         rows = np.flatnonzero(stored[m])
         if m == 1:
-            grams = [(tokens[r],) for r in rows.tolist()]
+            text = [tokens[r] for r in rows.tolist()]
         else:
             rank = np.cumsum(stored[m - 1]) - 1
-            grams = [lower[k] + (tokens[w],) for k, w in
-                     zip(rank[prefix[m][rows]].tolist(), last[m][rows].tolist())]
+            lower = grams[-1]
+            text = [lower[k] + spaced[w] for k, w in
+                    zip(rank[prefix[m][rows]].tolist(), last[m][rows].tolist())]
             contexts = np.unique(prefix[m][rows])
-            backoffs.update(zip([lower[k] for k in rank[contexts].tolist()],
-                                map(math.log10, gamma[m][contexts].tolist())))
-        probs.update(zip(grams, [math.log10(x) if x > 0.0 else FLOOR
-                                 for x in p[m][rows].tolist()]))
-        lower = grams
+            weights = np.full(len(lower), np.nan)
+            weights[rank[contexts]] = list(map(math.log10, gamma[m][contexts].tolist()))
+            bow[-1] = weights.tolist()
+        grams.append(text)
+        logp.append([math.log10(x) if x > 0.0 else FLOOR for x in p[m][rows].tolist()])
+        bow.append([math.nan] * len(text))
 
-    return NgramModel(order, probs, backoffs, vocab)
+    return NgramModel(order, grams, logp, bow, vocab)
 
 
 def lm_score_sentence(model, sentence):
@@ -203,26 +269,72 @@ def lm_score_set(model, sentences):
 
 
 def lm_write_arpa(model, path):
-    """Serialize to ARPA: counts header, per-order sections, \\end\\."""
-    by_order = {m: [] for m in range(1, model.order + 1)}
-    for gram in model.probs:
-        by_order[len(gram)].append(gram)
-    probs, backoffs = model.probs, model.backoffs
+    """Serialize to ARPA: counts header, per-order sections, \\end\\.
+
+    Rows go out in the model's order: sorted gram order for a trained
+    model, file order for a read one.
+    """
     parts = ["\\data\\\n"]
-    parts += ["ngram %d=%d\n" % (m, len(grams)) for m, grams in by_order.items()]
-    for m, grams in by_order.items():
-        grams.sort()
+    parts += ["ngram %d=%d\n" % (m, len(grams)) for m, grams in enumerate(model.grams, 1)]
+    for m, columns in enumerate(zip(model.grams, model.logp, model.bow), 1):
         parts.append("\n\\%d-grams:\n" % m)
-        parts.append("".join(
-            "%.7g\t%s\t%.7g\n" % (probs[g], " ".join(g), backoffs[g]) if g in backoffs
-            else "%.7g\t%s\n" % (probs[g], " ".join(g)) for g in grams))
+        parts.append("".join([
+            "%.7g\t%s\n" % (p, g) if math.isnan(b) else "%.7g\t%s\t%.7g\n" % (p, g, b)
+            for g, p, b in zip(*columns)]))
     parts.append("\n\\end\\\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(parts))
 
 
+def _line_error(line, m):
+    """The defect of an n-gram line in section m, or None."""
+    parts = line.split("\t")
+    if len(parts) not in (2, 3):
+        return "malformed ngram line %r" % line
+    if parts[1].count(" ") != m - 1:
+        return "ngram %r has wrong order for section %d" % (parts[1], m)
+    try:
+        if not any(map(math.isnan, map(float, parts[::2]))):
+            return None
+    except ValueError:
+        pass
+    return "non-numeric field in %r" % line
+
+
+def _section_columns(body, m):
+    """The gram, logp and bow columns of the lines of section m, or None
+    when some line has a defect that _line_error names."""
+    if not body:
+        return [], [], []
+    tabs = list(map(str.count, body, repeat("\t")))
+    if not 1 <= min(tabs) <= max(tabs) <= 2:
+        return None
+    # One split over the whole body; line k's fields start at start[k].
+    fields = "\t".join(body).split("\t")
+    width = np.array(tabs) + 1
+    start = np.cumsum(width) - width
+    grams = list(map(fields.__getitem__, (start + 1).tolist()))
+    if set(map(str.count, grams, repeat(" "))) != {m - 1}:
+        return None
+    has_bow = np.flatnonzero(width == 3)
+    try:
+        logp = list(map(float, map(fields.__getitem__, start.tolist())))
+        bow = np.full(len(body), np.nan)
+        bow[has_bow] = list(map(float, map(fields.__getitem__, (start[has_bow] + 2).tolist())))
+    except ValueError:
+        return None
+    if any(map(math.isnan, logp)) or np.isnan(bow[has_bow]).any():
+        return None
+    return grams, logp, bow.tolist()
+
+
 def lm_read_arpa(path):
-    """Parse an ARPA file back into an NgramModel."""
+    """Parse an ARPA file back into an NgramModel, rows in file order.
+
+    Each section's lines are checked and converted column by column; the
+    first defective line is reported by number.  An n-gram listed twice
+    is a defect.
+    """
     # CRLF and lone CR end lines too, as in a text-mode open.
     lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
@@ -230,7 +342,6 @@ def lm_read_arpa(path):
         raise ArpaError("%s:%d: %s" % (path, lineno, msg))
 
     counts = {}
-    probs, backoffs = {}, {}
     i = 0
     n = len(lines)
     while i < n and lines[i].strip() != "\\data\\":
@@ -245,16 +356,20 @@ def lm_read_arpa(path):
         if not line.startswith("ngram "):
             fail(i + 1, "expected 'ngram N=count', got %r" % line)
         try:
-            m, c = line[len("ngram "):].split("=")
-            counts[int(m)] = int(c)
+            m, c = map(int, line[len("ngram "):].split("="))
         except ValueError:
+            m = 0
+        if m < 1:
             fail(i + 1, "malformed count line %r" % line)
+        counts[m] = c
         i += 1
     if not counts:
         fail(i, "no ngram counts declared")
     order = max(counts)
 
-    seen = {m: 0 for m in counts}
+    # Per order: the columns, and the index from gram text to row.
+    grams, logp, bow = ([[] for _ in range(order)] for _ in range(3))
+    index = [{} for _ in range(order)]
     ended = False
     while i < n:
         line = lines[i].strip()
@@ -274,29 +389,40 @@ def lm_read_arpa(path):
         if m not in counts:
             fail(i + 1, "section order %d not declared in \\data\\" % m)
         i += 1
-        while i < n and lines[i].strip() and not lines[i].startswith("\\"):
-            parts = lines[i].split("\t")
-            if len(parts) not in (2, 3):
-                fail(i + 1, "malformed ngram line %r" % lines[i])
-            gram = tuple(parts[1].split(" "))
-            if len(gram) != m:
-                fail(i + 1, "ngram %r has wrong order for section %d" % (parts[1], m))
-            try:
-                probs[gram] = float(parts[0])
-                if len(parts) == 3:
-                    backoffs[gram] = float(parts[2])
-            except ValueError:
-                fail(i + 1, "non-numeric field in %r" % lines[i])
-            seen[m] += 1
-            i += 1
+        # The section ends at the first line that is blank or starts with
+        # a backslash.  Such a line always has a defect, so when the lines
+        # up to the next empty one do not convert, the first defective line
+        # either ends the section or is an error.
+        try:
+            end = lines.index("", i)
+        except ValueError:
+            end = n
+        columns = _section_columns(lines[i:end], m)
+        if columns is None:
+            end = next(k for k in range(i, end) if _line_error(lines[k], m))
+            if lines[end].strip() and not lines[end].startswith("\\"):
+                fail(end + 1, _line_error(lines[end], m))
+            columns = _section_columns(lines[i:end], m)
+        first = len(grams[m - 1])
+        index[m - 1].update(zip(columns[0], range(first, first + end - i)))
+        if len(index[m - 1]) < first + end - i:
+            listed = set(grams[m - 1])
+            for k, gram in enumerate(columns[0]):
+                if gram in listed:
+                    fail(i + k + 1, "ngram %r is listed twice" % gram)
+                listed.add(gram)
+        for store, values in zip((grams, logp, bow), columns):
+            store[m - 1] += values
+        i = end
     if not ended:
         fail(n, "missing \\end\\ marker")
     for m, declared in counts.items():
-        if seen[m] != declared:
-            fail(n, "\\data\\ declares %d %d-grams but %d listed" % (declared, m, seen[m]))
+        if len(grams[m - 1]) != declared:
+            fail(n, "\\data\\ declares %d %d-grams but %d listed"
+                 % (declared, m, len(grams[m - 1])))
 
-    words = sorted(g[0] for g in probs if len(g) == 1 and g[0] not in RESERVED)
+    words = sorted(g for g in grams[0] if g not in RESERVED)
     mapping = {tok: i for i, tok in enumerate(RESERVED)}
     for w in words:
         mapping[w] = len(mapping)
-    return NgramModel(order, probs, backoffs, Vocab(mapping))
+    return NgramModel(order, grams, logp, bow, Vocab(mapping), index)

@@ -9,7 +9,7 @@ alone.  Truecasing is the most-frequent-casing heuristic.
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import read_table
+from .corpus import FormatError, read_table
 
 ALIF = "ا"
 ALIF_MADDA = "آ"
@@ -62,7 +62,10 @@ class NormRules:
                 char_map[src] = repl
             else:
                 strip_set.add(src)
-        return cls(char_map, strip_set)
+        try:
+            return cls(char_map, strip_set)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def default_arabic_rules(lrb="-LRB-", rrb="-RRB-"):

@@ -35,7 +35,7 @@ _TOKEN_RE = re.compile(
 
 # Standard Arabic letter range (hamza through ya); a token qualifies for
 # clitic stripping only if every character is in it.
-_ARABIC_LETTERS = frozenset(chr(c) for c in range(0x0621, 0x064B))
+_ARABIC_LETTERS = "".join(chr(c) for c in range(0x0621, 0x064B))
 
 TA = "ت"
 TA_MARBUTA = "ة"
@@ -120,7 +120,7 @@ def _unescape_plus(token):
 
 
 def _is_arabic_word(token):
-    return bool(token) and all(ch in _ARABIC_LETTERS for ch in token)
+    return bool(token) and not token.strip(_ARABIC_LETTERS)
 
 
 def atb_segment(token, inv=DEFAULT_INVENTORY):

@@ -5,11 +5,11 @@ direct way available: the subword learner recounts pair statistics from
 scratch every round, the language model probabilities come straight from
 the recursive definition over raw occurrence scans, BLEU is the textbook
 formula, and the network forward passes are plain numpy with no tape.
-Slow is fine; shared code with the package is not, with two exceptions:
+Slow is fine; shared code with the package is not, with three exceptions:
 the reference gradients come from the package's autodiff tape, which
-the model itself does not use, and the dict-based language model trainer
-and the Counter-based BLEU fill the package's NgramModel, vocabulary and
-BleuReport containers.
+the model itself does not use, the dict-based ARPA reader uses the
+package's text reader and error type, and the Counter-based BLEU fills
+the package's BleuReport.
 """
 
 import math
@@ -18,8 +18,8 @@ from collections import Counter
 import numpy as np
 
 from tarjama.bleu import BleuReport
-from tarjama.corpus import BOS_ID, EOS_ID, RESERVED, build_vocab
-from tarjama.ngram import FLOOR, NgramModel
+from tarjama.corpus import BOS_ID, EOS_ID, RESERVED, read_text
+from tarjama.ngram import FLOOR, ArpaError
 from tarjama.nmt import autodiff as ad
 
 BOS = "<s>"
@@ -255,10 +255,10 @@ def dict_kn_train(corpus, order, discount=0.75):
     The package estimates the same model with numpy passes over
     integer-coded n-gram tables; this keeps the dict formulation that it
     replaced, whose stored values equal the package's bit for bit.
+    Returns the dicts (ngram tuple -> log10 p, context tuple -> log10 bow).
     """
     corpus = [list(sent) for sent in corpus]
     distinct = {tok for sent in corpus for tok in sent}
-    vocab = build_vocab(corpus, max_size=len(distinct) + 5)
     events = sorted(distinct - set(RESERVED)) + [UNK, EOS]
 
     raw = {m: Counter() for m in range(1, order + 1)}
@@ -277,7 +277,7 @@ def dict_kn_train(corpus, order, discount=0.75):
         for w in events:
             store((w,), raw[1].get((w,), 0) / total)
         probs[(BOS,)] = FLOOR
-        return NgramModel(order, probs, backoffs, vocab)
+        return probs, backoffs
 
     # Continuation counts: distinct non-BOS left extensions of each m-gram.
     cont = {m: Counter(g[1:] for g in raw[m + 1] if g[0] != BOS) for m in range(1, order)}
@@ -337,7 +337,105 @@ def dict_kn_train(corpus, order, discount=0.75):
             else:
                 store(gram, table[gram])
 
-    return NgramModel(order, probs, backoffs, vocab)
+    return probs, backoffs
+
+
+def dict_write_arpa(order, probs, backoffs, path):
+    """lm_write_arpa over dicts keyed by gram tuple: each order's grams
+    sorted, one line each."""
+    by_order = {m: [] for m in range(1, order + 1)}
+    for gram in probs:
+        by_order[len(gram)].append(gram)
+    parts = ["\\data\\\n"]
+    parts += ["ngram %d=%d\n" % (m, len(grams)) for m, grams in by_order.items()]
+    for m, grams in by_order.items():
+        grams.sort()
+        parts.append("\n\\%d-grams:\n" % m)
+        parts.append("".join(
+            "%.7g\t%s\t%.7g\n" % (probs[g], " ".join(g), backoffs[g]) if g in backoffs
+            else "%.7g\t%s\n" % (probs[g], " ".join(g)) for g in grams))
+    parts.append("\n\\end\\\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(parts))
+
+
+def dict_read_arpa(path):
+    """lm_read_arpa one line at a time into dicts keyed by gram tuple.
+
+    Returns (order, probs, backoffs).  A gram listed twice keeps its last
+    probability and any backoff it was given.
+    """
+    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+    def fail(lineno, msg):
+        raise ArpaError("%s:%d: %s" % (path, lineno, msg))
+
+    counts = {}
+    probs, backoffs = {}, {}
+    i = 0
+    n = len(lines)
+    while i < n and lines[i].strip() != "\\data\\":
+        if lines[i].strip():
+            fail(i + 1, "expected \\data\\ header, got %r" % lines[i])
+        i += 1
+    if i == n:
+        fail(n, "missing \\data\\ header")
+    i += 1
+    while i < n and lines[i].strip():
+        line = lines[i].strip()
+        if not line.startswith("ngram "):
+            fail(i + 1, "expected 'ngram N=count', got %r" % line)
+        try:
+            m, c = line[len("ngram "):].split("=")
+            counts[int(m)] = int(c)
+        except ValueError:
+            fail(i + 1, "malformed count line %r" % line)
+        i += 1
+    if not counts:
+        fail(i, "no ngram counts declared")
+    order = max(counts)
+
+    seen = {m: 0 for m in counts}
+    ended = False
+    while i < n:
+        line = lines[i].strip()
+        if not line:
+            i += 1
+            continue
+        if line == "\\end\\":
+            ended = True
+            i += 1
+            break
+        if not (line.startswith("\\") and line.endswith("-grams:")):
+            fail(i + 1, "expected section header, got %r" % line)
+        try:
+            m = int(line[1:-len("-grams:")])
+        except ValueError:
+            fail(i + 1, "expected section header, got %r" % line)
+        if m not in counts:
+            fail(i + 1, "section order %d not declared in \\data\\" % m)
+        i += 1
+        while i < n and lines[i].strip() and not lines[i].startswith("\\"):
+            parts = lines[i].split("\t")
+            if len(parts) not in (2, 3):
+                fail(i + 1, "malformed ngram line %r" % lines[i])
+            gram = tuple(parts[1].split(" "))
+            if len(gram) != m:
+                fail(i + 1, "ngram %r has wrong order for section %d" % (parts[1], m))
+            try:
+                probs[gram] = float(parts[0])
+                if len(parts) == 3:
+                    backoffs[gram] = float(parts[2])
+            except ValueError:
+                fail(i + 1, "non-numeric field in %r" % lines[i])
+            seen[m] += 1
+            i += 1
+    if not ended:
+        fail(n, "missing \\end\\ marker")
+    for m, declared in counts.items():
+        if seen[m] != declared:
+            fail(n, "\\data\\ declares %d %d-grams but %d listed" % (declared, m, seen[m]))
+    return order, probs, backoffs
 
 
 # ------------------------------------------------------------------ network

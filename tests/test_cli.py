@@ -100,6 +100,13 @@ MALFORMED_MODEL_FILES = {
                           ["translate", "{text}", "--model", "{ckpt}",
                            "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
                           "{model}: reserved token '<pad>' must have id 0"),
+    "arpa-duplicate-ngram": (["\\data\\", "ngram 1=3", "", "\\1-grams:", "-0.5\ta",
+                              "-0.4\tb", "-0.3\ta", "", "\\end\\"],
+                             ["lm-score", "--model", "{model}", "--set", "{text}"],
+                             "{model}:7: ngram 'a' is listed twice"),
+    "rules-not-idempotent": (["0627\tأ", "0623\tx"],
+                             ["normalize", "{text}", "--rules", "{model}"],
+                             "{model}: rule 'ا' -> 'أ' is not idempotent"),
     "bpe-duplicate-merge": (["#bpe v1 vocab=5", "a b", "c d", "a b"],
                             ["bpe-apply", "{text}", "--model", "{model}"],
                             "{model}: merge list contains duplicate pairs"),

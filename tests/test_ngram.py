@@ -1,11 +1,19 @@
 import math
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dict_kn_train, naive_kn_backoff, naive_kn_prob, naive_kn_sentence
+from oracles import (
+    dict_kn_train,
+    dict_read_arpa,
+    dict_write_arpa,
+    naive_kn_backoff,
+    naive_kn_prob,
+    naive_kn_sentence,
+)
 from tarjama.corpus import CorpusError
 from tarjama.ngram import (
     ArpaError,
@@ -109,13 +117,138 @@ small_corpora = st.lists(
 @given(corpus=small_corpora, order=st.integers(1, 5))
 def test_table_estimator_equals_dict_oracle_exactly(tmp_path_factory, corpus, order):
     model = lm_train(corpus, order)
-    want = dict_kn_train(corpus, order)
-    assert model.probs == want.probs
-    assert model.backoffs == want.backoffs
+    probs, backoffs = dict_kn_train(corpus, order)
+    assert dict(model.probs) == probs
+    assert dict(model.backoffs) == backoffs
+    assert (len(model.probs), len(model.backoffs)) == (len(probs), len(backoffs))
     directory = tmp_path_factory.mktemp("arpa")
     lm_write_arpa(model, directory / "got.arpa")
-    lm_write_arpa(want, directory / "want.arpa")
+    dict_write_arpa(order, probs, backoffs, directory / "want.arpa")
     assert (directory / "got.arpa").read_bytes() == (directory / "want.arpa").read_bytes()
+
+
+def test_gram_views_are_read_only_tuple_mappings():
+    model = lm_train([["a", "b"], ["b"]], order=2)
+    assert isinstance(model.probs, Mapping)
+    assert ("a", "b") in model.probs and ("a",) in model.backoffs
+    # Keys are tuples of the right length; the highest order has no backoffs.
+    for absent in ("a", ["a"], ("a b",), ("a", "b", "c"), ()):
+        assert absent not in model.probs
+    assert ("a", "b") not in model.backoffs
+    with pytest.raises(KeyError):
+        model.backoffs[("a", "b")]
+    with pytest.raises(TypeError):
+        model.probs[("a",)] = 0.0
+
+
+# Lines edited into valid ARPA files.  None of the edits can list an
+# n-gram twice; test_reader_rejects_ngram_listed_twice covers that.
+NOT_NUMBERS = ["x", "", " ", "1.2.3", "--1", "0x1F", "1e", "a1"]
+INSERTED_LINES = ["", " ", "\t", " \t ", "\\x", "\\2-grams:", "\\end\\", "junk",
+                  "ngram 1=1"]
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["delete", "tab", "space", "number", "count", "blank", "insert",
+                     "rotate", "prefix"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), max_size=4)
+
+
+def _edit(lines, step, op, k, pick):
+    k %= len(lines)
+    line = lines[k]
+    if op == "delete":
+        del lines[k]
+    elif op in ("tab", "space"):
+        at = pick % (len(line) + 1)
+        lines[k] = line[:at] + ("\t" if op == "tab" else " ") + line[at:]
+    elif op == "number":
+        fields = line.split("\t")
+        fields[2 * (pick % ((len(fields) + 1) // 2))] = NOT_NUMBERS[pick % len(NOT_NUMBERS)]
+        lines[k] = "\t".join(fields)
+    elif op == "count":
+        counts = [j for j, text in enumerate(lines) if re.fullmatch(r"ngram \d+=-?\d+", text)]
+        if counts:
+            j = counts[k % len(counts)]
+            head, c = lines[j].split("=")
+            lines[j] = "%s=%d" % (head, int(c) + pick % 5 - 2)
+    elif op == "blank":
+        lines[k] = line + [" ", "\t", "  "][pick % 3]
+    elif op == "insert":
+        lines.insert(k, INSERTED_LINES[pick % len(INSERTED_LINES)])
+    elif op == "rotate":
+        # Unsort one section: rotate the lines up to the next empty one.
+        end = lines.index("", k) if "" in lines[k:] else len(lines)
+        body = lines[k:end]
+        if body:
+            at = pick % len(body)
+            lines[k:end] = body[at:] + body[:at]
+    elif op == "prefix":
+        # Give an n-gram a first word no other line has: its prefix is
+        # then not listed.
+        fields = line.split("\t")
+        if len(fields) > 1 and " " in fields[1]:
+            fields[1] = "new%d%s" % (step, fields[1][fields[1].index(" "):])
+            lines[k] = "\t".join(fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=small_corpora, order=st.integers(1, 4), edits=EDITS,
+       reverse=st.booleans(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       trailing=st.sampled_from(["", "\n", "\n \n\t\n"]))
+def test_column_reader_equals_dict_reader(tmp_path_factory, corpus, order, edits,
+                                          reverse, newline, trailing):
+    path = tmp_path_factory.mktemp("arpa") / "model.arpa"
+    lm_write_arpa(lm_train(corpus, order), path)
+    blocks = path.read_text(encoding="utf-8").split("\n\n")
+    if reverse:
+        # Sections may come in any order.
+        blocks[1:-1] = blocks[-2:0:-1]
+    lines = "\n\n".join(blocks).split("\n")
+    for step, (op, k, pick) in enumerate(edits):
+        _edit(lines, step, op, k, pick)
+    path.write_bytes((newline.join(lines) + trailing).encode("utf-8"))
+    try:
+        want = dict_read_arpa(str(path))
+    except ArpaError as exc:
+        with pytest.raises(ArpaError) as info:
+            lm_read_arpa(str(path))
+        assert str(info.value) == str(exc)
+        return
+    model = lm_read_arpa(str(path))
+    assert (model.order, dict(model.probs), dict(model.backoffs)) == want
+
+
+def test_reader_rejects_ngram_listed_twice(tmp_path):
+    path = tmp_path / "twice.arpa"
+    path.write_text("\\data\\\nngram 1=2\nngram 2=2\n\n"
+                    "\\2-grams:\n-0.1\ta b\n\n"
+                    "\\1-grams:\n-0.5\ta\t-0.2\n-0.4\tb\n\n"
+                    "\\2-grams:\n-0.3\ta b\n\n\\end\\\n", encoding="utf-8")
+    # The second listing is named, also in a repeated section.
+    with pytest.raises(ArpaError, match=re.escape("twice.arpa:13: ngram 'a b' is listed twice")):
+        lm_read_arpa(str(path))
+
+
+def test_reader_rejects_nan_fields_and_orders_below_one(tmp_path):
+    path = tmp_path / "bad.arpa"
+    path.write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\tnan\n-0.4\tb\n\n\\end\\\n",
+                    encoding="utf-8")
+    with pytest.raises(ArpaError, match=re.escape(":5: non-numeric field in '-0.5\\ta\\tnan'")):
+        lm_read_arpa(str(path))
+    path.write_text("\\data\\\nngram 0=0\n\n\\end\\\n", encoding="utf-8")
+    with pytest.raises(ArpaError, match=":2: malformed count line 'ngram 0=0'"):
+        lm_read_arpa(str(path))
+
+
+def test_read_model_keeps_file_order(tmp_path):
+    text = ("\\data\\\nngram 1=3\nngram 2=1\n\n\\2-grams:\n-0.1\tb a\n\n"
+            "\\1-grams:\n-0.4\tb\t-0.3\n-0.5\ta\n-0.6\t</s>\n\n\\end\\\n")
+    path = tmp_path / "unsorted.arpa"
+    path.write_text(text, encoding="utf-8")
+    again = tmp_path / "again.arpa"
+    lm_write_arpa(lm_read_arpa(str(path)), again)
+    assert again.read_text(encoding="utf-8") == (
+        "\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.4\tb\t-0.3\n-0.5\ta\n-0.6\t</s>\n"
+        "\n\\2-grams:\n-0.1\tb a\n\n\\end\\\n")
 
 
 def test_sentence_scores_match_oracle():
@@ -229,6 +362,8 @@ def test_read_arpa_names_file_with_undecodable_bytes(tmp_path):
 
 
 def test_train_validation():
+    with pytest.raises(ValueError, match="token 'a b' holds whitespace"):
+        lm_train([["a b", "c"]], order=2)
     with pytest.raises(ValueError):
         lm_train([], order=2)
     with pytest.raises(ValueError):

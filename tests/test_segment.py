@@ -2,12 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tarjama.corpus import CorpusError
 from tarjama.segment import (
     CliticInventory,
     DEFAULT_INVENTORY,
     DetokTable,
+    _is_arabic_word,
     atb_segment,
     detokenize,
     segment_corpus,
@@ -15,6 +17,15 @@ from tarjama.segment import (
 )
 
 ARABIC_LETTERS = [chr(c) for c in range(0x0621, 0x064B)]
+
+
+# Letters, the characters just outside their range, diacritics, Latin,
+# digits, the clitic marker and a space.
+@given(st.text(st.sampled_from(ARABIC_LETTERS + ["\u0620", "\u064b", "\u0650", "\u0652",
+                                                 "a", "Z", "0", "9", "+", " "]), max_size=8))
+def test_arabic_word_check_matches_per_character_check(token):
+    letters = set(ARABIC_LETTERS)
+    assert _is_arabic_word(token) == (bool(token) and all(ch in letters for ch in token))
 
 
 def test_tokenize_separates_punctuation():
