@@ -15,6 +15,7 @@ from .bleu import bleu
 from .bpe import BpeModel, apply_bpe, learn_bpe, undo_bpe
 from .corpus import (
     CorpusError,
+    FormatError,
     Vocab,
     build_vocab,
     find_duplicates,
@@ -239,10 +240,13 @@ def _cmd_train(args):
     return 0
 
 
-def _load_translate_vocabs(args):
+def _load_translate_vocabs(args, config):
+    """The source and target vocabularies of a translate run: those given,
+    else the files the checkpoint names.  Each must hold ids 0..n-1 for the
+    checkpoint's vocabulary size n on its side."""
     names = read_header(args.model).get("vocab_files") or {}
     if not isinstance(names, dict):
-        raise ValueError("%s: vocab_files is not a table" % args.model)
+        raise FormatError("%s: vocab_files is not a table" % args.model)
     base = os.path.dirname(os.path.abspath(args.model))
     paths = [
         given or (os.path.join(base, names[side])
@@ -253,12 +257,19 @@ def _load_translate_vocabs(args):
         raise PipelineError(
             "checkpoint names no vocabulary files; pass --src-vocab/--tgt-vocab"
         )
-    return [Vocab.load(path) for path in paths]
+    vocabs = [Vocab.load(path) for path in paths]
+    for path, vocab, side, size in zip(paths, vocabs, ("source", "target"),
+                                       (config.src_vocab_size, config.tgt_vocab_size)):
+        if set(vocab.id_to_token) != set(range(size)):
+            raise FormatError("%s: vocabulary has %d entries with ids up to %d; the "
+                              "checkpoint's %s vocabulary has ids 0..%d"
+                              % (path, len(vocab), max(vocab.id_to_token), side, size - 1))
+    return vocabs
 
 
 def _cmd_translate(args):
     model = load_model(args.model)
-    src_vocab, tgt_vocab = _load_translate_vocabs(args)
+    src_vocab, tgt_vocab = _load_translate_vocabs(args, model.config)
     sentences = [line.split() for line in read_lines(args.input)]
     decoded = translate_sentences(
         model, src_vocab, tgt_vocab, sentences, args.beam, args.max_len

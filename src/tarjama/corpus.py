@@ -178,8 +178,17 @@ class Vocab:
     @classmethod
     def load(cls, path):
         tokens, ids = read_table(path, "vocab", str, int)
+        mapping = dict(zip(tokens, ids))
+        if len(mapping) < len(tokens):
+            # tokens holds one entry per non-empty line, in line order.
+            linenos = [n for n, line in enumerate(read_lines(path), 1) if line]
+            seen = set()
+            for lineno, token in zip(linenos, tokens):
+                if token in seen:
+                    raise FormatError(f"{path}:{lineno}: token {token!r} is listed twice")
+                seen.add(token)
         try:
-            return cls(dict(zip(tokens, ids)))
+            return cls(mapping)
         except ValueError as exc:  # well-formed lines that make no vocabulary
             raise FormatError(f"{path}: {exc}") from None
 

@@ -17,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, Vocab, build_vocab, read_text
+from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text
 
 FLOOR = -99.0
 
@@ -41,7 +41,6 @@ class NgramModel:
     grams: list
     logp: list
     bow: list
-    vocab: Vocab = None
     index: list = None
 
     @property
@@ -61,9 +60,9 @@ class NgramModel:
         return self.index
 
     def events(self):
-        """Every predictable token: corpus vocabulary plus UNK and EOS."""
-        words = [w for w in self.vocab.token_to_id if w not in RESERVED]
-        return sorted(words) + [UNK, EOS]
+        """Every predictable token: the unigrams that are not reserved
+        tokens, sorted, then UNK and EOS."""
+        return sorted(w for w in self.grams[0] if w not in RESERVED) + [UNK, EOS]
 
     def known(self, token):
         return token in self.rows()[0] and token not in (BOS, PAD)
@@ -157,7 +156,6 @@ def lm_train(corpus, order, discount=0.75):
     bad = [tok for tok in distinct if "".join(tok.split()) != tok]
     if bad:
         raise ValueError("token %r holds whitespace" % min(bad))
-    vocab = build_vocab(corpus, max_size=len(distinct) + 5)
     tokens = sorted(distinct | {BOS, EOS, UNK})
     size = len(tokens)
     index = {tok: i for i, tok in enumerate(tokens)}
@@ -246,7 +244,7 @@ def lm_train(corpus, order, discount=0.75):
         logp.append([math.log10(x) if x > 0.0 else FLOOR for x in p[m][rows].tolist()])
         bow.append([math.nan] * len(text))
 
-    return NgramModel(order, grams, logp, bow, vocab)
+    return NgramModel(order, grams, logp, bow)
 
 
 def lm_score_sentence(model, sentence):
@@ -255,7 +253,8 @@ def lm_score_sentence(model, sentence):
     history = [BOS]
     score = 0.0
     for tok in mapped + [EOS]:
-        score += model.conditional(history, tok)
+        # The last order - 1 tokens (none for order 1), not a copy of all.
+        score += model.conditional(history[max(len(history) - model.order + 1, 0):], tok)
         history.append(tok)
     return score
 
@@ -420,9 +419,4 @@ def lm_read_arpa(path):
         if len(grams[m - 1]) != declared:
             fail(n, "\\data\\ declares %d %d-grams but %d listed"
                  % (declared, m, len(grams[m - 1])))
-
-    words = sorted(g for g in grams[0] if g not in RESERVED)
-    mapping = {tok: i for i, tok in enumerate(RESERVED)}
-    for w in words:
-        mapping[w] = len(mapping)
-    return NgramModel(order, grams, logp, bow, Vocab(mapping), index)
+    return NgramModel(order, grams, logp, bow, index)

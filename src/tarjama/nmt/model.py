@@ -18,10 +18,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
+from itertools import zip_longest
 
 import numpy as np
 
-from ..corpus import BOS_ID, EOS_ID, PAD_ID
+from ..corpus import BOS_ID, EOS_ID, PAD_ID, FormatError
 
 _MAGIC = "nmt-checkpoint"
 
@@ -588,125 +589,100 @@ def sequence_loss(model, src_ids, tgt_ids, dropout=False, rng=None):
     return float(losses[0]) + l2_penalty(model, grads), grads
 
 
+def _layout(config):
+    """The tensor table of a checkpoint for config, and its data size in
+    bytes: every parameter in param_shapes order, packed from offset 0."""
+    table, size = [], 0
+    for name, shape in param_shapes(config).items():
+        table.append({"name": name, "offset": size, "shape": list(shape)})
+        size += 8 * math.prod(shape)
+    return table, size
+
+
 def save_model(model, path, vocab_files=None):
     """Single-file checkpoint: length-prefixed JSON header, then raw
-    little-endian float64 tensor data."""
-    tensors = []
-    blobs = []
-    offset = 0
-    for name in param_shapes(model.config):
-        arr = np.ascontiguousarray(model.params[name], dtype="<f8")
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.tobytes())
-        offset += len(blobs[-1])
+    little-endian float64 tensor data laid out as _layout says."""
+    table, _ = _layout(model.config)
     header = {
         "format": _MAGIC,
         "config": asdict(model.config),
         "vocab_files": vocab_files,
-        "tensors": tensors,
+        "tensors": table,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(struct.pack("<Q", len(payload)))
         handle.write(payload)
-        for blob in blobs:
-            handle.write(blob)
+        for entry in table:
+            handle.write(np.ascontiguousarray(model.params[entry["name"]], dtype="<f8"))
 
 
 def read_header(path):
     with open(path, "rb") as handle:
         prefix = handle.read(8)
         if len(prefix) < 8:
-            raise ValueError("%s: truncated checkpoint" % path)
+            raise FormatError("%s: truncated checkpoint" % path)
         (length,) = struct.unpack("<Q", prefix)
         size = os.fstat(handle.fileno()).st_size
         if length > size:
-            raise ValueError("%s: checkpoint header length %d exceeds file size %d"
-                             % (path, length, size))
+            raise FormatError("%s: checkpoint header length %d exceeds file size %d"
+                              % (path, length, size))
         payload = handle.read(length)
     if len(payload) < length:
-        raise ValueError("%s: truncated checkpoint header" % path)
+        raise FormatError("%s: truncated checkpoint header" % path)
     try:
         header = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        raise ValueError("%s: checkpoint header is not valid JSON" % path)
+        raise FormatError("%s: checkpoint header is not valid JSON" % path) from None
     if not isinstance(header, dict) or header.get("format") != _MAGIC:
-        raise ValueError("%s: not a model checkpoint" % path)
+        raise FormatError("%s: not a model checkpoint" % path)
     return header
 
 
 def _header_config(path, header):
     raw = header.get("config")
     if not isinstance(raw, dict):
-        raise ValueError("%s: checkpoint header has no config table" % path)
+        raise FormatError("%s: checkpoint header has no config table" % path)
     # A missing or unknown key is left to the NmtConfig call below.
     for f in fields(NmtConfig):
         value = raw.get(f.name, 0)
         allowed = (int, float) if f.type is float else int
         if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValueError(
+            raise FormatError(
                 "%s: config %s is %r, not %s" % (path, f.name, value, f.type.__name__)
             )
     try:
         return NmtConfig(**raw)
     except (TypeError, ValueError) as exc:
-        raise ValueError("%s: bad checkpoint config: %s" % (path, exc)) from exc
+        raise FormatError("%s: bad checkpoint config: %s" % (path, exc)) from None
 
 
 def load_model(path):
+    """Read a checkpoint whose tensor table is the one save_model writes
+    for its config; any other table, or data of another size, is a
+    FormatError naming the file."""
     header = read_header(path)
     config = _header_config(path, header)
+    table, size = _layout(config)
     tensors = header.get("tensors")
-    if not isinstance(tensors, list):
-        raise ValueError("%s: checkpoint header has no tensor list" % path)
-    expected = param_shapes(config)
+    if tensors != table:
+        if not isinstance(tensors, list):
+            raise FormatError("%s: checkpoint header has no tensor list" % path)
+        k, got, want = next((k, got, want) for k, (got, want)
+                            in enumerate(zip_longest(tensors, table)) if got != want)
+        raise FormatError("%s: tensor entry %d is %s, the config requires %s"
+                          % (path, k, json.dumps(got), json.dumps(want)))
     with open(path, "rb") as handle:
         (length,) = struct.unpack("<Q", handle.read(8))
         handle.seek(8 + length)
         data = handle.read()
-    params = {}
-    spans = []
-    for entry in tensors:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(isinstance(n, int) for n in entry["shape"])
-        ):
-            raise ValueError(
-                "%s: tensor entry %r needs a string name and a list of "
-                "integer dimensions" % (path, entry)
-            )
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        if name not in expected:
-            raise ValueError("%s: unknown tensor %s" % (path, name))
-        if name in params:
-            raise ValueError("%s: duplicate tensor %s" % (path, name))
-        if shape != expected[name]:
-            raise ValueError(
-                "%s: tensor %s has shape %s, config requires %s"
-                % (path, name, shape, expected[name])
-            )
-        count = int(np.prod(shape)) if shape else 1
-        start = entry.get("offset")
-        if not isinstance(start, int) or start < 0:
-            raise ValueError("%s: tensor %s has invalid offset %r" % (path, name, start))
-        end = start + 8 * count
-        if end > len(data):
-            raise ValueError("%s: tensor %s runs past end of file" % (path, name))
-        params[name] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape)
-        spans.append((start, end, name))
-    spans.sort()
-    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
-        if start < end:
-            raise ValueError("%s: tensors %s and %s overlap" % (path, first, second))
-    last = spans[-1][1] if spans else 0
-    if last < len(data):
-        raise ValueError(
-            "%s: %d trailing bytes after the last tensor" % (path, len(data) - last)
-        )
+    if len(data) != size:
+        raise FormatError("%s: tensor data is %d bytes, the config requires %d"
+                          % (path, len(data), size))
+    values = np.frombuffer(data, dtype="<f8")
+    params = {entry["name"]: values[entry["offset"] // 8:][:math.prod(entry["shape"])]
+              .reshape(entry["shape"]) for entry in table}
     try:
         return NmtModel(config, params)
     except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from exc
+        raise FormatError("%s: %s" % (path, exc)) from None

@@ -26,12 +26,10 @@ DIACRITICS = tuple(chr(c) for c in range(0x064B, 0x0653))
 
 @dataclass
 class NormRules:
-    """Character-level rewrite table: char_map rewrites, strip_set deletes,
-    token_map rewrites whole tokens after the character passes."""
+    """Character-level rewrite table: char_map rewrites, strip_set deletes."""
 
     char_map: dict = field(default_factory=dict)
     strip_set: set = field(default_factory=set)
-    token_map: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.validate()
@@ -90,10 +88,7 @@ def normalize_arabic(text, rules=None):
         if ch in rules.strip_set:
             continue
         out.append(rules.char_map.get(ch, ch))
-    result = "".join(out)
-    if rules.token_map:
-        result = " ".join(rules.token_map.get(t, t) for t in result.split(" "))
-    return result
+    return "".join(out)
 
 
 def lowercase(text):

@@ -100,6 +100,21 @@ MALFORMED_MODEL_FILES = {
                           ["translate", "{text}", "--model", "{ckpt}",
                            "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
                           "{model}: reserved token '<pad>' must have id 0"),
+    "vocab-repeated-token": (["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t4", "",
+                              "a\t5"],
+                             ["translate", "{text}", "--model", "{ckpt}",
+                              "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
+                             "{model}:7: token 'a' is listed twice"),
+    # The checkpoint has 5 ids on each side.
+    "vocab-size": (["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t4", "b\t5"],
+                   ["translate", "{text}", "--model", "{ckpt}",
+                    "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
+                   "{model}: vocabulary has 6 entries with ids up to 5; the checkpoint's "
+                   "source vocabulary has ids 0..4"),
+    "vocab-id-gap": (["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t9"],
+                     ["translate", "{text}", "--model", "{ckpt}",
+                      "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
+                     "{model}: vocabulary has 5 entries with ids up to 9"),
     "arpa-duplicate-ngram": (["\\data\\", "ngram 1=3", "", "\\1-grams:", "-0.5\ta",
                               "-0.4\tb", "-0.3\ta", "", "\\end\\"],
                              ["lm-score", "--model", "{model}", "--set", "{text}"],
@@ -407,9 +422,11 @@ HEADER_DEFECTS = {
     "string-dimension": (lambda h: h["config"].update(embed_dim="4"),
                          "config embed_dim is '4'"),
     "no-tensors": (lambda h: h.pop("tensors"), "no tensor list"),
-    "nameless-tensor": (lambda h: h["tensors"][0].pop("name"), "string name"),
+    "nameless-tensor": (lambda h: h["tensors"][0].pop("name"),
+                        'tensor entry 0 is {"offset": 0, "shape": [5, 3]}, the config '
+                        'requires {"name": "src_emb", "offset": 0, "shape": [5, 3]}'),
     "scalar-shape": (lambda h: h["tensors"][0].update(shape=5),
-                     "integer dimensions"),
+                     'tensor entry 0 is {"name": "src_emb", "offset": 0, "shape": 5}'),
     "vocab-files-string": (lambda h: h.update(vocab_files="src"),
                            "vocab_files is not a table"),
 }
@@ -433,9 +450,29 @@ def test_translate_rejects_malformed_checkpoint_header(tmp_path, caplog, defect)
     text = tmp_path / "in.txt"
     write(text, ["a"])
     assert main(["translate", str(text), "--model", str(ckpt),
-                 "--src-vocab", str(vocab), "--tgt-vocab", str(vocab)]) == 1
+                 "--src-vocab", str(vocab), "--tgt-vocab", str(vocab)]) == 2
     assert "%s: " % ckpt in caplog.text
     assert message in caplog.text
+
+
+def test_translate_rejects_target_vocabulary_smaller_than_checkpoint(tmp_path, caplog, capsys):
+    # Without the size check, decoding emits id 7, which the vocabulary lacks.
+    model = init_model(NmtConfig(src_vocab_size=5, tgt_vocab_size=9, embed_dim=3,
+                                 enc_hidden=3, enc_layers=1, dec_hidden=3, attn_hidden=2))
+    model.params["out_b"][7] = 50.0
+    ckpt = tmp_path / "model.ckpt"
+    save_model(model, str(ckpt))
+    src_vocab, tgt_vocab = tmp_path / "src.tsv", tmp_path / "tgt.tsv"
+    reserved = ["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3"]
+    write(src_vocab, reserved + ["a\t4"])
+    write(tgt_vocab, reserved + ["x\t4", "y\t5"])
+    text = tmp_path / "in.txt"
+    write(text, ["a"])
+    assert main(["translate", str(text), "--model", str(ckpt),
+                 "--src-vocab", str(src_vocab), "--tgt-vocab", str(tgt_vocab)]) == 2
+    assert ("%s: vocabulary has 6 entries with ids up to 5; the checkpoint's target "
+            "vocabulary has ids 0..8" % tgt_vocab) in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
 @pytest.mark.parametrize("model_lines", [
@@ -452,7 +489,7 @@ def test_translate_rejects_oversized_checkpoint_header_length(tmp_path, caplog, 
     text = tmp_path / "in.txt"
     write(text, ["a"])
     assert main(["translate", str(text), "--model", str(model),
-                 "--src-vocab", str(vocab), "--tgt-vocab", str(vocab)]) == 1
+                 "--src-vocab", str(vocab), "--tgt-vocab", str(vocab)]) == 2
     size = model.stat().st_size
     assert "%s: checkpoint header length " % model in caplog.text
     assert "exceeds file size %d" % size in caplog.text

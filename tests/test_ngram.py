@@ -305,6 +305,22 @@ def test_history_longer_than_order_is_truncated():
     assert model.conditional(long_ctx, "b") == model.conditional(("a",), "b")
 
 
+def test_sentence_score_equals_sum_over_full_histories():
+    # lm_score_sentence passes only the last order - 1 tokens; summing
+    # conditional over whole histories must give the same bits.
+    rng = np.random.default_rng(12)
+    corpus = random_corpus(rng, sentences=40, vocab=7)
+    for order in (1, 2, 3, 4):
+        model = lm_train(corpus, order=order)
+        for n in (0, 1, 2, 3, 5, 40, 300):
+            sent = [WORDS[i] for i in rng.integers(0, len(WORDS), size=n)]
+            mapped = [w if model.known(w) else "<unk>" for w in sent] + ["</s>"]
+            want = 0.0
+            for k, tok in enumerate(mapped):
+                want += model.conditional(["<s>"] + mapped[:k], tok)
+            assert lm_score_sentence(model, sent) == want, (order, n)
+
+
 def test_score_set_is_mean_and_orders_domains():
     rng = np.random.default_rng(8)
     in_domain = random_corpus(rng, sentences=40, vocab=4)

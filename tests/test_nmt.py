@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from tarjama import nmt
-from tarjama.corpus import BOS_ID, EOS_ID
+from tarjama.corpus import BOS_ID, EOS_ID, FormatError
 from tarjama.nmt import decoding as nmt_decoding
 from tarjama.nmt import training as nmt_training
 from tarjama.nmt.model import (_encoder_layer, _encoder_layer_grad, batch_backward,
@@ -779,14 +779,18 @@ def test_checkpoint_rejects_corruption(tmp_path):
     nmt.save_model(model, str(path))
     data = path.read_bytes()
     (tmp_path / "short.ckpt").write_bytes(data[:4])
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(FormatError, match="truncated"):
         read_header(str(tmp_path / "short.ckpt"))
     (tmp_path / "npz.ckpt").write_bytes(b"\x08\x00\x00\x00\x00\x00\x00\x00notjson!")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError, match="not valid JSON"):
         read_header(str(tmp_path / "npz.ckpt"))
     (tmp_path / "cut.ckpt").write_bytes(data[:-16])
-    with pytest.raises(ValueError, match="runs past"):
+    with pytest.raises(FormatError, match="tensor data is 5888 bytes, the config requires 5904"):
         nmt.load_model(str(tmp_path / "cut.ckpt"))
+    nan = data[:-8] + struct.pack("<d", math.nan)
+    (tmp_path / "nan.ckpt").write_bytes(nan)
+    with pytest.raises(FormatError, match="parameter out_b contains non-finite values"):
+        nmt.load_model(str(tmp_path / "nan.ckpt"))
 
 
 def _rewrite_header(path, edit):
@@ -800,6 +804,8 @@ def _rewrite_header(path, edit):
 
 
 def test_checkpoint_rejects_inconsistent_tensor_tables(tmp_path):
+    # load_model reads only the table save_model writes for the config,
+    # so every other table fails at its first differing entry.
     model = randomized_model(tiny_config())
     path = tmp_path / "model.ckpt"
     nmt.save_model(model, str(path))
@@ -814,15 +820,28 @@ def test_checkpoint_rejects_inconsistent_tensor_tables(tmp_path):
     def overlap(header):
         header["tensors"][1]["offset"] = header["tensors"][0]["offset"] + 8
 
-    for edit, message in ((duplicate, "duplicate tensor out_b"),
-                          (negative, "invalid offset"),
-                          (overlap, "overlap")):
+    def swap(header):  # self-consistent, but not the config's order
+        first, second = header["tensors"][:2]
+        first["offset"], second["offset"] = 8 * 6 * 4, 0
+        header["tensors"][:2] = [second, first]
+
+    def missing(header):
+        header["tensors"].pop()
+
+    out_b = '{"name": "out_b", "offset": 5856, "shape": [6]}'
+    for edit, message in (
+            (duplicate, "tensor entry 56 is %s, the config requires null" % out_b),
+            (negative, 'tensor entry 0 is {"name": "src_emb", "offset": -8'),
+            (overlap, 'tensor entry 1 is {"name": "tgt_emb", "offset": 8,'),
+            (swap, 'tensor entry 0 is {"name": "tgt_emb", "offset": 0, "shape": [6, 4]}, '
+                   'the config requires {"name": "src_emb", "offset": 0, "shape": [7, 4]}'),
+            (missing, "tensor entry 55 is null, the config requires %s" % out_b)):
         path.write_bytes(original)
         _rewrite_header(path, edit)
-        with pytest.raises(ValueError, match=message) as info:
+        with pytest.raises(FormatError) as info:
             nmt.load_model(str(path))
-        assert str(path) in str(info.value)
+        assert str(info.value).startswith("%s: %s" % (path, message))
     path.write_bytes(original + b"\0" * 8)
-    with pytest.raises(ValueError, match="8 trailing bytes") as info:
+    with pytest.raises(FormatError) as info:
         nmt.load_model(str(path))
-    assert str(path) in str(info.value)
+    assert str(info.value) == "%s: tensor data is 5912 bytes, the config requires 5904" % path
