@@ -2,7 +2,8 @@
 
 Every subcommand reads UTF-8 text from a file argument or stdin and
 writes to --output or stdout.  Exit codes: 0 success, 1 validation
-problem, 2 data problem, 3 training divergence.
+problem (or an internal error, logged in one line), 2 data problem,
+3 training divergence.
 """
 
 import argparse
@@ -479,6 +480,12 @@ def main(argv=None):
             RuntimeError) as exc:
         log.error("%s", exc)
         return _exit_code(exc.cause if isinstance(exc, StageError) else exc)
+    except Exception as exc:
+        # A defect in tarjama itself: one line for the user, the traceback
+        # for whoever runs with DEBUG logging.
+        log.error("internal error: %s: %s", type(exc).__name__, exc)
+        log.debug("traceback of the internal error", exc_info=True)
+        return 1
 
 
 if __name__ == "__main__":

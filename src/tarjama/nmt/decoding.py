@@ -23,13 +23,18 @@ def greedy_decode(model, src_ids, max_len=50):
     return out
 
 
-def _shortlist(totals, width):
-    """Indices of the width largest totals plus every total tied with
-    the smallest of them."""
+def _top(totals, width):
+    """Ascending indices of the width largest totals, ties at the cut
+    going to the smaller indices."""
     if width >= len(totals):
-        return range(len(totals))
+        return np.arange(len(totals))
     cut = len(totals) - width
-    return np.flatnonzero(totals >= np.partition(totals, cut)[cut])
+    least = np.partition(totals, cut)[cut]
+    top = (totals >= least).nonzero()[0]
+    if len(top) > width:
+        above = totals[top] > least
+        top = top[above | (np.cumsum(~above) <= width - np.count_nonzero(above))]
+    return top
 
 
 def beam_decode(model, src_ids, beam_width=12, max_len=50):
@@ -45,43 +50,45 @@ def beam_decode(model, src_ids, beam_width=12, max_len=50):
     lexicographically smaller ids.
 
     The live hypotheses are the rows of one decoder state, advanced by
-    one decode_step call per step.
+    one decode_step call per step, and of an id matrix kept in
+    lexicographic order.  Extension w of row i then has the flat index
+    i * V + w, which orders candidates as their ids do: the survivors are
+    the beam_width largest totals, ties at the cut going to the smaller
+    flat indices, taken in flat order, which keeps the rows sorted.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     enc = encode(model, src_ids)
-    start = decoder_init(model, enc)
-    # Row i of state is ready to consume hyps[i][-1]; hyps hold the
-    # leading BOS, scores the summed log-probabilities.
-    state = DecoderState(start.z[None, :], start.alpha[None, :])
-    hyps = [(BOS_ID,)]
+    # Row i of state is ready to consume hyps[i, -1]; hyps hold the
+    # leading BOS, scores the summed log-probabilities.  The search never
+    # reads the attention weights, so they are not kept.
+    state = DecoderState(decoder_init(model, enc).z[None, :], None)
+    hyps = np.full((1, 1), BOS_ID)
     scores = np.zeros(1)
     vocab = model.config.tgt_vocab_size
     finished = []
     for _ in range(max_len):
-        state, logp = decode_step(model, state, np.array([h[-1] for h in hyps]), enc)
-        totals = (scores[:, None] + logp).ravel()
-        best = sorted(_shortlist(totals, beam_width),
-                      key=lambda i: (-totals[i], hyps[i // vocab] + (i % vocab,)))
-        rows, live = [], []
-        for i in best[:beam_width]:
-            row, w = divmod(int(i), vocab)
-            ids = hyps[row] + (w,)
-            if w == EOS_ID:
-                finished.append((ids, totals[i]))
-            else:
-                rows.append(row)
-                live.append((ids, totals[i]))
-        if len(finished) >= beam_width or not live:
-            break
-        hyps = [ids for ids, _ in live]
-        scores = np.array([score for _, score in live])
-        state = DecoderState(state.z[rows], state.alpha[rows])
+        state, logp = decode_step(model, state, hyps[:, -1], enc)
+        logp += scores[:, None]
+        totals = logp.ravel()
+        best = _top(totals, beam_width)
+        rows, ids = np.divmod(best, vocab)
+        ended = ids == EOS_ID
+        if ended.any():
+            finished += [(tuple(hyps[row].tolist()) + (EOS_ID,), totals[i])
+                         for row, i in zip(rows[ended], best[ended])]
+            if len(finished) >= beam_width or ended.all():
+                break
+            best, rows, ids = best[~ended], rows[~ended], ids[~ended]
+        hyps = np.concatenate((hyps[rows], ids[:, None]), axis=1)
+        scores = totals[best]
+        state = DecoderState(state.z[rows], None)
     if finished:
         pool = [(ids[1:-1], score, len(ids) - 1) for ids, score in finished]
     else:
-        pool = [(ids[1:], score, len(ids) - 1) for ids, score in live]
+        pool = [(tuple(ids[1:]), score, len(ids) - 1)
+                for ids, score in zip(hyps.tolist(), scores)]
     best = min(pool, key=lambda c: (-c[1] / c[2], len(c[0]), c[0]))
     return list(best[0])

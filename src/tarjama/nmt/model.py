@@ -19,6 +19,7 @@ import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
 from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +96,18 @@ def param_shapes(config):
     return shapes
 
 
+def _param_count(config):
+    """The number of values in param_shapes(config), in closed form, so
+    that it costs nothing however large the config claims to be."""
+    e, h, d, a = config.embed_dim, config.enc_hidden, config.dec_hidden, config.attn_hidden
+    def gru(n, in_dim):
+        return 3 * n * (in_dim + n + 1)
+    encoder = 2 * (gru(h, e) + (config.enc_layers - 1) * gru(h, 2 * h))
+    return ((config.src_vocab_size + config.tgt_vocab_size) * e + encoder
+            + d * (2 * h + 1) + a * (d + e + 2 * h + 2) + gru(d, e + 2 * h)
+            + config.tgt_vocab_size * (d + 1))
+
+
 class FlatParams(dict):
     """Parameter tensors by name, all views of one float64 vector `flat` (zeros,
     or a copy of `values`).  With gates stacked z, r, h, `gru[prefix]` holds the
@@ -102,7 +115,7 @@ class FlatParams(dict):
 
     def __init__(self, config, values=None):
         self.config, shapes = config, param_shapes(config)
-        total = sum(math.prod(shape) for shape in shapes.values())
+        total = _param_count(config)
         self.flat = np.zeros(total) if values is None else np.array(values, dtype=float)
         self.gru, views, offset = {}, {}, 0
         grus = [("enc_l%d" % k, ("_fw", "_bw")) for k in range(1, config.enc_layers + 1)]
@@ -171,18 +184,43 @@ def init_model(config):
     return NmtModel(config, params)
 
 
+class StepWeights(NamedTuple):
+    """The decoder step's weights, stacked by rows into contiguous arrays
+    once per encode or batch, so that each step input x takes one `x @ W.T`.
+    Stacking leaves every product bit for bit as the separate weights give."""
+
+    emb: np.ndarray  # (attn + 3*dec, embed): [att_Wy; dec_W[:, :embed]]
+    emb_b: np.ndarray  # (attn + 3*dec,): [att_b; dec_b]
+    state: np.ndarray  # (attn + 2*dec, dec): [att_Wz; dec_Uz; dec_Ur]
+    context: np.ndarray  # (3*dec, 2*enc_hidden): dec_W[:, embed:]
+    cand: np.ndarray  # (dec, dec): dec_Uh
+    att_v: np.ndarray  # (attn,)
+
+
+def _step_weights(params):
+    W, b, U, Uh = params.gru["dec"]
+    e = params["tgt_emb"].shape[1]
+    return StepWeights(np.concatenate([params["att_Wy"], W[:, :e]]),
+                       np.concatenate([params["att_b"], b]),
+                       np.concatenate([params["att_Wz"], U]),
+                       W[:, e:].copy(), Uh, params["att_v"])
+
+
 @dataclass
 class EncoderStates:
     annotations: np.ndarray  # (T, 2*enc_hidden)
     mask: np.ndarray  # (T,), 1.0 at real positions
     keys: np.ndarray  # (T, attn_hidden): annotations @ att_Wh.T
+    mask_bias: np.ndarray  # (T,): 0.0 at real positions, -inf at padding
+    step: StepWeights  # the decoder step's weights, of the model that encoded
 
 
 @dataclass
 class DecoderState:
     # Either one state, or one row per hypothesis with a leading axis.
     z: np.ndarray  # (dec_hidden,) or (k, dec_hidden)
-    alpha: np.ndarray  # attention weights from the step that produced z
+    alpha: np.ndarray  # attention weights from the step that produced z;
+    # beam search, which never reads them, keeps None
 
 
 # ------------------------------------------------------------ numpy core
@@ -192,26 +230,34 @@ class DecoderState:
 # leading axes, so the same code serves a training batch, a beam of
 # hypotheses and a single state.
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_inplace(x):
+    """1 / (1 + exp(-x)) in place."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
-def _log_softmax(x):
-    out = x - x.max(axis=-1, keepdims=True)
-    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
-    return out
+def _log_softmax_inplace(x):
+    """Log-softmax over the last axis, in place."""
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    x -= np.log(np.add.reduce(np.exp(x), axis=-1, keepdims=True))
+    return x
 
 
-def _gru_step(xp, h, U, Uh):
-    """One GRU step from the input projection xp (biases included).
+def _gru_step(xp, h, hU, Uh):
+    """One GRU step from the input projection xp (biases included) and
+    the recurrent term hU = h @ [Uz; Ur].T.
 
     h' = u*h + (1-u)*c, so all-zero parameters keep a zero state.
     Returns h' and what backprop needs: gates [u, r], candidate c, r*h.
     """
     n = h.shape[-1]
-    gates = _sigmoid(xp[..., :2 * n] + h @ U.swapaxes(-1, -2))
+    gates = _sigmoid_inplace(xp[..., :2 * n] + hU)
     rh = gates[..., n:] * h
-    c = np.tanh(xp[..., 2 * n:] + rh @ Uh.swapaxes(-1, -2))
+    c = rh @ Uh.swapaxes(-1, -2)
+    c += xp[..., 2 * n:]
+    np.tanh(c, out=c)
     u = gates[..., :n]
     return u * h + (1.0 - u) * c, gates, c, rh
 
@@ -245,16 +291,17 @@ def _encoder_layer(gru, x, m):
     k advances the forward GRU at position k and the backward one at S-1-k,
     masks m (S, 2, B, 1) in that order; a padded step carries the state."""
     W, b, U, Uh = gru
+    UT = U.swapaxes(1, 2)
     xp = np.stack([x, x[::-1]], axis=1) @ W.swapaxes(1, 2) + b[:, None, :]
+    live = m > 0
     steps, rows = x.shape[:2]
     n = Uh.shape[-1]
-    out, h_prev, c, rh, gates = (np.empty((steps, 2, rows, w * n)) for w in (1, 1, 1, 1, 2))
-    h = np.zeros((2, rows, n))
+    h = np.zeros((steps + 1, 2, rows, n))  # h[k] is the state before step k
+    c, rh, gates = (np.empty((steps, 2, rows, w * n)) for w in (1, 1, 2))
     for k in range(steps):
-        h_prev[k] = h
-        h_new, gates[k], c[k], rh[k] = _gru_step(xp[k], h, U, Uh)
-        h = out[k] = m[k] * h_new + (1.0 - m[k]) * h
-    return out, (h_prev, gates, c, rh)
+        h_new, gates[k], c[k], rh[k] = _gru_step(xp[k], h[k], h[k] @ UT, Uh)
+        h[k + 1] = np.where(live[k], h_new, h[k])
+    return h[1:], (h[:-1], gates, c, rh)
 
 
 def _encoder_layer_grad(gru, x, m, saved, dout, grads):
@@ -301,43 +348,47 @@ def _init_state(params, annotations, mask):
     return z, weights, mean
 
 
-def _target_inputs(params, y):
-    """Embeddings of target ids and their projections into the
-    attention query and the decoder gates (biases included)."""
+def _target_inputs(params, sw, y):
+    """Embeddings of target ids and their stacked projection y_in onto
+    the attention query and the decoder gates (biases included)."""
     emb = params["tgt_emb"][y]
-    e = emb.shape[-1]
-    W, b = params.gru["dec"][:2]
-    return emb, emb @ params["att_Wy"].T + params["att_b"], emb @ W[:, :e].T + b
+    return emb, emb @ sw.emb.T + sw.emb_b
 
 
-def _attention_hidden(params, keys, z, y_att):
-    """Attention MLP activations (..., S, attn_hidden) for states z and
-    projected target embeddings y_att."""
-    return np.tanh(keys + (z @ params["att_Wz"].T + y_att)[..., None, :])
+def _attention_hidden(keys, query):
+    """Attention MLP activations (..., S, attn_hidden) for queries."""
+    hidden = keys + query[..., None, :]
+    return np.tanh(hidden, out=hidden)
 
 
-def _attend(params, keys, annotations, mask, z, y_att):
-    """Context vectors and weights for states z given projected target
-    embeddings y_att; softmax over the positions where mask is 1."""
-    hidden = _attention_hidden(params, keys, z, y_att)
-    scores = np.where(mask > 0, hidden @ params["att_v"], -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
-    context = (alpha[..., None, :] @ annotations)[..., 0, :]
-    return context, alpha
+def _attend(att_v, keys, annotations, mask_bias, query):
+    """Context vectors and attention weights for queries; softmax over
+    the positions where mask_bias is 0."""
+    alpha = _attention_hidden(keys, query) @ att_v
+    alpha += mask_bias
+    alpha -= np.maximum.reduce(alpha, axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
+    return (alpha[..., None, :] @ annotations)[..., 0, :], alpha
 
 
-def _decoder_step(params, keys, annotations, mask, z, y_att, y_gru):
-    """Attention, then the decoder GRU, for one target position."""
-    context, alpha = _attend(params, keys, annotations, mask, z, y_att)
-    e = params["tgt_emb"].shape[1]
-    W, _, U, Uh = params.gru["dec"]
-    z_new, gates, c, rh = _gru_step(y_gru + context @ W[:, e:].T, z, U, Uh)
-    return z_new, (context, alpha, gates, c, rh)
+def _decoder_step(sw, keys, annotations, mask_bias, z, y_in):
+    """Attention, then the decoder GRU, for one target position given the
+    projected target embeddings y_in."""
+    a = keys.shape[-1]
+    zp = z @ sw.state.T
+    query = zp[..., :a] + y_in[..., :a]
+    context, alpha = _attend(sw.att_v, keys, annotations, mask_bias, query)
+    xp = context @ sw.context.T
+    xp += y_in[..., a:]
+    z_new, gates, c, rh = _gru_step(xp, z, zp[..., a:], sw.cand)
+    return z_new, (query, context, alpha, gates, c, rh)
 
 
 def _output(params, z):
-    return _log_softmax(z @ params["out_W"].T + params["out_b"])
+    logits = z @ params["out_W"].T
+    logits += params["out_b"]
+    return _log_softmax_inplace(logits)
 
 
 def _pad(seqs):
@@ -366,9 +417,11 @@ def batch_forward(model, srcs, tgts, rng=None):
     enc, layers = _encode(params, config, src, src_mask)
     annotations = np.ascontiguousarray(enc.transpose(1, 0, 2))
     batch_mask = src_mask.T
+    mask_bias = np.where(batch_mask > 0, 0.0, -np.inf)
     z, weights, mean = _init_state(params, annotations, batch_mask)
     keys = annotations @ params["att_Wh"].T
-    emb, y_att, y_gru = _target_inputs(params, tgt)
+    sw = _step_weights(params)
+    emb, y_in = _target_inputs(params, sw, tgt)
 
     steps, rows = tgt.shape
     z_prev = np.empty((steps, rows, config.dec_hidden))
@@ -376,11 +429,10 @@ def batch_forward(model, srcs, tgts, rng=None):
     acts = []
     for t in range(steps):
         z_prev[t] = z
-        z, step = _decoder_step(params, keys, annotations, batch_mask,
-                                z, y_att[t], y_gru[t])
+        z, step = _decoder_step(sw, keys, annotations, mask_bias, z, y_in[t])
         z_out[t] = z
         acts.append(step)
-    context, alpha, gates, c, rh = (np.stack(a) for a in zip(*acts))
+    query, context, alpha, gates, c, rh = (np.stack(a) for a in zip(*acts))
 
     drop = None
     if rng is not None and config.dropout_rate > 0.0:
@@ -397,7 +449,7 @@ def batch_forward(model, srcs, tgts, rng=None):
         model=model, src=src, src_mask=src_mask, layers=layers,
         annotations=annotations, weights=weights, mean=mean, z0=z_prev[0],
         keys=keys, tgt=tgt, tgt_mask=tgt_mask, y_out=y_out, emb=emb,
-        y_att=y_att, z_prev=z_prev, context=context, alpha=alpha,
+        query=query, z_prev=z_prev, context=context, alpha=alpha,
         gates=gates, c=c, rh=rh, drop=drop, out_in=out_in, logp=logp,
     )
     return losses, saved
@@ -440,7 +492,7 @@ def batch_backward(saved):
         dcontext[t] = dpre[t] @ W[:, e:]
         dalpha = (annotations @ dcontext[t][:, :, None])[:, :, 0]
         dscores = alpha[t] * (dalpha - (dalpha * alpha[t]).sum(axis=1, keepdims=True))
-        hidden = _attention_hidden(params, keys, s["z_prev"][t], s["y_att"][t])
+        hidden = _attention_hidden(keys, s["query"][t])
         datt = (1.0 - hidden * hidden) * dscores[:, :, None]
         grads["att_v"] += (dscores[:, None, :] @ hidden).sum(axis=0)[0]
         dkeys += datt
@@ -518,10 +570,12 @@ def encode(model, src_ids, mask=None):
             raise ValueError("mask must hold only 0 and 1")
         if mask.sum() == 0:
             raise ValueError("mask leaves no live source position")
-    enc, _ = _encode(model.params, model.config,
+    params = model.params
+    enc, _ = _encode(params, model.config,
                      np.asarray(src_ids, dtype=np.intp)[:, None], mask[:, None])
     annotations = enc[:, 0, :]
-    return EncoderStates(annotations, mask, annotations @ model.params["att_Wh"].T)
+    return EncoderStates(annotations, mask, annotations @ params["att_Wh"].T,
+                         np.where(mask > 0, 0.0, -np.inf), _step_weights(params))
 
 
 def decoder_init(model, enc):
@@ -533,8 +587,8 @@ def decoder_init(model, enc):
 def attend(model, state, y_emb, enc):
     """Context vector and attention weights for one query."""
     p = model.params
-    y_att = y_emb @ p["att_Wy"].T + p["att_b"]
-    return _attend(p, enc.keys, enc.annotations, enc.mask, state.z, y_att)
+    query = state.z @ p["att_Wz"].T + (y_emb @ p["att_Wy"].T + p["att_b"])
+    return _attend(p["att_v"], enc.keys, enc.annotations, enc.mask_bias, query)
 
 
 def decode_step(model, state, y_prev, enc):
@@ -546,18 +600,19 @@ def decode_step(model, state, y_prev, enc):
     at once against the same source, and log-probabilities are (k, V).
     """
     y = np.asarray(y_prev)
-    if y.size and not (0 <= y.min() and y.max() < model.config.tgt_vocab_size):
-        bad = y.min() if y.min() < 0 else y.max()
-        raise ValueError("target id %d out of range" % bad)
     single = y.ndim == 0
-    z = np.atleast_2d(state.z)
     y = y.reshape(-1)
+    if y.size:
+        lo, hi = np.minimum.reduce(y), np.maximum.reduce(y)
+        if lo < 0 or hi >= model.config.tgt_vocab_size:
+            raise ValueError("target id %d out of range" % (lo if lo < 0 else hi))
+    z = state.z.reshape(-1, state.z.shape[-1])
     if z.shape[0] != len(y):
         raise ValueError("state has %d rows but %d target ids" % (z.shape[0], len(y)))
     p = model.params
-    _, y_att, y_gru = _target_inputs(p, y)
-    z_new, (_, alpha, *_) = _decoder_step(p, enc.keys, enc.annotations,
-                                          enc.mask, z, y_att, y_gru)
+    _, y_in = _target_inputs(p, enc.step, y)
+    z_new, (_, _, alpha, *_) = _decoder_step(enc.step, enc.keys, enc.annotations,
+                                             enc.mask_bias, z, y_in)
     logp = _output(p, z_new)
     if single:
         return DecoderState(z_new[0], alpha[0]), logp[0]
@@ -590,19 +645,19 @@ def sequence_loss(model, src_ids, tgt_ids, dropout=False, rng=None):
 
 
 def _layout(config):
-    """The tensor table of a checkpoint for config, and its data size in
-    bytes: every parameter in param_shapes order, packed from offset 0."""
-    table, size = [], 0
+    """The tensor table of a checkpoint for config: every parameter in
+    param_shapes order, packed from offset 0."""
+    table, offset = [], 0
     for name, shape in param_shapes(config).items():
-        table.append({"name": name, "offset": size, "shape": list(shape)})
-        size += 8 * math.prod(shape)
-    return table, size
+        table.append({"name": name, "offset": offset, "shape": list(shape)})
+        offset += 8 * math.prod(shape)
+    return table
 
 
 def save_model(model, path, vocab_files=None):
     """Single-file checkpoint: length-prefixed JSON header, then raw
     little-endian float64 tensor data laid out as _layout says."""
-    table, _ = _layout(model.config)
+    table = _layout(model.config)
     header = {
         "format": _MAGIC,
         "config": asdict(model.config),
@@ -663,7 +718,17 @@ def load_model(path):
     FormatError naming the file."""
     header = read_header(path)
     config = _header_config(path, header)
-    table, size = _layout(config)
+    with open(path, "rb") as handle:
+        (length,) = struct.unpack("<Q", handle.read(8))
+        handle.seek(8 + length)
+        data = handle.read()
+    # The size comes first: a config claiming a huge model is rejected
+    # before its tensor table is built.
+    size = 8 * _param_count(config)
+    if len(data) != size:
+        raise FormatError("%s: tensor data is %d bytes, the config requires %d"
+                          % (path, len(data), size))
+    table = _layout(config)
     tensors = header.get("tensors")
     if tensors != table:
         if not isinstance(tensors, list):
@@ -672,13 +737,6 @@ def load_model(path):
                             in enumerate(zip_longest(tensors, table)) if got != want)
         raise FormatError("%s: tensor entry %d is %s, the config requires %s"
                           % (path, k, json.dumps(got), json.dumps(want)))
-    with open(path, "rb") as handle:
-        (length,) = struct.unpack("<Q", handle.read(8))
-        handle.seek(8 + length)
-        data = handle.read()
-    if len(data) != size:
-        raise FormatError("%s: tensor data is %d bytes, the config requires %d"
-                          % (path, len(data), size))
     values = np.frombuffer(data, dtype="<f8")
     params = {entry["name"]: values[entry["offset"] // 8:][:math.prod(entry["shape"])]
               .reshape(entry["shape"]) for entry in table}

@@ -1,14 +1,17 @@
 import io
 import json
 import os
+import re
 import struct
+import time
 import types
 
 import numpy as np
 import pytest
 
+from tarjama import cli
 from tarjama.cli import _exit_code, main
-from tarjama.corpus import CorpusError, Vocab
+from tarjama.corpus import CorpusError, FormatError, Vocab
 from tarjama.ngram import ArpaError, lm_read_arpa, lm_score_set
 from tarjama.nmt import NmtConfig, init_model, load_model, save_model
 from tarjama.pipeline import PipelineError
@@ -44,6 +47,30 @@ def test_exit_code_mapping():
     assert _exit_code(RuntimeError("diverged")) == 3
     assert _exit_code(ValueError("x")) == 1
     assert _exit_code(PipelineError("x")) == 1
+
+
+def test_internal_error_exits_one_in_one_line(tmp_path, monkeypatch, caplog, capsys):
+    def broken(args):
+        raise KeyError("no such table")
+
+    monkeypatch.setattr(cli, "_cmd_tokenize", broken)
+    text = tmp_path / "in.txt"
+    write(text, ["a b"])
+    assert main(["tokenize", str(text)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "internal error: KeyError: 'no such table'"]
+    assert "Traceback" not in capsys.readouterr().err
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="tarjama.cli"):
+        assert main(["tokenize", str(text)]) == 1
+    assert "Traceback" in caplog.text
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_tokenize", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["tokenize", str(text)])
 
 
 def test_missing_input_file_exits_two(tmp_path):
@@ -453,6 +480,30 @@ def test_translate_rejects_malformed_checkpoint_header(tmp_path, caplog, defect)
                  "--src-vocab", str(vocab), "--tgt-vocab", str(vocab)]) == 2
     assert "%s: " % ckpt in caplog.text
     assert message in caplog.text
+
+
+def test_translate_rejects_huge_config_before_building_its_table(tmp_path, caplog):
+    # The header claims 10^8 encoder layers over 16 bytes of data; building
+    # that tensor table first would take minutes and gigabytes.
+    config = NmtConfig(src_vocab_size=5, tgt_vocab_size=5, embed_dim=3,
+                       enc_hidden=3, enc_layers=1, dec_hidden=3, attn_hidden=2)
+    header = {"format": "nmt-checkpoint", "vocab_files": None, "tensors": [],
+              "config": dict(vars(config), enc_layers=100000000)}
+    payload = json.dumps(header).encode("utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(struct.pack("<Q", len(payload)) + payload + b"\0" * 16)
+    vocab = tmp_path / "vocab.tsv"
+    write(vocab, ["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t4"])
+    text = tmp_path / "in.txt"
+    write(text, ["a"])
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="^%s: tensor data is 16 bytes, the config "
+                                          "requires " % re.escape(str(ckpt))):
+        load_model(str(ckpt))
+    assert main(["translate", str(text), "--model", str(ckpt),
+                 "--src-vocab", str(vocab), "--tgt-vocab", str(vocab)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "%s: tensor data is 16 bytes" % ckpt in caplog.text
 
 
 def test_translate_rejects_target_vocabulary_smaller_than_checkpoint(tmp_path, caplog, capsys):

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from tarjama import nmt
@@ -385,6 +386,25 @@ def test_encode_mask_carries_state_over_padding():
         nmt.encode(model, [4, 5], mask=[1.0, 0.5])
 
 
+def test_decode_step_on_padded_source_matches_unpadded():
+    # Padding inside and after the source: every row of every step sees
+    # only the real positions, through the additive attention mask.
+    config = tiny_config()
+    model = randomized_model(config)
+    live = np.array([1, 0, 1, 1, 0, 1, 0, 0], bool)
+    plain = nmt.encode(model, [4, 6, 5, 1])
+    padded = nmt.encode(model, [4, 0, 6, 5, 2, 1, 0, 3], mask=live.astype(float))
+    a, b = (nmt.DecoderState(np.stack([nmt.decoder_init(model, enc).z] * 3), None)
+            for enc in (plain, padded))
+    for prev in ([BOS_ID] * 3, [4, 5, 1], [0, 5, 5]):
+        a, logp_a = nmt.decode_step(model, a, np.array(prev), plain)
+        b, logp_b = nmt.decode_step(model, b, np.array(prev), padded)
+        assert np.max(np.abs(a.z - b.z)) <= 1e-12
+        assert np.max(np.abs(a.alpha - b.alpha[..., live])) <= 1e-12
+        assert not b.alpha[..., ~live].any()
+        assert np.max(np.abs(logp_a - logp_b)) <= 1e-12
+
+
 # -------------------------------------------------------------- optimizer
 
 def test_adadelta_first_step_frozen_value():
@@ -700,6 +720,28 @@ def test_beam_matches_tuple_sorting_oracle():
             want = oracles.tape_beam_decode(model, src, width, max_len)
             assert nmt.beam_decode(model, src, beam_width=width,
                                    max_len=max_len) == want, (width, max_len)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vocab=st.integers(4, 7), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_beam_matches_tuple_oracle_on_single_row_steps(vocab, seed, data):
+    # The oracle sorts every candidate by (-total, ids) and advances each
+    # hypothesis with its own one-row decode_step.  A zero output matrix
+    # makes every state give the same log-probabilities, so totals tie
+    # exactly and the id order alone decides.
+    width = data.draw(st.integers(1, 2 * vocab), label="width")
+    max_len = data.draw(st.integers(1, 5), label="max_len")
+    src = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=4), label="src")
+    model = randomized_model(tiny_config(tgt_vocab_size=vocab, enc_layers=1 + seed % 2),
+                             scale=0.9, seed=seed)
+    bias = data.draw(st.sampled_from([None, 0.0, 1.0]), label="tie model bias scale")
+    if bias is not None:
+        model.params["out_W"][...] = 0.0
+        model.params["out_b"][...] = np.random.default_rng(seed).uniform(-bias, bias, vocab)
+    enc = nmt.encode(model, src)
+    want = oracles.tuple_beam_decode(lambda state, prev: nmt.decode_step(model, state, prev, enc),
+                                     nmt.decoder_init(model, enc), width, max_len)
+    assert nmt.beam_decode(model, src, beam_width=width, max_len=max_len) == want
 
 
 def test_beam_tie_order_matches_oracle(monkeypatch):
