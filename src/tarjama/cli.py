@@ -332,7 +332,10 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None, help="override random seed")
     parser.add_argument("--config", default=None,
                         help="pipeline config file, read only by `experiment`")
-    parser.add_argument("--quiet", action="store_true", help="only report errors")
+    loudness = parser.add_mutually_exclusive_group()
+    loudness.add_argument("-v", "--verbose", action="store_true",
+                          help="also report progress, such as each epoch's losses")
+    loudness.add_argument("--quiet", action="store_true", help="only report errors")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     sub = commands.add_parser("normalize", help="Arabic orthographic normalization")
@@ -470,10 +473,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.config is not None and args.command != "experiment":
         parser.error("--config is read only by `experiment`")
-    logging.basicConfig(
-        level=logging.ERROR if args.quiet else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("tarjama").setLevel(
+        logging.ERROR if args.quiet else logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except (StageError, PipelineError, CorpusError, OSError, ValueError,

@@ -3,7 +3,9 @@ vocabulary indexing, and the TSV vocabulary format shared by the trainer."""
 
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -32,11 +34,32 @@ def read_text(path):
     else:
         with open(path, "rb") as fh:
             data = fh.read()
+    return _decode(data, path, 1)
+
+
+def read_text_blocks(path, lines):
+    """Decode a UTF-8 file, or stdin when path is None or "-", in blocks of
+    `lines` LF-ended lines each; only the last block may end without an LF.
+
+    The blocks join to read_text(path).  A multi-byte character never holds
+    an LF, so invalid UTF-8 raises read_text's CorpusError, after the blocks
+    before it.
+    """
+    stdin = path in (None, "-")
+    with nullcontext(sys.stdin.buffer) if stdin else open(path, "rb") as fh:
+        first = 1
+        while data := b"".join(islice(fh, lines)):
+            yield _decode(data, "stdin" if stdin else path, first)
+            first += lines
+
+
+def _decode(data, path, first):
+    """data as UTF-8 text, its first line being line `first` of path."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         start = data.rfind(b"\n", 0, exc.start) + 1
-        line = data.count(b"\n", 0, start) + 1
+        line = first + data.count(b"\n", 0, start)
         raise CorpusError(f"{path}: invalid UTF-8 on line {line} at byte "
                           f"{exc.start - start + 1}: {exc.reason}") from exc
 

@@ -17,24 +17,27 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text
+from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text_blocks
 
 FLOOR = -99.0
+# Rows per write of lm_write_arpa, lines per read of lm_read_arpa: what
+# either holds beyond the model.
+_CHUNK = 8192
 
 
 class ArpaError(FormatError):
     """Raised for malformed ARPA files."""
 
 
-@dataclass
+@dataclass(eq=False)
 class NgramModel:
     """An n-gram model held as one column triple per order.
 
     For each order m, grams[m - 1] lists the m-grams as ARPA text (words
-    joined by single spaces), logp[m - 1] their log10 probabilities and
-    bow[m - 1] their log10 backoff weights, NaN where a gram has none.
-    index[m - 1] maps gram text to row; it is built on the first query
-    when not given.
+    joined by single spaces), and logp[m - 1] and bow[m - 1] are float64
+    arrays of their log10 probabilities and log10 backoff weights, NaN
+    where a gram has none.  index[m - 1] maps gram text to row; it is
+    built on the first query when not given.
     """
 
     order: int
@@ -77,11 +80,11 @@ class NgramModel:
             m = len(context)
             row = index[m].get(" ".join(context + (word,)))
             if row is not None:
-                return acc + self.logp[m][row]
+                return acc + self.logp[m].item(row)
             if not context:
                 return acc + FLOOR
             row = index[m - 1].get(" ".join(context))
-            bow = 0.0 if row is None else self.bow[m - 1][row]
+            bow = 0.0 if row is None else self.bow[m - 1].item(row)
             acc += 0.0 if math.isnan(bow) else bow
             context = context[1:]
 
@@ -98,19 +101,18 @@ class GramView(Mapping):
         if isinstance(gram, tuple) and 1 <= len(gram) <= self._model.order:
             row = self._model.rows()[len(gram) - 1].get(" ".join(gram))
             if row is not None:
-                value = self._columns[len(gram) - 1][row]
+                value = self._columns[len(gram) - 1].item(row)
                 if not math.isnan(value):
                     return value
         raise KeyError(gram)
 
     def __iter__(self):
         for grams, values in zip(self._model.grams, self._columns):
-            for gram, value in zip(grams, values):
-                if not math.isnan(value):
-                    yield tuple(gram.split(" "))
+            for row in np.flatnonzero(~np.isnan(values)).tolist():
+                yield tuple(grams[row].split(" "))
 
     def __len__(self):
-        return sum(len(values) - sum(map(math.isnan, values)) for values in self._columns)
+        return sum(len(values) - int(np.isnan(values).sum()) for values in self._columns)
 
 
 def ngram_rows(ids, room, size, order):
@@ -168,19 +170,22 @@ def lm_train(corpus, order, discount=0.75):
 
     # Per order m: the rows' prefix ids (into order m-1), last tokens,
     # suffix ids (the (m-1)-gram one position later), first tokens and raw
-    # counts.  The unigram table holds every token, seen or not.
-    prefix, last, suffix, head, raw, at = {}, {}, {}, {}, {}, {}
-    for m, pos, keys, raw[m], at[m] in ngram_rows(ids, room, size, order):
+    # counts.  The unigram table holds every token, seen or not.  Each
+    # table is dropped once nothing below reads it.
+    prefix, last, suffix, head, raw = {}, {}, {}, {}, {}
+    for m, pos, keys, raw[m], at in ngram_rows(ids, room, size, order):
         if m == 1:
             head[1] = keys
-            continue
-        prefix[m], last[m] = np.divmod(keys, size)
-        suffix[m] = np.empty(len(keys), np.int64)
-        suffix[m][at[m][pos]] = at[m - 1][pos + 1]
-        head[m] = head[m - 1][prefix[m]]
+        else:
+            prefix[m], last[m] = np.divmod(keys, size)
+            suffix[m] = np.empty(len(keys), np.int64)
+            suffix[m][at[pos]] = below[pos + 1]
+            head[m] = head[m - 1][prefix[m]]
+        below = at
+    del ids, room, pos, keys, at, below
 
     # Continuation counts: distinct non-BOS left extensions of each m-gram.
-    cont = {m - 1: np.bincount(suffix[m][head[m] != bos], minlength=len(raw[m - 1]))
+    cont = {m - 1: np.bincount(suffix[m][head[m] != bos], minlength=len(head[m - 1]))
             for m in range(2, order + 1)}
 
     # The lowest level is the continuation ratio over every token (or the
@@ -192,22 +197,11 @@ def lm_train(corpus, order, discount=0.75):
         head[1] == bos, 0, raw[1])
     p = {1: np.where(is_event, counts / counts.sum(), 0.0)}
 
-    # Each order's p(w | ctx) = max(c - D, 0) / total + gamma * p(w | ctx[1:])
-    # with gamma = D * distinct / total.  The highest order reads raw counts;
-    # a lower-order context reads continuation counts when any are positive,
-    # raw counts otherwise.  Every row's context has a positive total.
     gamma = {}
     for m in range(2, order + 1):
-        c = raw[m]
-        if m < order:
-            cont_total = np.bincount(prefix[m], weights=cont[m], minlength=len(raw[m - 1]))
-            c = np.where(cont_total[prefix[m]] > 0, cont[m], c)
-        total = np.bincount(prefix[m], weights=c, minlength=len(raw[m - 1]))
-        distinct_ext = np.bincount(prefix[m][c > 0], minlength=len(raw[m - 1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma[m] = discount * distinct_ext / total
-        p[m] = (np.maximum(c - discount, 0.0) / total[prefix[m]]
-                + gamma[m][prefix[m]] * p[m - 1][suffix[m]])
+        p[m], gamma[m] = _interpolate(raw[m], cont.get(m), prefix[m], len(head[m - 1]),
+                                      p[m - 1][suffix[m]], discount)
+    del raw, suffix, counts
 
     # Which n-grams get stored: the highest order stores everything seen;
     # middle orders store continuation-seen grams, BOS-headed grams (their
@@ -215,11 +209,12 @@ def lm_train(corpus, order, discount=0.75):
     # weight has a line to live on; unigrams cover all events and BOS.
     stored = {1: is_event | (head[1] == bos)}
     if order > 1:
-        stored[order] = np.ones(len(raw[order]), bool)
+        stored[order] = np.ones(len(head[order]), bool)
     for m in range(order - 1, 0, -1):
         if m > 1:
             stored[m] = (cont[m] > 0) | (head[m] == bos)
         stored[m][prefix[m + 1][stored[m + 1]]] = True
+    del cont, head
 
     # Emit each order's stored rows as columns, in row order, which is
     # sorted gram order.  The prefix of a stored gram is stored, so each
@@ -232,19 +227,38 @@ def lm_train(corpus, order, discount=0.75):
         if m == 1:
             text = [tokens[r] for r in rows.tolist()]
         else:
-            rank = np.cumsum(stored[m - 1]) - 1
+            rank = np.cumsum(stored.pop(m - 1)) - 1
             lower = grams[-1]
+            context = prefix.pop(m)[rows]
             text = [lower[k] + spaced[w] for k, w in
-                    zip(rank[prefix[m][rows]].tolist(), last[m][rows].tolist())]
-            contexts = np.unique(prefix[m][rows])
-            weights = np.full(len(lower), np.nan)
-            weights[rank[contexts]] = list(map(math.log10, gamma[m][contexts].tolist()))
-            bow[-1] = weights.tolist()
+                    zip(rank[context].tolist(), last.pop(m)[rows].tolist())]
+            contexts = np.unique(context)
+            bow[-1][rank[contexts]] = list(map(math.log10, gamma.pop(m)[contexts].tolist()))
         grams.append(text)
-        logp.append([math.log10(x) if x > 0.0 else FLOOR for x in p[m][rows].tolist()])
-        bow.append([math.nan] * len(text))
+        logp.append(np.fromiter((math.log10(x) if x > 0.0 else FLOOR
+                                 for x in p.pop(m)[rows].tolist()), float, len(rows)))
+        bow.append(np.full(len(text), np.nan))
 
     return NgramModel(order, grams, logp, bow)
+
+
+def _interpolate(raw, cont, prefix, contexts, lower, discount):
+    """One order's p(w | ctx) = max(c - D, 0) / total + gamma * lower, and
+    each context's gamma = D * distinct / total.
+
+    The rows' contexts are prefix, of `contexts` in all, and lower holds
+    p(w | ctx[1:]).  c is raw, or cont where the context has a positive
+    continuation count (cont is None at the highest order).  Every row's
+    context has a positive total.
+    """
+    c = raw
+    if cont is not None:
+        c = np.where(np.bincount(prefix, weights=cont, minlength=contexts)[prefix] > 0,
+                     cont, raw)
+    total = np.bincount(prefix, weights=c, minlength=contexts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = discount * np.bincount(prefix[c > 0], minlength=contexts) / total
+    return np.maximum(c - discount, 0.0) / total[prefix] + gamma[prefix] * lower, gamma
 
 
 def lm_score_sentence(model, sentence):
@@ -270,19 +284,20 @@ def lm_score_set(model, sentences):
 def lm_write_arpa(model, path):
     """Serialize to ARPA: counts header, per-order sections, \\end\\.
 
-    Rows go out in the model's order: sorted gram order for a trained
-    model, file order for a read one.
+    Rows go out in the model's order (sorted gram order for a trained
+    model, file order for a read one), _CHUNK rows to a write.
     """
-    parts = ["\\data\\\n"]
-    parts += ["ngram %d=%d\n" % (m, len(grams)) for m, grams in enumerate(model.grams, 1)]
-    for m, columns in enumerate(zip(model.grams, model.logp, model.bow), 1):
-        parts.append("\n\\%d-grams:\n" % m)
-        parts.append("".join([
-            "%.7g\t%s\n" % (p, g) if math.isnan(b) else "%.7g\t%s\t%.7g\n" % (p, g, b)
-            for g, p, b in zip(*columns)]))
-    parts.append("\n\\end\\\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+        fh.write("\\data\\\n" + "".join(
+            "ngram %d=%d\n" % (m, len(grams)) for m, grams in enumerate(model.grams, 1)))
+        for m, (grams, logp, bow) in enumerate(zip(model.grams, model.logp, model.bow), 1):
+            fh.write("\n\\%d-grams:\n" % m)
+            for at in range(0, len(grams), _CHUNK):
+                rows = slice(at, at + _CHUNK)
+                fh.write("".join([
+                    "%.7g\t%s\n" % (p, g) if math.isnan(b) else "%.7g\t%s\t%.7g\n" % (p, g, b)
+                    for g, p, b in zip(grams[rows], logp[rows].tolist(), bow[rows].tolist())]))
+        fh.write("\n\\end\\\n")
 
 
 def _line_error(line, m):
@@ -301,10 +316,10 @@ def _line_error(line, m):
 
 
 def _section_columns(body, m):
-    """The gram, logp and bow columns of the lines of section m, or None
-    when some line has a defect that _line_error names."""
+    """The gram list and the logp and bow arrays of the lines of section m,
+    or None when some line has a defect that _line_error names."""
     if not body:
-        return [], [], []
+        return [], np.empty(0), np.empty(0)
     tabs = list(map(str.count, body, repeat("\t")))
     if not 1 <= min(tabs) <= max(tabs) <= 2:
         return None
@@ -317,106 +332,137 @@ def _section_columns(body, m):
         return None
     has_bow = np.flatnonzero(width == 3)
     try:
-        logp = list(map(float, map(fields.__getitem__, start.tolist())))
+        logp = np.fromiter(map(float, map(fields.__getitem__, start.tolist())), float, len(body))
         bow = np.full(len(body), np.nan)
         bow[has_bow] = list(map(float, map(fields.__getitem__, (start[has_bow] + 2).tolist())))
     except ValueError:
         return None
-    if any(map(math.isnan, logp)) or np.isnan(bow[has_bow]).any():
+    if np.isnan(logp).any() or np.isnan(bow[has_bow]).any():
         return None
-    return grams, logp, bow.tolist()
+    return grams, logp, bow
+
+
+def _arpa_chunks(path):
+    """The lines of a UTF-8 file in lists of at least _CHUNK (the last two
+    may hold fewer), as read_text(path) split at every line end would list
+    them: CRLF and lone CR end lines too, as in a text-mode open."""
+    tail = ""
+    for text in read_text_blocks(path, _CHUNK):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        # Only the file's last block can end in an unterminated line.
+        tail = lines.pop()
+        yield lines
+    yield [tail]
 
 
 def lm_read_arpa(path):
     """Parse an ARPA file back into an NgramModel, rows in file order.
 
-    Each section's lines are checked and converted column by column; the
-    first defective line is reported by number.  An n-gram listed twice
-    is a defect.
+    The file is read _CHUNK lines at a time, and each run of n-gram lines
+    in a chunk is checked and converted column by column.  The first
+    defective line is reported by number.  An n-gram listed twice is a
+    defect too, reported once its section has no other.  Invalid UTF-8
+    anywhere in the file outranks every defect.
     """
-    # CRLF and lone CR end lines too, as in a text-mode open.
-    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    chunks = _arpa_chunks(path)
 
     def fail(lineno, msg):
+        for _ in chunks:  # invalid UTF-8 further on outranks the defect
+            pass
         raise ArpaError("%s:%d: %s" % (path, lineno, msg))
 
-    counts = {}
-    i = 0
-    n = len(lines)
-    while i < n and lines[i].strip() != "\\data\\":
-        if lines[i].strip():
-            fail(i + 1, "expected \\data\\ header, got %r" % lines[i])
-        i += 1
-    if i == n:
-        fail(n, "missing \\data\\ header")
-    i += 1
-    while i < n and lines[i].strip():
-        line = lines[i].strip()
-        if not line.startswith("ngram "):
-            fail(i + 1, "expected 'ngram N=count', got %r" % line)
-        try:
-            m, c = map(int, line[len("ngram "):].split("="))
-        except ValueError:
-            m = 0
-        if m < 1:
-            fail(i + 1, "malformed count line %r" % line)
-        counts[m] = c
-        i += 1
-    if not counts:
-        fail(i, "no ngram counts declared")
-    order = max(counts)
-
-    # Per order: the columns, and the index from gram text to row.
-    grams, logp, bow = ([[] for _ in range(order)] for _ in range(3))
-    index = [{} for _ in range(order)]
+    counts = None        # declared counts, once \data\ is seen
+    order = 0            # set once the counts end
+    m = 0                # the order of the section being read, else 0
+    twice = None         # (line number, message) of the first n-gram listed twice
     ended = False
-    while i < n:
-        line = lines[i].strip()
-        if not line:
-            i += 1
-            continue
-        if line == "\\end\\":
-            ended = True
-            i += 1
-            break
-        if not (line.startswith("\\") and line.endswith("-grams:")):
-            fail(i + 1, "expected section header, got %r" % line)
-        try:
-            m = int(line[1:-len("-grams:")])
-        except ValueError:
-            fail(i + 1, "expected section header, got %r" % line)
-        if m not in counts:
-            fail(i + 1, "section order %d not declared in \\data\\" % m)
-        i += 1
-        # The section ends at the first line that is blank or starts with
-        # a backslash.  Such a line always has a defect, so when the lines
-        # up to the next empty one do not convert, the first defective line
-        # either ends the section or is an error.
-        try:
-            end = lines.index("", i)
-        except ValueError:
-            end = n
-        columns = _section_columns(lines[i:end], m)
-        if columns is None:
-            end = next(k for k in range(i, end) if _line_error(lines[k], m))
-            if lines[end].strip() and not lines[end].startswith("\\"):
-                fail(end + 1, _line_error(lines[end], m))
-            columns = _section_columns(lines[i:end], m)
-        first = len(grams[m - 1])
-        index[m - 1].update(zip(columns[0], range(first, first + end - i)))
-        if len(index[m - 1]) < first + end - i:
-            listed = set(grams[m - 1])
-            for k, gram in enumerate(columns[0]):
-                if gram in listed:
-                    fail(i + k + 1, "ngram %r is listed twice" % gram)
-                listed.add(gram)
-        for store, values in zip((grams, logp, bow), columns):
-            store[m - 1] += values
-        i = end
+    n = 0                # lines before the current chunk
+    for lines in chunks:
+        k = 0
+        while k < len(lines) and not ended:
+            if m:
+                # The section ends at the first line that is blank or starts
+                # with a backslash.  Such a line always has a defect, so when
+                # the lines up to the next empty one do not convert, the
+                # first defective line either ends the section or is an error.
+                try:
+                    end = lines.index("", k)
+                except ValueError:
+                    end = len(lines)
+                columns = _section_columns(lines[k:end], m)
+                if columns is None:
+                    end = next(j for j in range(k, end) if _line_error(lines[j], m))
+                    if lines[end].strip() and not lines[end].startswith("\\"):
+                        fail(n + end + 1, _line_error(lines[end], m))
+                    columns = _section_columns(lines[k:end], m)
+                first = len(grams[m - 1])
+                index[m - 1].update(zip(columns[0], range(first, first + end - k)))
+                if twice is None and len(index[m - 1]) < first + end - k:
+                    listed = set(grams[m - 1])
+                    for j, gram in enumerate(columns[0]):
+                        if gram in listed:
+                            break
+                        listed.add(gram)
+                    twice = n + k + j + 1, "ngram %r is listed twice" % gram
+                grams[m - 1] += columns[0]
+                logp[m - 1].append(columns[1])
+                bow[m - 1].append(columns[2])
+                k = end
+                if k < len(lines):
+                    if twice:
+                        fail(*twice)
+                    m = 0
+                continue
+            line = lines[k].strip()
+            if counts is None:
+                if line == "\\data\\":
+                    counts = {}
+                elif line:
+                    fail(n + k + 1, "expected \\data\\ header, got %r" % lines[k])
+            elif not order:
+                if not line:
+                    if not counts:
+                        fail(n + k, "no ngram counts declared")
+                    order = max(counts)
+                    # Per order: the gram column, the index from gram text
+                    # to row, and the logp and bow arrays of each run.
+                    grams, logp, bow = ([[] for _ in range(order)] for _ in range(3))
+                    index = [{} for _ in range(order)]
+                elif not line.startswith("ngram "):
+                    fail(n + k + 1, "expected 'ngram N=count', got %r" % line)
+                else:
+                    try:
+                        declared, c = map(int, line[len("ngram "):].split("="))
+                    except ValueError:
+                        declared = 0
+                    if declared < 1:
+                        fail(n + k + 1, "malformed count line %r" % line)
+                    counts[declared] = c
+            elif line == "\\end\\":
+                ended = True
+            elif line:
+                if not (line.startswith("\\") and line.endswith("-grams:")):
+                    fail(n + k + 1, "expected section header, got %r" % line)
+                try:
+                    m = int(line[1:-len("-grams:")])
+                except ValueError:
+                    fail(n + k + 1, "expected section header, got %r" % line)
+                if m not in counts:
+                    fail(n + k + 1, "section order %d not declared in \\data\\" % m)
+            k += 1
+        n += len(lines)
+    if counts is None:
+        fail(n, "missing \\data\\ header")
+    if not counts:
+        fail(n, "no ngram counts declared")
+    if twice:
+        fail(*twice)
     if not ended:
         fail(n, "missing \\end\\ marker")
     for m, declared in counts.items():
         if len(grams[m - 1]) != declared:
             fail(n, "\\data\\ declares %d %d-grams but %d listed"
                  % (declared, m, len(grams[m - 1])))
+    logp, bow = ([np.concatenate(runs or [np.empty(0)]) for runs in column]
+                 for column in (logp, bow))
     return NgramModel(order, grams, logp, bow, index)

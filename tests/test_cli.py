@@ -8,11 +8,12 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tarjama import cli
 from tarjama.cli import _exit_code, main
 from tarjama.corpus import CorpusError, FormatError, Vocab
-from tarjama.ngram import ArpaError, lm_read_arpa, lm_score_set
+from tarjama.ngram import ArpaError, lm_read_arpa, lm_score_set, lm_train, lm_write_arpa
 from tarjama.nmt import NmtConfig, init_model, load_model, save_model
 from tarjama.pipeline import PipelineError
 
@@ -313,6 +314,45 @@ def test_lm_score_rejects_malformed_arpa(tmp_path):
     sents = tmp_path / "s.txt"
     write(sents, ["a"])
     assert main(["lm-score", "--model", str(arpa), "--set", str(sents)]) == 2
+
+
+# Damage done to a valid ARPA file: bytes xor-ed at some positions, a cut
+# after some byte, or random bytes in its place.
+ARPA_DAMAGE = st.one_of(
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
+                                        min_size=1, max_size=4)),
+    st.tuples(st.just("cut"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("random"), st.binary(max_size=300)))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=ARPA_DAMAGE)
+def test_lm_score_on_damaged_arpa_exits_zero_or_two_in_one_line(tmp_path, caplog, damage):
+    arpa = tmp_path / "fuzz.arpa"
+    lm_write_arpa(lm_train([["the", "cat", "sat"], ["a", "dog", "sat"], ["the", "dog"]], 3),
+                  arpa)
+    data = bytearray(arpa.read_bytes())
+    kind, how = damage
+    if kind == "flip":
+        for at, mask in how:
+            data[at % len(data)] ^= mask
+    elif kind == "cut":
+        del data[how % len(data):]
+    else:
+        data = how
+    arpa.write_bytes(bytes(data))
+    sents = tmp_path / "s.txt"
+    write(sents, ["the cat", "a dog sat"])
+    caplog.clear()
+    code = main(["lm-score", "--model", str(arpa), "--set", str(sents),
+                 "-o", str(tmp_path / "score.txt")])
+    assert code in (0, 2)
+    assert "Traceback" not in caplog.text
+    if code:
+        [record] = caplog.records
+        message = record.getMessage()
+        assert message.startswith(str(arpa) + ":") and "\n" not in message
 
 
 def test_vocab_build(tmp_path):
@@ -715,6 +755,29 @@ def test_experiment_accepts_config_before_subcommand(tmp_path, capsys):
                  "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
     assert (out_dir / "manifest.json").exists()
+
+
+def test_verbose_experiment_logs_each_epoch_and_writes_the_same_files(tmp_path, caplog, capsys):
+    config, _ = small_experiment(tmp_path, ["epochs=3", "patience=3"])
+    out_dir = tmp_path / "run"
+    assert main(["experiment", "--config", config, "--out-dir", str(out_dir)]) == 0
+    assert not [r for r in caplog.records if r.getMessage().startswith("epoch ")]
+    snapshot = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+    caplog.clear()
+    assert main(["-v", "experiment", "--config", config, "--out-dir", str(out_dir)]) == 0
+    epochs = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+    assert [line.split(":")[0] for line in epochs] == ["epoch 1", "epoch 2", "epoch 3"]
+    assert all(re.fullmatch(r"epoch \d: train nll \d+\.\d{4}, dev nll \d+\.\d{4}", line)
+               for line in epochs)
+    capsys.readouterr()
+    assert {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)} == snapshot
+
+
+def test_verbose_and_quiet_together_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["-v", "--quiet", "tokenize"])
+    assert info.value.code == 1
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_experiment_missing_data_exits_two(tmp_path):

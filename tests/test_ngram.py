@@ -1,6 +1,9 @@
+import gc
 import math
 import re
+import tracemalloc
 from collections.abc import Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from oracles import (
     naive_kn_prob,
     naive_kn_sentence,
 )
+from tarjama import ngram
 from tarjama.corpus import CorpusError
 from tarjama.ngram import (
     ArpaError,
@@ -127,6 +131,17 @@ def test_table_estimator_equals_dict_oracle_exactly(tmp_path_factory, corpus, or
     assert (directory / "got.arpa").read_bytes() == (directory / "want.arpa").read_bytes()
 
 
+def test_values_are_python_floats(tmp_path):
+    # The columns are float64 arrays; what leaves the model is a plain float.
+    model = lm_train([["a", "b"], ["b"]], order=2)
+    lm_write_arpa(model, tmp_path / "m.arpa")
+    for model in (model, lm_read_arpa(str(tmp_path / "m.arpa"))):
+        values = [*model.probs.values(), *model.backoffs.values(),
+                  model.conditional(("a",), "b"), model.conditional(("zzz",), "<unk>"),
+                  lm_score_sentence(model, ["a", "c"]), lm_score_set(model, [["b"]])]
+        assert {type(value) for value in values} == {float}
+
+
 def test_gram_views_are_read_only_tuple_mappings():
     model = lm_train([["a", "b"], ["b"]], order=2)
     assert isinstance(model.probs, Mapping)
@@ -215,6 +230,93 @@ def test_column_reader_equals_dict_reader(tmp_path_factory, corpus, order, edits
         return
     model = lm_read_arpa(str(path))
     assert (model.order, dict(model.probs), dict(model.backoffs)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=small_corpora, order=st.integers(1, 4), edits=EDITS, chunk=st.integers(1, 5),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       trailing=st.sampled_from(["", "\n", "\n \n\t\n"]))
+def test_arpa_io_in_small_chunks_equals_dict_oracles(tmp_path_factory, corpus, order, edits,
+                                                     chunk, newline, trailing):
+    # Chunks of 1-5 rows or lines put a chunk boundary at every place a
+    # section, a run of n-gram lines or a defect can start or end.
+    directory = tmp_path_factory.mktemp("arpa")
+    path, want_path = directory / "model.arpa", directory / "want.arpa"
+    with mock.patch.object(ngram, "_CHUNK", chunk):
+        lm_write_arpa(lm_train(corpus, order), path)
+        dict_write_arpa(order, *dict_kn_train(corpus, order), want_path)
+        assert path.read_bytes() == want_path.read_bytes()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for step, (op, k, pick) in enumerate(edits):
+            _edit(lines, step, op, k, pick)
+        path.write_bytes((newline.join(lines) + trailing).encode("utf-8"))
+        try:
+            want = dict_read_arpa(str(path))
+        except ArpaError as exc:
+            with pytest.raises(ArpaError) as info:
+                lm_read_arpa(str(path))
+            assert str(info.value) == str(exc)
+            return
+        model = lm_read_arpa(str(path))
+    assert (model.order, dict(model.probs), dict(model.backoffs)) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 8192])
+def test_reader_ranks_defects_alike_at_every_chunk_size(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(ngram, "_CHUNK", chunk)
+    path = tmp_path / "bad.arpa"
+    head = "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.1\ta\n-0.2\tb\n-0.3\ta\n"
+    # A defect later in the section outranks an n-gram listed twice ...
+    path.write_text(head + "-0.4\tc\tx\n\n\\end\\\n", encoding="utf-8")
+    with pytest.raises(ArpaError, match=re.escape("bad.arpa:8: non-numeric field")):
+        lm_read_arpa(str(path))
+    # ... and the duplicate is named once its section ends cleanly, even
+    # at a line holding only blanks or at the end of the file.
+    for end in ("\n\\end\\\n", " \n\\end\\\n", ""):
+        path.write_text(head + end, encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape("bad.arpa:7: ngram 'a' is listed twice")):
+            lm_read_arpa(str(path))
+    # Invalid UTF-8 anywhere outranks every defect.
+    path.write_bytes(b"junk\n" * 9 + b"\xff\n")
+    with pytest.raises(CorpusError, match=re.escape("bad.arpa: invalid UTF-8 on line 10 at byte 1")):
+        lm_read_arpa(str(path))
+
+
+def _traced(call, *args):
+    """call(*args), the traced memory it left allocated, and its traced peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, left, peak
+
+
+@pytest.fixture(scope="module")
+def large_model():
+    # Uniform words over 2,000 types: the 4-gram model stores about 80k n-grams.
+    rng = np.random.default_rng(14)
+    words = ["w%d" % i for i in range(2000)]
+    corpus = [[words[i] for i in rng.integers(0, len(words), int(rng.integers(3, 16)))]
+              for _ in range(3000)]
+    model = lm_train(corpus, 4)
+    assert len(model.probs) >= 50_000
+    return model
+
+
+def test_arpa_writer_holds_one_chunk_beyond_the_model(tmp_path, large_model):
+    _, left, peak = _traced(lm_write_arpa, large_model, tmp_path / "large.arpa")
+    assert peak <= 2_000_000, peak
+
+
+def test_arpa_reader_peaks_near_the_model_it_returns(tmp_path, large_model):
+    path = tmp_path / "large.arpa"
+    lm_write_arpa(large_model, path)
+    model, size, peak = _traced(lm_read_arpa, str(path))
+    assert len(model.probs) == len(large_model.probs)
+    assert peak <= 1.3 * size, (peak, size)
 
 
 def test_reader_rejects_ngram_listed_twice(tmp_path):
