@@ -13,7 +13,7 @@ finite and out-of-vocabulary text remains orderable.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -358,111 +358,85 @@ def _arpa_chunks(path):
 def lm_read_arpa(path):
     """Parse an ARPA file back into an NgramModel, rows in file order.
 
-    The file is read _CHUNK lines at a time, and each run of n-gram lines
-    in a chunk is checked and converted column by column.  The first
+    The grammar is the one SRILM and KenLM write: blank lines, \\data\\,
+    one count line for each order 1..N in turn, then for m = 1..N the
+    header \\m-grams: and exactly as many n-gram lines as declared, then
+    \\end\\; blank lines may come before each header.  A section's lines
+    are read _CHUNK at a time and converted column by column.  The first
     defective line is reported by number.  An n-gram listed twice is a
-    defect too, reported once its section has no other.  Invalid UTF-8
-    anywhere in the file outranks every defect.
+    defect too, reported once the rest of its section converts.  Invalid
+    UTF-8 anywhere in the file outranks every defect.
     """
     chunks = _arpa_chunks(path)
+    lines = chain.from_iterable(chunks)
+    n = 0  # lines read
 
     def fail(lineno, msg):
         for _ in chunks:  # invalid UTF-8 further on outranks the defect
             pass
         raise ArpaError("%s:%d: %s" % (path, lineno, msg))
 
-    counts = None        # declared counts, once \data\ is seen
-    order = 0            # set once the counts end
-    m = 0                # the order of the section being read, else 0
-    twice = None         # (line number, message) of the first n-gram listed twice
-    ended = False
-    n = 0                # lines before the current chunk
-    for lines in chunks:
-        k = 0
-        while k < len(lines) and not ended:
-            if m:
-                # The section ends at the first line that is blank or starts
-                # with a backslash.  Such a line always has a defect, so when
-                # the lines up to the next empty one do not convert, the
-                # first defective line either ends the section or is an error.
-                try:
-                    end = lines.index("", k)
-                except ValueError:
-                    end = len(lines)
-                columns = _section_columns(lines[k:end], m)
-                if columns is None:
-                    end = next(j for j in range(k, end) if _line_error(lines[j], m))
-                    if lines[end].strip() and not lines[end].startswith("\\"):
-                        fail(n + end + 1, _line_error(lines[end], m))
-                    columns = _section_columns(lines[k:end], m)
-                first = len(grams[m - 1])
-                index[m - 1].update(zip(columns[0], range(first, first + end - k)))
-                if twice is None and len(index[m - 1]) < first + end - k:
-                    listed = set(grams[m - 1])
-                    for j, gram in enumerate(columns[0]):
-                        if gram in listed:
-                            break
-                        listed.add(gram)
-                    twice = n + k + j + 1, "ngram %r is listed twice" % gram
-                grams[m - 1] += columns[0]
-                logp[m - 1].append(columns[1])
-                bow[m - 1].append(columns[2])
-                k = end
-                if k < len(lines):
-                    if twice:
-                        fail(*twice)
-                    m = 0
-                continue
-            line = lines[k].strip()
-            if counts is None:
-                if line == "\\data\\":
-                    counts = {}
-                elif line:
-                    fail(n + k + 1, "expected \\data\\ header, got %r" % lines[k])
-            elif not order:
-                if not line:
-                    if not counts:
-                        fail(n + k, "no ngram counts declared")
-                    order = max(counts)
-                    # Per order: the gram column, the index from gram text
-                    # to row, and the logp and bow arrays of each run.
-                    grams, logp, bow = ([[] for _ in range(order)] for _ in range(3))
-                    index = [{} for _ in range(order)]
-                elif not line.startswith("ngram "):
-                    fail(n + k + 1, "expected 'ngram N=count', got %r" % line)
-                else:
-                    try:
-                        declared, c = map(int, line[len("ngram "):].split("="))
-                    except ValueError:
-                        declared = 0
-                    if declared < 1:
-                        fail(n + k + 1, "malformed count line %r" % line)
-                    counts[declared] = c
-            elif line == "\\end\\":
-                ended = True
-            elif line:
-                if not (line.startswith("\\") and line.endswith("-grams:")):
-                    fail(n + k + 1, "expected section header, got %r" % line)
-                try:
-                    m = int(line[1:-len("-grams:")])
-                except ValueError:
-                    fail(n + k + 1, "expected section header, got %r" % line)
-                if m not in counts:
-                    fail(n + k + 1, "section order %d not declared in \\data\\" % m)
-            k += 1
-        n += len(lines)
-    if counts is None:
-        fail(n, "missing \\data\\ header")
+    def expect(want, what):
+        """Skip blank lines to one that reads `want`."""
+        nonlocal n
+        for line in lines:
+            n += 1
+            if line.strip():
+                if line.strip() != want:
+                    fail(n, "expected %s, got %r" % (what, line))
+                return
+        fail(n, "missing " + what)
+
+    expect("\\data\\", "\\data\\ header")
+    start = n
+    counts = []
+    for line in lines:
+        n += 1
+        line = line.strip()
+        if not line:
+            break
+        if not line.startswith("ngram "):
+            fail(n, "expected 'ngram N=count', got %r" % line)
+        try:
+            m, c = map(int, line[len("ngram "):].split("="))
+        except ValueError:
+            m = c = -1
+        if m != len(counts) + 1 or c < 0:
+            fail(n, "malformed count line %r" % line)
+        counts.append(c)
     if not counts:
-        fail(n, "no ngram counts declared")
-    if twice:
-        fail(*twice)
-    if not ended:
-        fail(n, "missing \\end\\ marker")
-    for m, declared in counts.items():
-        if len(grams[m - 1]) != declared:
-            fail(n, "\\data\\ declares %d %d-grams but %d listed"
-                 % (declared, m, len(grams[m - 1])))
-    logp, bow = ([np.concatenate(runs or [np.empty(0)]) for runs in column]
-                 for column in (logp, bow))
-    return NgramModel(order, grams, logp, bow, index)
+        fail(start, "no ngram counts declared")
+
+    grams, logp, bow, index = [], [], [], []
+    for m, count in enumerate(counts, 1):
+        expect("\\%d-grams:" % m, "section header \\%d-grams:" % m)
+        listed, runs = [], []
+        short = "\\data\\ declares %d %d-grams but %%d listed" % (count, m)
+        section = islice(lines, count)
+        while body := list(islice(section, _CHUNK)):
+            columns = _section_columns(body, m)
+            if columns is None:
+                # A blank line or one starting with a backslash (both always
+                # defective) ends the section early.
+                end = next(j for j, line in enumerate(body) if _line_error(line, m))
+                if body[end].strip() and not body[end].startswith("\\"):
+                    fail(n + end + 1, _line_error(body[end], m))
+                fail(n + end + 1, short % (len(listed) + end))
+            listed += columns[0]
+            runs.append(columns[1:])
+            n += len(body)
+        if len(listed) < count:
+            fail(n, short % len(listed))
+        rows = dict(zip(listed, range(count)))
+        if len(rows) < count:
+            first = dict(zip(reversed(listed), reversed(range(count))))
+            j = next(j for j, gram in enumerate(listed) if first[gram] < j)
+            fail(n - count + j + 1, "ngram %r is listed twice" % listed[j])
+        grams.append(listed)
+        index.append(rows)
+        logp.append(np.concatenate([np.empty(0)] + [run[0] for run in runs]))
+        bow.append(np.concatenate([np.empty(0)] + [run[1] for run in runs]))
+    expect("\\end\\", "\\end\\ marker")
+    for _ in chunks:  # what follows \end\ must still be UTF-8
+        pass
+    return NgramModel(len(counts), grams, logp, bow, index)

@@ -52,8 +52,7 @@ def _corpus_nll(model, pairs):
     return total / len(pairs)
 
 
-def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3,
-              rho=0.95, epsilon=1e-6):
+def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3):
     """Train a copy of `model`; return (best-dev model, TrainLog).
 
     Pairs hold bare content id sequences; sentence markers are added
@@ -101,7 +100,7 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3,
             grads = batch_backward(saved)
             del saved  # free the activations before the next batch's
             l2_penalty(current, grads)
-            adadelta_step(theta, grads.flat, state, rho, epsilon)
+            adadelta_step(theta, grads.flat, state)
         record.train_nll.append(epoch_nll / len(train_pairs))
         dev = _corpus_nll(current, dev_pairs)
         if not np.isfinite(dev):

@@ -362,60 +362,53 @@ def dict_write_arpa(order, probs, backoffs, path):
 def dict_read_arpa(path):
     """lm_read_arpa one line at a time into dicts keyed by gram tuple.
 
-    Returns (order, probs, backoffs).  A gram listed twice keeps its last
-    probability and any backoff it was given.
+    Returns (order, probs, backoffs).  The file must hold \\data\\, count
+    lines for orders 1..N in turn, the sections \\1-grams: .. \\N-grams:
+    with exactly their declared number of lines, and \\end\\.
     """
     lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    n = len(lines)
+    i = 0
 
     def fail(lineno, msg):
         raise ArpaError("%s:%d: %s" % (path, lineno, msg))
 
-    counts = {}
-    probs, backoffs = {}, {}
-    i = 0
-    n = len(lines)
-    while i < n and lines[i].strip() != "\\data\\":
-        if lines[i].strip():
-            fail(i + 1, "expected \\data\\ header, got %r" % lines[i])
+    def expect(want, what):
+        nonlocal i
+        while i < n and not lines[i].strip():
+            i += 1
+        if i == n:
+            fail(n, "missing " + what)
+        if lines[i].strip() != want:
+            fail(i + 1, "expected %s, got %r" % (what, lines[i]))
         i += 1
-    if i == n:
-        fail(n, "missing \\data\\ header")
-    i += 1
+
+    expect("\\data\\", "\\data\\ header")
+    counts = []
+    if i == n or not lines[i].strip():
+        fail(i, "no ngram counts declared")
     while i < n and lines[i].strip():
         line = lines[i].strip()
         if not line.startswith("ngram "):
             fail(i + 1, "expected 'ngram N=count', got %r" % line)
         try:
             m, c = line[len("ngram "):].split("=")
-            counts[int(m)] = int(c)
+            m, c = int(m), int(c)
         except ValueError:
             fail(i + 1, "malformed count line %r" % line)
+        if m != len(counts) + 1 or c < 0:
+            fail(i + 1, "malformed count line %r" % line)
+        counts.append(c)
         i += 1
-    if not counts:
-        fail(i, "no ngram counts declared")
-    order = max(counts)
 
-    seen = {m: 0 for m in counts}
-    ended = False
-    while i < n:
-        line = lines[i].strip()
-        if not line:
-            i += 1
-            continue
-        if line == "\\end\\":
-            ended = True
-            i += 1
-            break
-        if not (line.startswith("\\") and line.endswith("-grams:")):
-            fail(i + 1, "expected section header, got %r" % line)
-        try:
-            m = int(line[1:-len("-grams:")])
-        except ValueError:
-            fail(i + 1, "expected section header, got %r" % line)
-        if m not in counts:
-            fail(i + 1, "section order %d not declared in \\data\\" % m)
-        i += 1
-        while i < n and lines[i].strip() and not lines[i].startswith("\\"):
+    probs, backoffs = {}, {}
+    for m, count in enumerate(counts, 1):
+        expect("\\%d-grams:" % m, "section header \\%d-grams:" % m)
+        twice = None
+        for listed in range(count):
+            if i == n or not lines[i].strip() or lines[i].startswith("\\"):
+                fail(min(i + 1, n),
+                     "\\data\\ declares %d %d-grams but %d listed" % (count, m, listed))
             parts = lines[i].split("\t")
             if len(parts) not in (2, 3):
                 fail(i + 1, "malformed ngram line %r" % lines[i])
@@ -423,19 +416,21 @@ def dict_read_arpa(path):
             if len(gram) != m:
                 fail(i + 1, "ngram %r has wrong order for section %d" % (parts[1], m))
             try:
-                probs[gram] = float(parts[0])
-                if len(parts) == 3:
-                    backoffs[gram] = float(parts[2])
+                values = [float(field) for field in parts[::2]]
             except ValueError:
+                values = [math.nan]
+            if any(math.isnan(value) for value in values):
                 fail(i + 1, "non-numeric field in %r" % lines[i])
-            seen[m] += 1
+            if gram in probs and twice is None:
+                twice = i + 1, "ngram %r is listed twice" % parts[1]
+            probs[gram] = values[0]
+            if len(values) == 2:
+                backoffs[gram] = values[1]
             i += 1
-    if not ended:
-        fail(n, "missing \\end\\ marker")
-    for m, declared in counts.items():
-        if seen[m] != declared:
-            fail(n, "\\data\\ declares %d %d-grams but %d listed" % (declared, m, seen[m]))
-    return order, probs, backoffs
+        if twice:
+            fail(*twice)
+    expect("\\end\\", "\\end\\ marker")
+    return len(counts), probs, backoffs
 
 
 # ------------------------------------------------------------------ network

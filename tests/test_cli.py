@@ -178,6 +178,59 @@ def test_malformed_model_file_exits_two_naming_file_and_line(tmp_path, caplog, c
     assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
+# Each model file a command reads, as the command that reads it ({model}
+# is the fuzzed file; the checkpoint and vocabularies are valid otherwise).
+MODEL_FILE_COMMANDS = {
+    "src-vocab": ["translate", "{text}", "--model", "{ckpt}", "--src-vocab", "{model}",
+                  "--tgt-vocab", "{vocab}"],
+    "checkpoint": ["translate", "{text}", "--model", "{model}", "--src-vocab", "{vocab}",
+                   "--tgt-vocab", "{vocab}"],
+    "bpe": ["bpe-apply", "{text}", "--model", "{model}"],
+    "detok-table": ["detokenize", "{text}", "--table", "{model}"],
+    "rules": ["normalize", "{text}", "--rules", "{model}"],
+    "truecase": ["truecase", "{text}", "--model", "{model}"],
+    "clitics": ["segment", "{text}", "--clitics", "{model}"],
+}
+# Arbitrary bytes, and text over the characters these formats give meaning to.
+MODEL_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.text("\t\n\r 0123456789+#=\\.-اأبتجدلمنهوي", max_size=200).map(str.encode))
+
+
+@pytest.fixture(scope="module")
+def model_file_inputs(tmp_path_factory):
+    """A text file, a vocabulary of 5 ids and a checkpoint with 5 ids a side."""
+    directory = tmp_path_factory.mktemp("models")
+    paths = {"text": str(directory / "in.txt"), "vocab": str(directory / "vocab.tsv"),
+             "ckpt": str(directory / "model.ckpt")}
+    write(directory / "in.txt", ["a ال+ب", "The +و a"])
+    write(directory / "vocab.tsv", ["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t4"])
+    save_model(init_model(NmtConfig(src_vocab_size=5, tgt_vocab_size=5, embed_dim=3,
+                                    enc_hidden=3, enc_layers=1, dec_hidden=3,
+                                    attn_hidden=2)), paths["ckpt"])
+    return paths
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FILE_COMMANDS))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=MODEL_BYTES)
+def test_any_model_file_exits_zero_or_two_in_one_line(tmp_path, caplog, capsys,
+                                                      model_file_inputs, kind, data):
+    model = tmp_path / "model.bin"
+    model.write_bytes(data)
+    argv = [arg.format(model=str(model), **model_file_inputs)
+            for arg in MODEL_FILE_COMMANDS[kind]]
+    caplog.clear()
+    code = main(argv + ["-o", str(tmp_path / "out.txt")])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
+    if code:
+        [record] = caplog.records
+        message = record.getMessage()
+        assert message.startswith(str(model)) and "\n" not in message
+
+
 def test_validation_problems_exit_one(tmp_path):
     src = tmp_path / "in.txt"
     write(src, ["a b c"])

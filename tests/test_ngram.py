@@ -215,7 +215,7 @@ def test_column_reader_equals_dict_reader(tmp_path_factory, corpus, order, edits
     lm_write_arpa(lm_train(corpus, order), path)
     blocks = path.read_text(encoding="utf-8").split("\n\n")
     if reverse:
-        # Sections may come in any order.
+        # Sections out of order: both readers reject the file alike.
         blocks[1:-1] = blocks[-2:0:-1]
     lines = "\n\n".join(blocks).split("\n")
     for step, (op, k, pick) in enumerate(edits):
@@ -267,7 +267,8 @@ def test_reader_ranks_defects_alike_at_every_chunk_size(tmp_path, monkeypatch, c
     path = tmp_path / "bad.arpa"
     head = "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.1\ta\n-0.2\tb\n-0.3\ta\n"
     # A defect later in the section outranks an n-gram listed twice ...
-    path.write_text(head + "-0.4\tc\tx\n\n\\end\\\n", encoding="utf-8")
+    path.write_text(head.replace("1=3", "1=4") + "-0.4\tc\tx\n\n\\end\\\n",
+                    encoding="utf-8")
     with pytest.raises(ArpaError, match=re.escape("bad.arpa:8: non-numeric field")):
         lm_read_arpa(str(path))
     # ... and the duplicate is named once its section ends cleanly, even
@@ -319,14 +320,15 @@ def test_arpa_reader_peaks_near_the_model_it_returns(tmp_path, large_model):
     assert peak <= 1.3 * size, (peak, size)
 
 
-def test_reader_rejects_ngram_listed_twice(tmp_path):
+def test_reader_rejects_ngram_listed_twice(tmp_path, monkeypatch):
+    monkeypatch.setattr(ngram, "_CHUNK", 2)
     path = tmp_path / "twice.arpa"
-    path.write_text("\\data\\\nngram 1=2\nngram 2=2\n\n"
-                    "\\2-grams:\n-0.1\ta b\n\n"
+    path.write_text("\\data\\\nngram 1=2\nngram 2=3\n\n"
                     "\\1-grams:\n-0.5\ta\t-0.2\n-0.4\tb\n\n"
-                    "\\2-grams:\n-0.3\ta b\n\n\\end\\\n", encoding="utf-8")
-    # The second listing is named, also in a repeated section.
-    with pytest.raises(ArpaError, match=re.escape("twice.arpa:13: ngram 'a b' is listed twice")):
+                    "\\2-grams:\n-0.1\ta b\n-0.2\tb a\n-0.3\ta b\n\n\\end\\\n",
+                    encoding="utf-8")
+    # The second listing is named, also when it lies in a later chunk.
+    with pytest.raises(ArpaError, match=re.escape("twice.arpa:12: ngram 'a b' is listed twice")):
         lm_read_arpa(str(path))
 
 
@@ -341,16 +343,45 @@ def test_reader_rejects_nan_fields_and_orders_below_one(tmp_path):
         lm_read_arpa(str(path))
 
 
+@pytest.mark.parametrize("counts, line", [
+    (["ngram 1=0", "ngram 100000=0"], 3),  # an order far above the ones listed
+    (["ngram 1=1", "ngram 3=0"], 3),       # a gap
+    (["ngram 1=1", "ngram 1=1"], 3),       # a repeated order
+    (["ngram 1=-1"], 2),                   # a negative count
+], ids=["huge-order", "gap", "repeat", "negative"])
+def test_count_lines_declare_orders_one_to_n_in_turn(tmp_path, counts, line):
+    path = tmp_path / "counts.arpa"
+    path.write_text("\n".join(["\\data\\", *counts, "", "\\end\\", ""]), encoding="utf-8")
+    want = re.escape("counts.arpa:%d: malformed count line %r" % (line, counts[line - 2]))
+    with pytest.raises(ArpaError, match=want):
+        dict_read_arpa(str(path))
+
+    def rejected():
+        with pytest.raises(ArpaError, match=want):
+            lm_read_arpa(str(path))
+
+    peak = _traced(rejected)[2]
+    assert peak < 1_000_000, peak
+
+
+def test_reader_decodes_what_follows_the_end_marker(tmp_path, monkeypatch):
+    monkeypatch.setattr(ngram, "_CHUNK", 1)
+    path = tmp_path / "tail.arpa"
+    path.write_bytes(b"\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\ta\n\n\\end\\\n\xff\n")
+    for read in (lm_read_arpa, dict_read_arpa):
+        with pytest.raises(CorpusError, match=re.escape("tail.arpa: invalid UTF-8 on line 8")):
+            read(str(path))
+
+
 def test_read_model_keeps_file_order(tmp_path):
-    text = ("\\data\\\nngram 1=3\nngram 2=1\n\n\\2-grams:\n-0.1\tb a\n\n"
-            "\\1-grams:\n-0.4\tb\t-0.3\n-0.5\ta\n-0.6\t</s>\n\n\\end\\\n")
+    text = ("\\data\\\nngram 1=3\nngram 2=2\n\n"
+            "\\1-grams:\n-0.4\tb\t-0.3\n-0.5\ta\t-0.2\n-0.6\t</s>\n\n"
+            "\\2-grams:\n-0.1\tb a\n-0.7\ta </s>\n\n\\end\\\n")
     path = tmp_path / "unsorted.arpa"
     path.write_text(text, encoding="utf-8")
     again = tmp_path / "again.arpa"
     lm_write_arpa(lm_read_arpa(str(path)), again)
-    assert again.read_text(encoding="utf-8") == (
-        "\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.4\tb\t-0.3\n-0.5\ta\n-0.6\t</s>\n"
-        "\n\\2-grams:\n-0.1\tb a\n\n\\end\\\n")
+    assert again.read_text(encoding="utf-8") == text
 
 
 def test_sentence_scores_match_oracle():
