@@ -10,12 +10,14 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
+from itertools import islice
 
 import numpy as np
 
 from .ngram import ngram_rows
 
 MAX_ORDER = 4
+BLOCK = 256  # sentence pairs counted at once
 
 
 @dataclass
@@ -50,32 +52,9 @@ def _closest_ref_len(hyp_len, ref_lens):
     return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
 
 
-def bleu(hypotheses, references, fold_case=False):
-    """Corpus BLEU-4 over hypotheses and per-sentence reference sets.
-
-    references[i] is the list of reference token sequences for
-    hypotheses[i].  With fold_case, tokens are lowercased before counting.
-
-    All counting is on integers.  ngram_rows numbers the n-grams of every
-    sentence together; with R distinct n-grams of an order, row r in
-    hypothesis i has key i * R + r and in its k-th reference key
-    (k * n + i) * R + r, for n hypotheses.  One np.unique per order counts
-    every key, and a hypothesis key's count in reference k lies k * n * R
-    further on.
-    """
-    hypotheses = list(hypotheses)
-    references = list(references)
-    if not hypotheses:
-        raise ValueError("hypothesis corpus is empty")
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            "got %d hypotheses but %d reference sets"
-            % (len(hypotheses), len(references))
-        )
-    references = [list(refs) for refs in references]
-    if not all(references):
-        raise ValueError("every hypothesis needs at least one reference")
-
+def _block_stats(hypotheses, references, fold_case):
+    """[hyp_len, ref_len, matches_1..4, totals_1..4] of one block: equal
+    lists of hypotheses and nonempty lists of their references."""
     n = len(hypotheses)
     hyp_len = sum(map(len, hypotheses))
     ref_len = sum(_closest_ref_len(len(hyp), [len(r) for r in refs])
@@ -112,7 +91,57 @@ def bleu(hypotheses, references, fold_case=False):
             max_ref = np.maximum(max_ref, np.where(keys[at] == want, counts[at], 0))
         matches[m - 1] = int(np.minimum(counts[:hyp], max_ref).sum())
         totals[m - 1] = int(counts[:hyp].sum())
+    return [hyp_len, ref_len] + matches + totals
 
+
+def bleu(hypotheses, references, fold_case=False):
+    """Corpus BLEU-4 over hypotheses and per-sentence reference sets.
+
+    references[i] is the list of reference token sequences for
+    hypotheses[i].  Either may be any iterable, a generator included:
+    sentence pairs are taken BLOCK at a time, so memory is bounded by a
+    block, not by the corpus.  With fold_case, tokens are lowercased
+    before counting.
+
+    All counting is on integers, and every statistic (lengths, matches,
+    totals) is a sum over sentences, so blocks add up to exactly the
+    corpus's counts.  Within a block of n pairs, ngram_rows numbers the
+    n-grams of every sentence together; with R distinct n-grams of an
+    order in the block, row r in hypothesis i has key i * R + r and in its
+    k-th reference key (k * n + i) * R + r.  One np.unique per order counts
+    every key, and a hypothesis key's count in reference k lies k * n * R
+    further on.
+
+    A failed check is raised only when both inputs are used up, so the
+    hypothesis and reference totals it names are the whole corpus's.
+    """
+    hypotheses, references = iter(hypotheses), iter(references)
+    n_hyp = n_ref = 0
+    missing_ref = False
+    stats = [0] * (2 + 2 * MAX_ORDER)
+    while True:
+        hyps = list(islice(hypotheses, BLOCK))
+        refs = list(islice(references, BLOCK))
+        if not hyps and not refs:
+            break
+        n_hyp += len(hyps)
+        n_ref += len(refs)
+        if n_hyp != n_ref or missing_ref:  # a check fails: only count on
+            continue
+        refs = [list(r) for r in refs]
+        if not all(refs):
+            missing_ref = True
+            continue
+        stats = [a + b for a, b in zip(stats, _block_stats(hyps, refs, fold_case))]
+    if not n_hyp:
+        raise ValueError("hypothesis corpus is empty")
+    if n_hyp != n_ref:
+        raise ValueError("got %d hypotheses but %d reference sets" % (n_hyp, n_ref))
+    if missing_ref:
+        raise ValueError("every hypothesis needs at least one reference")
+
+    hyp_len, ref_len = stats[:2]
+    matches, totals = stats[2:2 + MAX_ORDER], stats[2 + MAX_ORDER:]
     precisions = tuple(
         (matches[n] / totals[n]) if totals[n] else 0.0 for n in range(MAX_ORDER)
     )

@@ -223,6 +223,7 @@ def _cmd_train(args):
     )
     if args.seed is not None:
         config.seed = args.seed
+    config.validate()
     _, _, _, record = train_model(
         config,
         load_parallel(args.train_src, args.train_tgt),
@@ -292,12 +293,10 @@ def _cmd_bleu(args):
                 % (path, len(lines), len(hyp_lines))
             )
         ref_sets.append(lines)
-    hyps = [line.split() for line in hyp_lines]
-    refs = [
-        [ref_sets[k][i].split() for k in range(len(ref_sets))]
-        for i in range(len(hyp_lines))
-    ]
-    report = bleu(hyps, refs, fold_case=args.lowercase)
+    # bleu() counts in blocks of sentences, so only a block is split at once.
+    report = bleu((line.split() for line in hyp_lines),
+                  ([line.split() for line in lines] for lines in zip(*ref_sets)),
+                  fold_case=args.lowercase)
     if args.json:
         write_lines(args.output, [report.to_json()])
     else:

@@ -56,8 +56,8 @@ class NmtConfig:
             raise ValueError("vocab sizes must be at least 4")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.l2_coeff < 0.0:
-            raise ValueError("l2_coeff must be nonnegative")
+        if not 0.0 <= self.l2_coeff < math.inf:  # NaN fails too
+            raise ValueError("l2_coeff must be finite and nonnegative")
 
 
 def param_shapes(config):

@@ -94,6 +94,7 @@ class PipelineConfig:
     max_decode_len: int = 60
 
     def validate(self):
+        """Raise PipelineError, or NmtConfig's ValueError, for a bad setting."""
         if self.direction not in DIRECTIONS:
             raise PipelineError(
                 "direction must be one of %s" % (DIRECTIONS,)
@@ -107,8 +108,12 @@ class PipelineConfig:
             raise PipelineError(
                 "english_lower and english_true are mutually exclusive"
             )
-        if self.bpe_size < 0:
-            raise PipelineError("bpe_size must be nonnegative")
+        for name, low in (("bpe_size", 0), ("max_train_len", 1), ("epochs", 0),
+                          ("batch_size", 1), ("patience", 1), ("beam_width", 1),
+                          ("max_decode_len", 1)):
+            if getattr(self, name) < low:
+                raise PipelineError("%s must be at least %d" % (name, low))
+        self.nmt_config(4, 4)  # NmtConfig checks the model's own fields
 
     @classmethod
     def from_file(cls, path):

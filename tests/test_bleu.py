@@ -1,4 +1,7 @@
+import gc
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import counter_bleu, naive_bleu
 from tarjama.bleu import BleuReport, bleu, bleu_delta
+from tarjama.cli import main
+
+bleu_module = importlib.import_module("tarjama.bleu")  # the package exports bleu()
 
 LEXICON = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "away"]
 
@@ -153,3 +159,65 @@ def test_equals_counter_oracle_in_every_field(corpus, fold_case):
     assert report == want
     assert report.to_json() == want.to_json()
     assert [type(p) for p in report.precisions] == [float] * 4
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_equals_counter_oracle_with_block_edges_everywhere(monkeypatch, block):
+    monkeypatch.setattr(bleu_module, "BLOCK", block)
+    test_equals_counter_oracle_in_every_field()
+
+
+def _corpus(seed, count):
+    rng = np.random.default_rng(seed)
+    hyps = random_sentences(rng, count, min_len=1)
+    return hyps, [random_sentences(rng, int(rng.integers(1, 4)), min_len=1) + [h[::-1]]
+                  for h in hyps]
+
+
+def test_generators_give_the_report_of_lists():
+    # 700 pairs: two full blocks and a part, with up to four references.
+    hyps, refs = _corpus(21, 700)
+    for fold_case in (False, True):
+        want = bleu(hyps, refs, fold_case=fold_case)
+        assert want == counter_bleu(hyps, refs, fold_case=fold_case)
+        got = bleu((h for h in hyps), ((r for r in rs) for rs in refs), fold_case=fold_case)
+        assert got == want
+
+
+def test_generators_are_checked_over_the_whole_corpus():
+    hyps, refs = _corpus(22, 700)
+    # Both totals are counted to the end, in either direction.
+    with pytest.raises(ValueError, match="^got 600 hypotheses but 700 reference sets$"):
+        bleu(iter(hyps[:600]), iter(refs))
+    with pytest.raises(ValueError, match="^got 700 hypotheses but 300 reference sets$"):
+        bleu(iter(hyps), iter(refs[:300]))
+    # A missing reference set in a later block is named only when the
+    # counts agree, as the mismatch outranks it.
+    refs[500] = []
+    with pytest.raises(ValueError, match="^got 699 hypotheses but 700 reference sets$"):
+        bleu(iter(hyps[:699]), iter(refs))
+    with pytest.raises(ValueError, match="^every hypothesis needs at least one reference$"):
+        bleu(iter(hyps), iter(refs))
+    with pytest.raises(ValueError, match="^hypothesis corpus is empty$"):
+        bleu(iter([]), iter(refs))
+
+
+def test_cli_holds_one_block_beyond_the_lines(tmp_path):
+    # 20,000 sentences and two references.  The lines alone take 4.9 MB;
+    # counted as one block, they peaked at 65 MB.
+    rng = np.random.default_rng(23)
+    paths = [tmp_path / name for name in ("hyp.txt", "ref1.txt", "ref2.txt")]
+    for path in paths:
+        path.write_text("".join(" ".join(sent) + "\n"
+                                for sent in random_sentences(rng, 20_000, max_len=8)),
+                        encoding="utf-8")
+    out = tmp_path / "bleu.json"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["bleu", str(paths[0]), "--ref", str(paths[1]), "--ref", str(paths[2]),
+                     "--json", "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000, peak

@@ -647,6 +647,39 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
                  "-o", str(tmp_path / "model.ckpt")] + TRAIN_DIMS) == 2
 
 
+@pytest.mark.parametrize("command, setting, message", [
+    ("train", ["--l2", "nan"], "l2_coeff must be finite and nonnegative"),
+    ("train", ["--l2", "inf"], "l2_coeff must be finite and nonnegative"),
+    ("train", ["--embed-dim", "0"], "embed_dim must be at least 1"),
+    ("train", ["--patience", "0"], "patience must be at least 1"),
+    ("experiment", ["l2_coeff=nan"], "l2_coeff must be finite and nonnegative"),
+    ("experiment", ["beam_width=0"], "beam_width must be at least 1"),
+    ("experiment", ["max_decode_len=0"], "max_decode_len must be at least 1"),
+    ("experiment", ["max_train_len=-1"], "max_train_len must be at least 1"),
+], ids=["train-l2-nan", "train-l2-inf", "train-embed-dim-0", "train-patience-0",
+        "experiment-l2-nan", "experiment-beam-0", "experiment-max-decode-len-0",
+        "experiment-max-train-len-minus-1"])
+def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, command, setting,
+                                                     message):
+    if command == "train":
+        src, tgt, dev_src, dev_tgt = tiny_parallel(tmp_path)
+        out = tmp_path / "model.ckpt"
+        # The setting comes last, so it overrides TRAIN_DIMS' own value.
+        argv = ["train", "--train-src", str(src), "--train-tgt", str(tgt),
+                "--dev-src", str(dev_src), "--dev-tgt", str(dev_tgt),
+                "-o", str(out)] + TRAIN_DIMS + setting
+        outputs = [out, tmp_path / "model.ckpt.src-vocab.tsv",
+                   tmp_path / "model.ckpt.tgt-vocab.tsv"]
+    else:
+        config, _ = small_experiment(tmp_path, setting)
+        out = tmp_path / "run"
+        argv = ["experiment", "--config", config, "--out-dir", str(out)]
+        outputs = [out]
+    assert main(argv) == 1
+    assert [path for path in outputs if path.exists()] == []
+    assert message in caplog.text
+
+
 # ------------------------------------------------------------------- bleu
 
 def test_bleu_summary_and_json(tmp_path):

@@ -66,6 +66,25 @@ def test_validate_rejects_bad_combinations():
         PipelineConfig(bpe_size=-1).validate()
 
 
+@pytest.mark.parametrize("name, low", [
+    ("bpe_size", 0), ("max_train_len", 1), ("epochs", 0), ("batch_size", 1),
+    ("patience", 1), ("beam_width", 1), ("max_decode_len", 1),
+])
+def test_validate_checks_each_integer_bound(name, low):
+    PipelineConfig(**{name: low}).validate()
+    with pytest.raises(PipelineError, match="^%s must be at least %d$" % (name, low)):
+        PipelineConfig(**{name: low - 1}).validate()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("embed_dim", 0), ("attn_hidden", -1), ("dropout_rate", float("nan")),
+    ("l2_coeff", float("nan")), ("l2_coeff", float("inf")), ("l2_coeff", -1e-9),
+])
+def test_validate_applies_the_model_config_rules(name, value):
+    with pytest.raises(ValueError, match=name):
+        PipelineConfig(**{name: value}).validate()
+
+
 def test_from_mapping_coerces_types():
     config = PipelineConfig.from_mapping({
         "direction": "en2ar",
