@@ -14,6 +14,8 @@ EOS = "</s>"
 RESERVED = (PAD, UNK, BOS, EOS)
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
+# The smallest vocabulary size build_vocab takes: the reserved ids and a token.
+MIN_VOCAB_SIZE = len(RESERVED) + 1
 
 
 class CorpusError(Exception):
@@ -223,8 +225,9 @@ def build_vocab(sentences, max_size):
     assignment is deterministic.  Tokens spelled like a reserved token are
     skipped; they already map to their reserved id.
     """
-    if max_size <= 4:
-        raise ValueError("max_size must exceed 4 to fit reserved tokens")
+    if max_size < MIN_VOCAB_SIZE:
+        raise ValueError("max_size must be at least %d to fit the reserved tokens"
+                         % MIN_VOCAB_SIZE)
     counts = Counter()
     for sent in sentences:
         counts.update(sent)

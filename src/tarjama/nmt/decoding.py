@@ -3,7 +3,10 @@
 import numpy as np
 
 from ..corpus import BOS_ID, EOS_ID
-from .model import DecoderState, encode, decoder_init, decode_step
+# The searches step the decoder through _advance, on ids they produced
+# themselves.  decode_step is not called here; it stays importable from
+# this module, where bench/tracing.py wraps it.
+from .model import _advance, decode_step, decoder_init, encode
 
 
 def greedy_decode(model, src_ids, max_len=50):
@@ -11,11 +14,11 @@ def greedy_decode(model, src_ids, max_len=50):
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     enc = encode(model, src_ids)
-    state = decoder_init(model, enc)
+    z = decoder_init(model, enc).z[None, :]
     out = []
     prev = BOS_ID
     for _ in range(max_len):
-        state, logp = decode_step(model, state, prev, enc)
+        z, logp, _ = _advance(model.params, enc, z, np.array([prev]))
         prev = int(np.argmax(logp))
         if prev == EOS_ID:
             break
@@ -50,7 +53,7 @@ def beam_decode(model, src_ids, beam_width=12, max_len=50):
     lexicographically smaller ids.
 
     The live hypotheses are the rows of one decoder state, advanced by
-    one decode_step call per step, and of an id matrix kept in
+    one decoder step per search step, and of an id matrix kept in
     lexicographic order.  Extension w of row i then has the flat index
     i * V + w, which orders candidates as their ids do: the survivors are
     the beam_width largest totals, ties at the cut going to the smaller
@@ -61,16 +64,15 @@ def beam_decode(model, src_ids, beam_width=12, max_len=50):
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     enc = encode(model, src_ids)
-    # Row i of state is ready to consume hyps[i, -1]; hyps hold the
-    # leading BOS, scores the summed log-probabilities.  The search never
-    # reads the attention weights, so they are not kept.
-    state = DecoderState(decoder_init(model, enc).z[None, :], None)
+    # Row i of z is ready to consume hyps[i, -1]; hyps hold the leading
+    # BOS, scores the summed log-probabilities.
+    z = decoder_init(model, enc).z[None, :]
     hyps = np.full((1, 1), BOS_ID)
     scores = np.zeros(1)
-    vocab = model.config.tgt_vocab_size
+    params, vocab = model.params, model.config.tgt_vocab_size
     finished = []
     for _ in range(max_len):
-        state, logp = decode_step(model, state, hyps[:, -1], enc)
+        z, logp, _ = _advance(params, enc, z, hyps[:, -1])
         logp += scores[:, None]
         totals = logp.ravel()
         best = _top(totals, beam_width)
@@ -84,7 +86,7 @@ def beam_decode(model, src_ids, beam_width=12, max_len=50):
             best, rows, ids = best[~ended], rows[~ended], ids[~ended]
         hyps = np.concatenate((hyps[rows], ids[:, None]), axis=1)
         scores = totals[best]
-        state = DecoderState(state.z[rows], None)
+        z = z[rows]
     if finished:
         pool = [(ids[1:-1], score, len(ids) - 1) for ids, score in finished]
     else:

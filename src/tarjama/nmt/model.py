@@ -58,6 +58,8 @@ class NmtConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
         if not 0.0 <= self.l2_coeff < math.inf:  # NaN fails too
             raise ValueError("l2_coeff must be finite and nonnegative")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be nonnegative")
 
 
 def param_shapes(config):
@@ -185,25 +187,26 @@ def init_model(config):
 
 
 class StepWeights(NamedTuple):
-    """The decoder step's weights, stacked by rows into contiguous arrays
-    once per encode or batch, so that each step input x takes one `x @ W.T`.
-    Stacking leaves every product bit for bit as the separate weights give."""
+    """The decoder step's weights, stacked by rows into contiguous arrays and
+    transposed once per encode or batch, so that each step input x takes one
+    product `x @ w`.  Stacking leaves every product bit for bit as the
+    separate weights give."""
 
-    emb: np.ndarray  # (attn + 3*dec, embed): [att_Wy; dec_W[:, :embed]]
+    emb: np.ndarray  # (embed, attn + 3*dec): [att_Wy; dec_W[:, :embed]].T
     emb_b: np.ndarray  # (attn + 3*dec,): [att_b; dec_b]
-    state: np.ndarray  # (attn + 2*dec, dec): [att_Wz; dec_Uz; dec_Ur]
-    context: np.ndarray  # (3*dec, 2*enc_hidden): dec_W[:, embed:]
-    cand: np.ndarray  # (dec, dec): dec_Uh
+    state: np.ndarray  # (dec, attn + 2*dec): [att_Wz; dec_Uz; dec_Ur].T
+    context: np.ndarray  # (2*enc_hidden, 3*dec): dec_W[:, embed:].T
+    cand: np.ndarray  # (dec, dec): dec_Uh.T
     att_v: np.ndarray  # (attn,)
 
 
 def _step_weights(params):
     W, b, U, Uh = params.gru["dec"]
     e = params["tgt_emb"].shape[1]
-    return StepWeights(np.concatenate([params["att_Wy"], W[:, :e]]),
+    return StepWeights(np.concatenate([params["att_Wy"], W[:, :e]]).T,
                        np.concatenate([params["att_b"], b]),
-                       np.concatenate([params["att_Wz"], U]),
-                       W[:, e:].copy(), Uh, params["att_v"])
+                       np.concatenate([params["att_Wz"], U]).T,
+                       W[:, e:].copy().T, Uh.T, params["att_v"])
 
 
 @dataclass
@@ -211,7 +214,8 @@ class EncoderStates:
     annotations: np.ndarray  # (T, 2*enc_hidden)
     mask: np.ndarray  # (T,), 1.0 at real positions
     keys: np.ndarray  # (T, attn_hidden): annotations @ att_Wh.T
-    mask_bias: np.ndarray  # (T,): 0.0 at real positions, -inf at padding
+    mask_bias: np.ndarray  # (T,): 0.0 at real positions, -inf at padding;
+    # None when no position is padding
     step: StepWeights  # the decoder step's weights, of the model that encoded
 
 
@@ -219,8 +223,7 @@ class EncoderStates:
 class DecoderState:
     # Either one state, or one row per hypothesis with a leading axis.
     z: np.ndarray  # (dec_hidden,) or (k, dec_hidden)
-    alpha: np.ndarray  # attention weights from the step that produced z;
-    # beam search, which never reads them, keeps None
+    alpha: np.ndarray  # attention weights from the step that produced z, or None
 
 
 # ------------------------------------------------------------ numpy core
@@ -245,9 +248,15 @@ def _log_softmax_inplace(x):
     return x
 
 
-def _gru_step(xp, h, hU, Uh):
-    """One GRU step from the input projection xp (biases included) and
-    the recurrent term hU = h @ [Uz; Ur].T.
+def _matmul(x, w):
+    """x @ w; for 2-D x through ndarray.dot, the same gemm for less call
+    overhead (dot takes no BLAS path for more axes, so those keep @)."""
+    return x.dot(w) if x.ndim == 2 else x @ w
+
+
+def _gru_step(xp, h, hU, UhT):
+    """One GRU step from the input projection xp (biases included), the
+    recurrent term hU = h @ [Uz; Ur].T and the transposed Uh.
 
     h' = u*h + (1-u)*c, so all-zero parameters keep a zero state.
     Returns h' and what backprop needs: gates [u, r], candidate c, r*h.
@@ -255,7 +264,7 @@ def _gru_step(xp, h, hU, Uh):
     n = h.shape[-1]
     gates = _sigmoid_inplace(xp[..., :2 * n] + hU)
     rh = gates[..., n:] * h
-    c = rh @ Uh.swapaxes(-1, -2)
+    c = _matmul(rh, UhT)
     c += xp[..., 2 * n:]
     np.tanh(c, out=c)
     u = gates[..., :n]
@@ -286,22 +295,26 @@ def _gru_param_grads(grads, dpre, x, h_prev, rh):
     np.sum(dpre, axis=-2, out=b)
 
 
-def _encoder_layer(gru, x, m):
+def _encoder_layer(gru, x, m, keep=True):
     """Both directions of one encoder layer over x (S, B, in) in one loop: step
     k advances the forward GRU at position k and the backward one at S-1-k,
-    masks m (S, 2, B, 1) in that order; a padded step carries the state."""
+    masks m (S, 2, B, 1) in that order; a padded step carries the state.
+    Returns the states and, with keep, what backprop needs (else None)."""
     W, b, U, Uh = gru
-    UT = U.swapaxes(1, 2)
+    UT, UhT = U.swapaxes(1, 2), Uh.swapaxes(1, 2)
     xp = np.stack([x, x[::-1]], axis=1) @ W.swapaxes(1, 2) + b[:, None, :]
-    live = m > 0
+    live = None if m.all() else m > 0
     steps, rows = x.shape[:2]
     n = Uh.shape[-1]
     h = np.zeros((steps + 1, 2, rows, n))  # h[k] is the state before step k
-    c, rh, gates = (np.empty((steps, 2, rows, w * n)) for w in (1, 1, 2))
+    if keep:
+        c, rh, gates = (np.empty((steps, 2, rows, w * n)) for w in (1, 1, 2))
     for k in range(steps):
-        h_new, gates[k], c[k], rh[k] = _gru_step(xp[k], h[k], h[k] @ UT, Uh)
-        h[k + 1] = np.where(live[k], h_new, h[k])
-    return h[1:], (h[:-1], gates, c, rh)
+        h_new, *acts = _gru_step(xp[k], h[k], h[k] @ UT, UhT)
+        h[k + 1] = h_new if live is None else np.where(live[k], h_new, h[k])
+        if keep:
+            gates[k], c[k], rh[k] = acts
+    return h[1:], (h[:-1], gates, c, rh) if keep else None
 
 
 def _encoder_layer_grad(gru, x, m, saved, dout, grads):
@@ -326,14 +339,14 @@ def _encoder_layer_grad(gru, x, m, saved, dout, grads):
     return dx[:, 0] + dx[::-1, 1]
 
 
-def _encode(params, config, src, mask):
+def _encode(params, config, src, mask, keep=True):
     """Annotations (S, B, 2*enc_hidden) of time-major source ids, and
-    each layer's inputs, masks and saved activations for backprop."""
+    each layer's inputs, masks and (with keep) saved activations for backprop."""
     x = params["src_emb"][src]
     m = np.stack([mask, mask[::-1]], axis=1)[..., None]
     layers = []
     for layer in range(1, config.enc_layers + 1):
-        out, saved = _encoder_layer(params.gru["enc_l%d" % layer], x, m)
+        out, saved = _encoder_layer(params.gru["enc_l%d" % layer], x, m, keep)
         layers.append((x, m, saved))
         x = np.concatenate([out[:, 0], out[::-1, 1]], axis=2)
     return x, layers
@@ -352,7 +365,9 @@ def _target_inputs(params, sw, y):
     """Embeddings of target ids and their stacked projection y_in onto
     the attention query and the decoder gates (biases included)."""
     emb = params["tgt_emb"][y]
-    return emb, emb @ sw.emb.T + sw.emb_b
+    y_in = _matmul(emb, sw.emb)
+    y_in += sw.emb_b
+    return emb, y_in
 
 
 def _attention_hidden(keys, query):
@@ -363,9 +378,10 @@ def _attention_hidden(keys, query):
 
 def _attend(att_v, keys, annotations, mask_bias, query):
     """Context vectors and attention weights for queries; softmax over
-    the positions where mask_bias is 0."""
+    the positions where mask_bias is 0, or over all with no mask_bias."""
     alpha = _attention_hidden(keys, query) @ att_v
-    alpha += mask_bias
+    if mask_bias is not None:
+        alpha += mask_bias
     alpha -= np.maximum.reduce(alpha, axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
@@ -376,17 +392,17 @@ def _decoder_step(sw, keys, annotations, mask_bias, z, y_in):
     """Attention, then the decoder GRU, for one target position given the
     projected target embeddings y_in."""
     a = keys.shape[-1]
-    zp = z @ sw.state.T
+    zp = z.dot(sw.state)
     query = zp[..., :a] + y_in[..., :a]
     context, alpha = _attend(sw.att_v, keys, annotations, mask_bias, query)
-    xp = context @ sw.context.T
+    xp = context.dot(sw.context)
     xp += y_in[..., a:]
     z_new, gates, c, rh = _gru_step(xp, z, zp[..., a:], sw.cand)
     return z_new, (query, context, alpha, gates, c, rh)
 
 
 def _output(params, z):
-    logits = z @ params["out_W"].T
+    logits = _matmul(z, params["out_W"].T)
     logits += params["out_b"]
     return _log_softmax_inplace(logits)
 
@@ -571,11 +587,12 @@ def encode(model, src_ids, mask=None):
         if mask.sum() == 0:
             raise ValueError("mask leaves no live source position")
     params = model.params
-    enc, _ = _encode(params, model.config,
-                     np.asarray(src_ids, dtype=np.intp)[:, None], mask[:, None])
+    enc, _ = _encode(params, model.config, np.asarray(src_ids, dtype=np.intp)[:, None],
+                     mask[:, None], keep=False)
     annotations = enc[:, 0, :]
+    mask_bias = None if mask.all() else np.where(mask > 0, 0.0, -np.inf)
     return EncoderStates(annotations, mask, annotations @ params["att_Wh"].T,
-                         np.where(mask > 0, 0.0, -np.inf), _step_weights(params))
+                         mask_bias, _step_weights(params))
 
 
 def decoder_init(model, enc):
@@ -591,11 +608,22 @@ def attend(model, state, y_emb, enc):
     return _attend(p["att_v"], enc.keys, enc.annotations, enc.mask_bias, query)
 
 
+def _advance(params, enc, z, y):
+    """The decoder rows z (k, dec_hidden) advanced by the target ids y (k,)
+    they consume: the new rows, their log-probabilities (k, V) and their
+    attention weights.  The searches call it on the ids they produced;
+    decode_step checks its input first."""
+    _, y_in = _target_inputs(params, enc.step, y)
+    z, acts = _decoder_step(enc.step, enc.keys, enc.annotations, enc.mask_bias, z, y_in)
+    return z, _output(params, z), acts[2]
+
+
 def decode_step(model, state, y_prev, enc):
     """Advance the decoder by one target position.
 
     Returns the new state and the full log-probability vector over the
-    target vocabulary.  With a leading row axis (state.z of shape
+    target vocabulary.  The input is checked, then the step is the one the
+    searches take.  With a leading row axis (state.z of shape
     (k, dec_hidden) and y_prev an int array of k ids) every row advances
     at once against the same source, and log-probabilities are (k, V).
     """
@@ -609,11 +637,7 @@ def decode_step(model, state, y_prev, enc):
     z = state.z.reshape(-1, state.z.shape[-1])
     if z.shape[0] != len(y):
         raise ValueError("state has %d rows but %d target ids" % (z.shape[0], len(y)))
-    p = model.params
-    _, y_in = _target_inputs(p, enc.step, y)
-    z_new, (_, _, alpha, *_) = _decoder_step(enc.step, enc.keys, enc.annotations,
-                                             enc.mask_bias, z, y_in)
-    logp = _output(p, z_new)
+    z_new, logp, alpha = _advance(model.params, enc, z, y)
     if single:
         return DecoderState(z_new[0], alpha[0]), logp[0]
     return DecoderState(z_new, alpha), logp

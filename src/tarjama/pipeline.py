@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from . import corpus as corpus_io
 from .bleu import bleu
 from .bpe import apply_bpe, learn_bpe, undo_bpe, BpeModel
-from .corpus import build_vocab, read_lines, write_lines
+from .corpus import MIN_VOCAB_SIZE, build_vocab, read_lines, write_lines
 from .nmt import NmtConfig, beam_decode, init_model, save_model, train_nmt
 from .normalize import (
     TruecaseModel,
@@ -110,7 +110,8 @@ class PipelineConfig:
             )
         for name, low in (("bpe_size", 0), ("max_train_len", 1), ("epochs", 0),
                           ("batch_size", 1), ("patience", 1), ("beam_width", 1),
-                          ("max_decode_len", 1)):
+                          ("max_decode_len", 1), ("src_vocab_max", MIN_VOCAB_SIZE),
+                          ("tgt_vocab_max", MIN_VOCAB_SIZE)):
             if getattr(self, name) < low:
                 raise PipelineError("%s must be at least %d" % (name, low))
         self.nmt_config(4, 4)  # NmtConfig checks the model's own fields

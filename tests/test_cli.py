@@ -541,6 +541,7 @@ HEADER_DEFECTS = {
                        "no config table"),
     "string-dimension": (lambda h: h["config"].update(embed_dim="4"),
                          "config embed_dim is '4'"),
+    "negative-seed": (lambda h: h["config"].update(seed=-1), "seed must be nonnegative"),
     "no-tensors": (lambda h: h.pop("tensors"), "no tensor list"),
     "nameless-tensor": (lambda h: h["tensors"][0].pop("name"),
                         'tensor entry 0 is {"offset": 0, "shape": [5, 3]}, the config '
@@ -652,13 +653,21 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
     ("train", ["--l2", "inf"], "l2_coeff must be finite and nonnegative"),
     ("train", ["--embed-dim", "0"], "embed_dim must be at least 1"),
     ("train", ["--patience", "0"], "patience must be at least 1"),
+    ("train", ["--seed", "-1"], "seed must be nonnegative"),
+    ("train", ["--max-vocab", "4"], "src_vocab_max must be at least 5"),
     ("experiment", ["l2_coeff=nan"], "l2_coeff must be finite and nonnegative"),
     ("experiment", ["beam_width=0"], "beam_width must be at least 1"),
     ("experiment", ["max_decode_len=0"], "max_decode_len must be at least 1"),
     ("experiment", ["max_train_len=-1"], "max_train_len must be at least 1"),
+    ("experiment", ["seed=-1"], "seed must be nonnegative"),
+    # The Arabic steps write detok.tsv into the out-dir before training.
+    ("experiment", ["arabic_tok=yes", "arabic_norm=yes", "arabic_atb=yes",
+                    "src_vocab_max=3"], "src_vocab_max must be at least 5"),
 ], ids=["train-l2-nan", "train-l2-inf", "train-embed-dim-0", "train-patience-0",
+        "train-seed-minus-1", "train-max-vocab-4",
         "experiment-l2-nan", "experiment-beam-0", "experiment-max-decode-len-0",
-        "experiment-max-train-len-minus-1"])
+        "experiment-max-train-len-minus-1", "experiment-seed-minus-1",
+        "experiment-src-vocab-max-3"])
 def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, command, setting,
                                                      message):
     if command == "train":

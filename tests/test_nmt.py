@@ -13,6 +13,7 @@ import oracles
 from tarjama import nmt
 from tarjama.corpus import BOS_ID, EOS_ID, FormatError
 from tarjama.nmt import decoding as nmt_decoding
+from tarjama.nmt import model as nmt_model
 from tarjama.nmt import training as nmt_training
 from tarjama.nmt.model import (_encoder_layer, _encoder_layer_grad, batch_backward,
                                batch_forward, l2_penalty, read_header)
@@ -75,6 +76,8 @@ def test_config_validation():
         tiny_config(dropout_rate=1.0)
     with pytest.raises(ValueError):
         tiny_config(l2_coeff=-0.1)
+    with pytest.raises(ValueError, match="seed"):
+        tiny_config(seed=-1)
 
 
 def test_param_shapes_cover_both_directions_and_layers():
@@ -751,15 +754,15 @@ def test_beam_tie_order_matches_oracle(monkeypatch):
     def scripted(code, vocab):
         return -((code[..., None] * 31 + np.arange(vocab) * 7) % 4).astype(float)
 
-    def rows_step(model, state, prev, enc):
-        vocab = model.config.tgt_vocab_size
-        code = state.z[:, 0] * vocab + prev + 1
-        return nmt.DecoderState(code[:, None], state.alpha), scripted(code, vocab)
+    def rows_step(params, enc, z, prev):
+        vocab = params.config.tgt_vocab_size
+        code = z[:, 0] * vocab + prev + 1
+        return code[:, None], scripted(code, vocab), None
 
     monkeypatch.setattr(nmt_decoding, "encode", lambda model, src: None)
     monkeypatch.setattr(nmt_decoding, "decoder_init",
                         lambda model, enc: nmt.DecoderState(np.zeros(1), np.ones(1)))
-    monkeypatch.setattr(nmt_decoding, "decode_step", rows_step)
+    monkeypatch.setattr(nmt_decoding, "_advance", rows_step)
     for vocab in (4, 5, 6):
         model = randomized_model(tiny_config(tgt_vocab_size=vocab))
 
@@ -772,6 +775,48 @@ def test_beam_tie_order_matches_oracle(monkeypatch):
                 want = oracles.tuple_beam_decode(oracle_step, 0.0, width, max_len)
                 assert nmt.beam_decode(model, [4], beam_width=width,
                                        max_len=max_len) == want, (vocab, width, max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), layers=st.integers(1, 2), data=st.data())
+def test_search_steps_equal_public_decode_steps(seed, layers, data):
+    # The searches step the decoder without decode_step's checks; run each
+    # search once that way and once through decode_step, on a padded or
+    # unpadded source, and compare every state and log-probability row.
+    src = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=6), label="src")
+    mask = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(src),
+                              max_size=len(src)).filter(any), label="mask")
+    width = data.draw(st.integers(1, 8), label="width")
+    max_len = data.draw(st.integers(1, 5), label="max_len")
+    model = randomized_model(tiny_config(enc_layers=layers), scale=0.9, seed=seed)
+
+    def public(params, enc, z, y):
+        state, logp = nmt.decode_step(model, nmt.DecoderState(z, None), y, enc)
+        return state.z, logp, state.alpha
+
+    def search(step, decode, **options):
+        rows = []
+
+        def recorded(params, enc, z, y):
+            z, logp, alpha = step(params, enc, z, y)
+            rows.append((z.copy(), logp.copy()))  # the search adds to logp
+            return z, logp, alpha
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nmt_decoding, "encode",
+                          lambda model, src: nmt.encode(model, src, mask))
+            patch.setattr(nmt_decoding, "_advance", recorded)
+            return decode(model, src, max_len=max_len, **options), rows
+
+    for decode, options in ((nmt.beam_decode, {"beam_width": width}),
+                            (nmt.greedy_decode, {})):
+        out, rows = search(nmt_model._advance, decode, **options)
+        want_out, want_rows = search(public, decode, **options)
+        assert out == want_out
+        assert len(rows) == len(want_rows)
+        for (z, logp), (want_z, want_logp) in zip(rows, want_rows):
+            assert np.array_equal(z, want_z)
+            assert np.array_equal(logp, want_logp)
 
 
 def test_eos_peaked_model_yields_empty_output():
