@@ -40,7 +40,8 @@ class BpeModel:
 
     @classmethod
     def load(cls, path):
-        target, (left, right) = read_table(path, "bpe", str, str, sep=" ", header=_vocab_size)
+        target, (left, right) = read_table(path, "bpe", str, str, sep=" ", header=_vocab_size,
+                                             keys=2)
         try:
             return cls(list(zip(left, right)), target)
         except ValueError as exc:

@@ -220,10 +220,8 @@ def _cmd_train(args):
         dev_src=args.dev_src, dev_tgt=args.dev_tgt,
         tgt_vocab_max=args.src_vocab_max,
         **{name: getattr(args, name) for _, name in _TRAIN_OPTIONS},
+        **({} if args.seed is None else {"seed": args.seed}),
     )
-    if args.seed is not None:
-        config.seed = args.seed
-    config.validate()
     _, _, _, record = train_model(
         config,
         load_parallel(args.train_src, args.train_tgt),
@@ -270,12 +268,12 @@ def _load_translate_vocabs(args, config):
 
 
 def _cmd_translate(args):
+    config = PipelineConfig(beam_width=args.beam, max_decode_len=args.max_len)
     model = load_model(args.model)
     src_vocab, tgt_vocab = _load_translate_vocabs(args, model.config)
     sentences = [line.split() for line in read_lines(args.input)]
-    decoded = translate_sentences(
-        model, src_vocab, tgt_vocab, sentences, args.beam, args.max_len
-    )
+    decoded = translate_sentences(model, src_vocab, tgt_vocab, sentences,
+                                  config.beam_width, config.max_decode_len)
     write_lines(args.output, [" ".join(tokens) for tokens in decoded])
     return 0
 
@@ -307,11 +305,10 @@ def _cmd_bleu(args):
 def _cmd_experiment(args):
     if not args.config:
         raise PipelineError("experiment needs --config with a pipeline config file")
-    config = PipelineConfig.from_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.out_dir:
-        config.out_dir = args.out_dir
+        overrides["out_dir"] = args.out_dir
+    config = PipelineConfig.from_file(args.config, **overrides)
     report = run_experiment(config)
     print(report.summary())
     return 0

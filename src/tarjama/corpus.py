@@ -80,12 +80,13 @@ def read_lines(path):
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
-def read_table(path, kind, *types, sep="\t", header=None):
+def read_table(path, kind, *types, sep="\t", header=None, keys=1):
     """Columns of a line table, one per type: every non-empty line splits on
     sep into one field per type, converted by that type.  With header, a
     function, line 1 is no row and the result is (header(line 1), columns).
     A wrong field count, or a ValueError or OverflowError from a converter,
-    raises FormatError naming the file, the line number and the line.
+    raises FormatError naming the file, the line number and the line.  So
+    does a row whose first `keys` converted fields repeat an earlier row's.
     """
     lines = read_lines(path) or [""]
     start = 1 if header is None else 2  # line number of the first row
@@ -105,6 +106,13 @@ def read_table(path, kind, *types, sep="\t", header=None):
                     _columns([line.split(sep)], types)
             except (ValueError, OverflowError):
                 raise FormatError(f"{path}: malformed {kind} line {lineno}: {line!r}") from None
+    rows = columns[0] if keys == 1 else list(zip(*columns[:keys]))
+    if len(set(rows)) < len(rows):
+        seen = set()
+        for lineno, row in zip((n for n, line in enumerate(body, start) if line), rows):
+            if row in seen:
+                raise FormatError(f"{path}:{lineno}: {kind} key {row!r} is listed twice")
+            seen.add(row)
     return columns if header is None else (value, columns)
 
 
@@ -203,17 +211,8 @@ class Vocab:
     @classmethod
     def load(cls, path):
         tokens, ids = read_table(path, "vocab", str, int)
-        mapping = dict(zip(tokens, ids))
-        if len(mapping) < len(tokens):
-            # tokens holds one entry per non-empty line, in line order.
-            linenos = [n for n, line in enumerate(read_lines(path), 1) if line]
-            seen = set()
-            for lineno, token in zip(linenos, tokens):
-                if token in seen:
-                    raise FormatError(f"{path}:{lineno}: token {token!r} is listed twice")
-                seen.add(token)
         try:
-            return cls(mapping)
+            return cls(dict(zip(tokens, ids)))
         except ValueError as exc:  # well-formed lines that make no vocabulary
             raise FormatError(f"{path}: {exc}") from None
 

@@ -182,10 +182,6 @@ def pick(a, index):
     return Var(a.value[index], (a,), vjp)
 
 
-def sumsq(a):
-    return Var((a.value * a.value).sum(), (a,), lambda g: (2.0 * g * a.value,))
-
-
 def log_softmax(a):
     x = a.value
     shifted = x - x.max()

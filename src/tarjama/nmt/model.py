@@ -15,6 +15,7 @@ the reference for these gradients.
 
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
@@ -42,6 +43,11 @@ class NmtConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Real if kind is float else numbers.Integral):
+                raise ValueError("config %s is %r, not %s" % (f.name, value, kind.__name__))
         for name in (
             "embed_dim",
             "enc_hidden",
@@ -722,14 +728,6 @@ def _header_config(path, header):
     raw = header.get("config")
     if not isinstance(raw, dict):
         raise FormatError("%s: checkpoint header has no config table" % path)
-    # A missing or unknown key is left to the NmtConfig call below.
-    for f in fields(NmtConfig):
-        value = raw.get(f.name, 0)
-        allowed = (int, float) if f.type is float else int
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise FormatError(
-                "%s: config %s is %r, not %s" % (path, f.name, value, f.type.__name__)
-            )
     try:
         return NmtConfig(**raw)
     except (TypeError, ValueError) as exc:

@@ -59,12 +59,15 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3):
     here.  Batch gradients are summed over examples, with the L2 term
     contributed once per batch.  Training stops after `patience`
     consecutive epochs without a strict dev improvement, or at `epochs`.
-    A non-finite training or dev loss raises RuntimeError.  The RNG
+    A non-finite training or dev loss, or a non-finite squared gradient in
+    Adadelta's running average, raises RuntimeError.  The RNG
     driving shuffling and dropout is seeded from the config, so a rerun
     reproduces the trajectory exactly.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
+    if patience < 1:
+        raise ValueError("patience must be at least 1")
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
     if epochs == 0:
@@ -99,8 +102,11 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3):
                 epoch_nll += float(loss)
             grads = batch_backward(saved)
             del saved  # free the activations before the next batch's
-            l2_penalty(current, grads)
-            adadelta_step(theta, grads.flat, state)
+            with np.errstate(over="ignore", invalid="ignore"):  # caught below
+                l2_penalty(current, grads)
+                adadelta_step(theta, grads.flat, state)
+            if not np.isfinite(state.sq_grad).all():
+                raise RuntimeError("training diverged: non-finite squared gradient")
         record.train_nll.append(epoch_nll / len(train_pairs))
         dev = _corpus_nll(current, dev_pairs)
         if not np.isfinite(dev):

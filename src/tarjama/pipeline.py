@@ -59,8 +59,10 @@ _BOOL_WORDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """One experiment's settings, checked when the config is built."""
+
     direction: str = "ar2en"
     arabic_tok: bool = False
     arabic_norm: bool = False
@@ -93,7 +95,7 @@ class PipelineConfig:
     beam_width: int = 12
     max_decode_len: int = 60
 
-    def validate(self):
+    def __post_init__(self):
         """Raise PipelineError, or NmtConfig's ValueError, for a bad setting."""
         if self.direction not in DIRECTIONS:
             raise PipelineError(
@@ -117,7 +119,9 @@ class PipelineConfig:
         self.nmt_config(4, 4)  # NmtConfig checks the model's own fields
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, **overrides):
+        """The config of a key=value file, with overrides in place of the
+        file's values for those keys."""
         values = {}
         for i, line in enumerate(read_lines(path)):
             line = line.strip()
@@ -129,30 +133,21 @@ class PipelineConfig:
                 )
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip()
-        return cls.from_mapping(values, source=path)
+        return cls.from_mapping({**values, **overrides}, source=path)
 
     @classmethod
     def from_mapping(cls, values, source="config"):
         kwargs = {}
-        # Annotations may be type objects or strings depending on how the
-        # module was compiled; compare by name.
-        kinds = {
-            f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
-            for f in fields(cls)
-        }
+        kinds = {f.name: f.type for f in fields(cls)}
         for key, value in values.items():
             if key not in kinds:
                 raise PipelineError("%s: unknown option %r" % (source, key))
             kind = kinds[key]
             try:
-                if kind == "bool":
+                if kind is bool:
                     kwargs[key] = _BOOL_WORDS[str(value).strip().lower()]
-                elif kind == "int":
-                    kwargs[key] = int(value)
-                elif kind == "float":
-                    kwargs[key] = float(value)
                 else:
-                    kwargs[key] = str(value)
+                    kwargs[key] = kind(value)
             except (KeyError, ValueError):
                 raise PipelineError(
                     "%s: bad value %r for option %r" % (source, value, key)
@@ -261,7 +256,6 @@ def run_preprocess(config, src_lines, tgt_lines):
 
     Returns (pairs, artifacts) where pairs are token-list tuples.
     """
-    config.validate()
     arts = PipelineArtifacts()
     sides = []
     for side, lines in (("src", src_lines), ("tgt", tgt_lines)):
@@ -280,7 +274,6 @@ def run_preprocess(config, src_lines, tgt_lines):
 
 def apply_preprocess(config, src_lines, tgt_lines, arts):
     """Apply already-learned artifacts to held-out corpora."""
-    config.validate()
     sides = []
     for side, lines in (("src", src_lines), ("tgt", tgt_lines)):
         sents = _tokenize(config, side, lines, arts.norm_rules)
@@ -295,7 +288,6 @@ def run_postprocess(config, decoded, arts):
     Steps run in reverse order: undo BPE, detokenize clitics, restore
     casing, join with spaces.  Returns surface strings.
     """
-    config.validate()
     target_is_arabic = config.arabic_side() == "tgt"
     out = []
     for tokens in decoded:
@@ -390,12 +382,10 @@ def run_experiment(config):
     checksums into config.out_dir; a rerun with the same config and seed
     reproduces every output byte for byte.
     """
-    config.validate()
     for name in ("train_src", "train_tgt", "dev_src", "dev_tgt",
                  "test_src", "test_tgt"):
         if not getattr(config, name):
             raise PipelineError("config is missing corpus path %r" % name)
-    os.makedirs(config.out_dir, exist_ok=True)
     written = []
 
     stage = "load"
@@ -423,6 +413,9 @@ def run_experiment(config):
             raise corpus_io.CorpusError("no training pairs left after filtering")
         dev_pairs = apply_preprocess(config, raw["dev_src"], raw["dev_tgt"], arts)
         test_pairs = apply_preprocess(config, raw["test_src"], raw["test_tgt"], arts)
+        # Made only now, so that a bpe_size that learn_bpe rejects for this
+        # corpus leaves no directory behind.
+        os.makedirs(config.out_dir, exist_ok=True)
         written += arts.save(config.out_dir)
 
         stage = "train"
@@ -466,8 +459,6 @@ def run_experiment(config):
         }
         write_lines(os.path.join(config.out_dir, "manifest.json"),
                     [json.dumps(manifest, sort_keys=True, indent=2)])
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
     return report

@@ -216,7 +216,7 @@ class DetokTable:
         segments to its key (violators are logged and kept, since the
         table is authoritative)."""
         table = cls()
-        for key, surface, count in zip(*read_table(path, "table", str, str, _positive_int)):
+        for key, surface, count in zip(*read_table(path, "table", str, str, _positive_int, keys=2)):
             if inv is not None and " ".join(atb_segment(surface, inv)) != key:
                 log.warning("detok table %s: surface %r no longer segments to %r", path, surface, key)
             table.add(key, surface, count)

@@ -132,7 +132,7 @@ MALFORMED_MODEL_FILES = {
                               "a\t5"],
                              ["translate", "{text}", "--model", "{ckpt}",
                               "--src-vocab", "{model}", "--tgt-vocab", "{model}"],
-                             "{model}:7: token 'a' is listed twice"),
+                             "{model}:7: vocab key 'a' is listed twice"),
     # The checkpoint has 5 ids on each side.
     "vocab-size": (["<pad>\t0", "<unk>\t1", "<s>\t2", "</s>\t3", "a\t4", "b\t5"],
                    ["translate", "{text}", "--model", "{ckpt}",
@@ -152,7 +152,17 @@ MALFORMED_MODEL_FILES = {
                              "{model}: rule 'ا' -> 'أ' is not idempotent"),
     "bpe-duplicate-merge": (["#bpe v1 vocab=5", "a b", "c d", "a b"],
                             ["bpe-apply", "{text}", "--model", "{model}"],
-                            "{model}: merge list contains duplicate pairs"),
+                            "{model}:4: bpe key ('a', 'b') is listed twice"),
+    "truecase-repeated-word": (["the\tThe\t3", "a\tA\t1", "the\tthe\t5"],
+                               ["truecase", "{text}", "--model", "{model}"],
+                               "{model}:3: truecase key 'the' is listed twice"),
+    # 623 and 0623 are one character.
+    "rules-repeated-char": (["0623\tا", "", "623\t"],
+                            ["normalize", "{text}", "--rules", "{model}"],
+                            "{model}:3: rule key 'أ' is listed twice"),
+    "detok-repeated-entry": (["k\tgood\t2", "k\tbad\t1", "k\tgood\t2"],
+                             ["detokenize", "{text}", "--table", "{model}"],
+                             "{model}:3: table key ('k', 'good') is listed twice"),
     "clitic-line": (["و+", "+ه", "bare"],
                     ["segment", "{text}", "--clitics", "{model}"],
                     "{model}:3: expected X+ or +X"),
@@ -542,6 +552,8 @@ HEADER_DEFECTS = {
     "string-dimension": (lambda h: h["config"].update(embed_dim="4"),
                          "config embed_dim is '4'"),
     "negative-seed": (lambda h: h["config"].update(seed=-1), "seed must be nonnegative"),
+    "bool-dimension": (lambda h: h["config"].update(embed_dim=True),
+                       "config embed_dim is True, not int"),
     "no-tensors": (lambda h: h.pop("tensors"), "no tensor list"),
     "nameless-tensor": (lambda h: h["tensors"][0].pop("name"),
                         'tensor entry 0 is {"offset": 0, "shape": [5, 3]}, the config '
@@ -663,13 +675,16 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
     # The Arabic steps write detok.tsv into the out-dir before training.
     ("experiment", ["arabic_tok=yes", "arabic_norm=yes", "arabic_atb=yes",
                     "src_vocab_max=3"], "src_vocab_max must be at least 5"),
+    # On an empty input nothing reaches the search, which checks these too.
+    ("translate", ["--beam", "0"], "beam_width must be at least 1"),
+    ("translate", ["--max-len", "0"], "max_decode_len must be at least 1"),
 ], ids=["train-l2-nan", "train-l2-inf", "train-embed-dim-0", "train-patience-0",
         "train-seed-minus-1", "train-max-vocab-4",
         "experiment-l2-nan", "experiment-beam-0", "experiment-max-decode-len-0",
         "experiment-max-train-len-minus-1", "experiment-seed-minus-1",
-        "experiment-src-vocab-max-3"])
-def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, command, setting,
-                                                     message):
+        "experiment-src-vocab-max-3", "translate-beam-0", "translate-max-len-0"])
+def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_file_inputs,
+                                                     command, setting, message):
     if command == "train":
         src, tgt, dev_src, dev_tgt = tiny_parallel(tmp_path)
         out = tmp_path / "model.ckpt"
@@ -679,14 +694,91 @@ def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, command, 
                 "-o", str(out)] + TRAIN_DIMS + setting
         outputs = [out, tmp_path / "model.ckpt.src-vocab.tsv",
                    tmp_path / "model.ckpt.tgt-vocab.tsv"]
-    else:
+    elif command == "experiment":
         config, _ = small_experiment(tmp_path, setting)
         out = tmp_path / "run"
         argv = ["experiment", "--config", config, "--out-dir", str(out)]
         outputs = [out]
+    else:
+        text, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        write(text, [])
+        argv = ["translate", str(text), "--model", model_file_inputs["ckpt"],
+                "--src-vocab", model_file_inputs["vocab"],
+                "--tgt-vocab", model_file_inputs["vocab"], "-o", str(out)] + setting
+        outputs = [out]
     assert main(argv) == 1
     assert [path for path in outputs if path.exists()] == []
     assert message in caplog.text
+
+
+def _numbers(low, high):
+    """Integers in [low, high], or any float: nan, inf and -0.0 included."""
+    return st.one_of(st.integers(low, high), st.floats())
+
+
+# Every numeric option of the commands that build a PipelineConfig: flags,
+# and for `experiment` the config file's keys.  Model sizes stay small, so
+# that every model a draw builds is allocated at once: embedding, hidden and
+# attention sizes above 6, more than 2 encoder layers and vocabulary caps
+# above 12 are not run here.
+_SIZE, _CAP, _SEED = _numbers(-1, 6), _numbers(-1, 12), _numbers(-2, 2**64)
+NUMERIC_OPTIONS = {
+    "train": {"--max-vocab": _CAP, "--embed-dim": _SIZE, "--enc-hidden": _SIZE,
+              "--enc-layers": _numbers(-1, 2), "--dec-hidden": _SIZE, "--attn-hidden": _SIZE,
+              "--dropout": _numbers(-1, 1), "--l2": _numbers(-1, 1), "--epochs": _numbers(-1, 2),
+              "--batch-size": _numbers(-1, 4), "--patience": _numbers(-1, 2), "--seed": _SEED},
+    "experiment": {"bpe_size": _numbers(-1, 60), "max_train_len": _numbers(-1, 12),
+                   "src_vocab_max": _CAP, "tgt_vocab_max": _CAP, "embed_dim": _SIZE,
+                   "enc_hidden": _SIZE, "enc_layers": _numbers(-1, 2), "dec_hidden": _SIZE,
+                   "attn_hidden": _SIZE, "dropout_rate": _numbers(-1, 1),
+                   "l2_coeff": _numbers(-1, 1), "seed": _SEED, "epochs": _numbers(-1, 2),
+                   "batch_size": _numbers(-1, 4), "patience": _numbers(-1, 2),
+                   "beam_width": _numbers(-1, 4), "max_decode_len": _numbers(-1, 6),
+                   "--seed": _SEED},
+    "translate": {"--beam": _numbers(-1, 4), "--max-len": _numbers(-1, 6)},
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_OPTIONS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_numeric_setting_exits_by_contract_and_a_rejected_one_writes_nothing(
+        tmp_path, caplog, capsys, model_file_inputs, command, data):
+    options = NUMERIC_OPTIONS[command]
+    names = data.draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True))
+    values = {name: data.draw(options[name], label=name) for name in names}
+    run = tmp_path / str(len(os.listdir(tmp_path)))
+    run.mkdir()
+    # --name=value, so that argparse takes a value such as -inf for no flag.
+    flags = ["%s=%r" % item for item in values.items() if item[0].startswith("--")]
+    if command == "train":
+        src, tgt, dev_src, dev_tgt = tiny_parallel(run)
+        out = run / "model.ckpt"
+        argv = ["train", "--train-src", str(src), "--train-tgt", str(tgt),
+                "--dev-src", str(dev_src), "--dev-tgt", str(dev_tgt),
+                "-o", str(out)] + TRAIN_DIMS + flags
+        outputs = [out, run / "model.ckpt.src-vocab.tsv", run / "model.ckpt.tgt-vocab.tsv"]
+    elif command == "experiment":
+        config, _ = small_experiment(run, ["%s=%r" % item for item in values.items()
+                                           if not item[0].startswith("--")])
+        outputs = [run / "out"]
+        argv = ["experiment", "--config", config, "--out-dir", str(outputs[0])] + flags
+    else:
+        outputs = [run / "out.txt"]
+        argv = ["translate", model_file_inputs["text"], "--model", model_file_inputs["ckpt"],
+                "--src-vocab", model_file_inputs["vocab"],
+                "--tgt-vocab", model_file_inputs["vocab"], "-o", str(outputs[0])] + flags
+    caplog.clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a flag's value that its type does not parse
+        code = exc.code
+    text = capsys.readouterr().err + caplog.text
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in text and "internal error" not in text
+    if code == 1:
+        assert [path for path in outputs if path.exists()] == []
 
 
 # ------------------------------------------------------------------- bleu
@@ -796,7 +888,8 @@ def small_experiment(tmp_path, extra=()):
 
 
 def test_seed_before_experiment_reaches_manifest(tmp_path, capsys):
-    config, _ = small_experiment(tmp_path)
+    # --seed replaces the file's value, which is then never checked.
+    config, _ = small_experiment(tmp_path, ["seed=-1"])
     out_dir = tmp_path / "run"
     assert main(["--seed", "3", "experiment", "--config", config,
                  "--out-dir", str(out_dir)]) == 0

@@ -137,6 +137,17 @@ def test_read_table_converts_columns_and_skips_empty_lines(tmp_path):
     assert read_table(str(path), "t", str, int) == [(), []]
 
 
+def test_read_table_names_a_repeated_key_at_its_line(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("#v=7\na\t1\n\nb\t1\na\t2\n", encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        read_table(str(path), "t", str, int, header=_version)
+    assert str(info.value) == "%s:5: t key 'a' is listed twice" % path
+    # With both columns as the key, only a repeated pair is a repeat.
+    assert (read_table(str(path), "t", str, int, header=_version, keys=2)
+            == (7, [("a", "b", "a"), [1, 1, 2]]))
+
+
 @pytest.mark.parametrize("text, where", [
     ("#v=7\na\t1\nb\t2\tc\n", "line 3: 'b\\t2\\tc'"),
     ("#v=7\na\tz\n", "line 2: 'a\\tz'"),

@@ -78,6 +78,16 @@ def test_config_validation():
         tiny_config(l2_coeff=-0.1)
     with pytest.raises(ValueError, match="seed"):
         tiny_config(seed=-1)
+    with pytest.raises(ValueError, match="^config embed_dim is True, not int$"):
+        tiny_config(embed_dim=True)
+    with pytest.raises(ValueError, match="^config enc_layers is 2.0, not int$"):
+        tiny_config(enc_layers=2.0)
+    with pytest.raises(ValueError, match="^config seed is 1.5, not int$"):
+        tiny_config(seed=1.5)
+    with pytest.raises(ValueError, match="^config dropout_rate is '0.1', not float$"):
+        tiny_config(dropout_rate="0.1")
+    # numpy scalars are numbers; a float field takes an integer.
+    tiny_config(embed_dim=np.int64(4), l2_coeff=np.float64(0.0), dropout_rate=0)
 
 
 def test_param_shapes_cover_both_directions_and_layers():
@@ -626,6 +636,9 @@ def test_train_validation_errors():
         nmt.train_nmt(model, [((99,), (4,))], pairs, epochs=1)
     with pytest.raises(ValueError):
         nmt.train_nmt(model, pairs, pairs, epochs=-1)
+    for patience in (0, -1):
+        with pytest.raises(ValueError, match="patience must be at least 1"):
+            nmt.train_nmt(model, pairs, pairs, epochs=1, patience=patience)
     best, record = nmt.train_nmt(model, pairs, pairs, epochs=0)
     assert record.dev_nll == [] and not record.stopped_early
     assert np.array_equal(best.params["out_W"], model.params["out_W"])
@@ -642,6 +655,16 @@ def test_train_raises_on_divergence():
         warnings.simplefilter("ignore")
         with pytest.raises(RuntimeError, match="diverged"):
             nmt.train_nmt(model, [((4, 5), (4,))], [((4,), (4,))], epochs=1)
+
+
+@pytest.mark.parametrize("l2_coeff", [1e200, 1e308])
+def test_train_raises_when_the_squared_gradient_is_not_finite(l2_coeff):
+    # At 1e200 the gradients square to inf in Adadelta's E[g^2], after which
+    # those parameters would never move again; at 1e308 the L2 gradient of
+    # a zero bias is inf * 0 = nan.
+    model = nmt.init_model(tiny_config(l2_coeff=l2_coeff))
+    with pytest.raises(RuntimeError, match="non-finite squared gradient"):
+        nmt.train_nmt(model, [((4, 5), (4,))], [((4,), (4,))], epochs=1)
 
 
 def test_train_raises_on_nan_dev_loss(monkeypatch):

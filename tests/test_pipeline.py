@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -49,21 +50,21 @@ def full_ar2en_config(**kwargs):
 # ----------------------------------------------------------- configuration
 
 def test_validate_accepts_defaults_and_full_grid():
-    PipelineConfig().validate()
-    full_ar2en_config().validate()
+    PipelineConfig()
+    full_ar2en_config()
 
 
 def test_validate_rejects_bad_combinations():
     with pytest.raises(PipelineError, match="direction"):
-        PipelineConfig(direction="fr2en").validate()
+        PipelineConfig(direction="fr2en")
     with pytest.raises(PipelineError, match="arabic_atb"):
-        PipelineConfig(arabic_atb=True, arabic_tok=True).validate()
+        PipelineConfig(arabic_atb=True, arabic_tok=True)
     with pytest.raises(PipelineError, match="arabic_norm"):
-        PipelineConfig(arabic_norm=True).validate()
+        PipelineConfig(arabic_norm=True)
     with pytest.raises(PipelineError, match="mutually exclusive"):
-        PipelineConfig(english_lower=True, english_true=True).validate()
+        PipelineConfig(english_lower=True, english_true=True)
     with pytest.raises(PipelineError, match="bpe_size"):
-        PipelineConfig(bpe_size=-1).validate()
+        PipelineConfig(bpe_size=-1)
 
 
 @pytest.mark.parametrize("name, low", [
@@ -71,9 +72,9 @@ def test_validate_rejects_bad_combinations():
     ("patience", 1), ("beam_width", 1), ("max_decode_len", 1),
 ])
 def test_validate_checks_each_integer_bound(name, low):
-    PipelineConfig(**{name: low}).validate()
+    PipelineConfig(**{name: low})
     with pytest.raises(PipelineError, match="^%s must be at least %d$" % (name, low)):
-        PipelineConfig(**{name: low - 1}).validate()
+        PipelineConfig(**{name: low - 1})
 
 
 @pytest.mark.parametrize("name, value", [
@@ -82,7 +83,13 @@ def test_validate_checks_each_integer_bound(name, low):
 ])
 def test_validate_applies_the_model_config_rules(name, value):
     with pytest.raises(ValueError, match=name):
-        PipelineConfig(**{name: value}).validate()
+        PipelineConfig(**{name: value})
+
+
+def test_config_fields_cannot_be_assigned():
+    config = PipelineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.beam_width = 0
 
 
 def test_from_mapping_coerces_types():
@@ -303,8 +310,8 @@ def test_experiment_requires_corpus_paths():
 
 
 def test_experiment_wraps_failures_with_stage(tmp_path):
-    config = experiment_config(tmp_path)
-    config.train_src = str(tmp_path / "missing.ar")
+    config = dataclasses.replace(experiment_config(tmp_path),
+                                 train_src=str(tmp_path / "missing.ar"))
     with pytest.raises(StageError, match="stage load failed") as info:
         run_experiment(config)
     assert info.value.stage == "load"
