@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .corpus import FormatError, read_table
+from .corpus import FormatError, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -33,10 +33,7 @@ class BpeModel:
         self._pieces = {}  # word -> apply_bpe's output for it
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{_HEADER}{self.target_vocab_size}\n")
-            for left, right in self.merges:
-                fh.write(f"{left} {right}\n")
+        write_table(path, self.merges, sep=" ", header=f"{_HEADER}{self.target_vocab_size}")
 
     @classmethod
     def load(cls, path):

@@ -7,6 +7,7 @@ problem (or an internal error, logged in one line), 2 data problem,
 """
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -79,13 +80,7 @@ def _inventory(args):
         kwargs["stem_lexicon"] = stems
     if getattr(args, "clitics", None):
         return CliticInventory.from_file(args.clitics, **kwargs)
-    if kwargs:
-        return CliticInventory(
-            proclitics=DEFAULT_INVENTORY.proclitics,
-            enclitics=DEFAULT_INVENTORY.enclitics,
-            **kwargs,
-        )
-    return DEFAULT_INVENTORY
+    return dataclasses.replace(DEFAULT_INVENTORY, **kwargs)
 
 
 def _map_lines(args, convert):
@@ -197,8 +192,8 @@ def _cmd_dedup(args):
     return 0
 
 
-# `train` options and the PipelineConfig fields they set; each default
-# is the field's default.  --max-vocab caps both vocabularies.
+# `train` and `translate` options and the PipelineConfig fields they set;
+# each default is the field's default.  --max-vocab caps both vocabularies.
 _TRAIN_OPTIONS = (
     ("--max-vocab", "src_vocab_max"),
     ("--embed-dim", "embed_dim"),
@@ -212,14 +207,29 @@ _TRAIN_OPTIONS = (
     ("--batch-size", "batch_size"),
     ("--patience", "patience"),
 )
+_TRANSLATE_OPTIONS = (("--beam", "beam_width"), ("--max-len", "max_decode_len"))
+
+
+def _config(args, options, **values):
+    """The PipelineConfig of values and of the fields options (flag, field
+    pairs) set.  A config error begins with the name of its field; for a
+    field a flag set, it names the flag instead."""
+    flags = dict(((name, flag) for flag, name in options), seed="--seed")
+    try:
+        return PipelineConfig(**values, **{name: getattr(args, name) for _, name in options})
+    except (PipelineError, ValueError) as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in flags:
+            raise
+        raise type(exc)("%s %s" % (flags[name], rest)) from None
 
 
 def _cmd_train(args):
-    config = PipelineConfig(
+    config = _config(
+        args, _TRAIN_OPTIONS,
         train_src=args.train_src, train_tgt=args.train_tgt,
         dev_src=args.dev_src, dev_tgt=args.dev_tgt,
         tgt_vocab_max=args.src_vocab_max,
-        **{name: getattr(args, name) for _, name in _TRAIN_OPTIONS},
         **({} if args.seed is None else {"seed": args.seed}),
     )
     _, _, _, record = train_model(
@@ -268,7 +278,7 @@ def _load_translate_vocabs(args, config):
 
 
 def _cmd_translate(args):
-    config = PipelineConfig(beam_width=args.beam, max_decode_len=args.max_len)
+    config = _config(args, _TRANSLATE_OPTIONS)
     model = load_model(args.model)
     src_vocab, tgt_vocab = _load_translate_vocabs(args, model.config)
     sentences = [line.split() for line in read_lines(args.input)]
@@ -421,11 +431,6 @@ def build_parser():
     sub.add_argument("--dev-src", required=True)
     sub.add_argument("--dev-tgt", required=True)
     sub.add_argument("--output", "-o", required=True, help="checkpoint file")
-    defaults = PipelineConfig()
-    for flag, name in _TRAIN_OPTIONS:
-        default = getattr(defaults, name)
-        sub.add_argument(flag, dest=name, type=type(default), default=default,
-                         metavar=flag[2:].upper().replace("-", "_"))
     sub.set_defaults(func=_cmd_train)
 
     sub = commands.add_parser("translate", help="decode with a trained model")
@@ -433,8 +438,6 @@ def build_parser():
     sub.add_argument("--model", required=True, help="checkpoint file")
     sub.add_argument("--src-vocab", default=None)
     sub.add_argument("--tgt-vocab", default=None)
-    sub.add_argument("--beam", type=int, default=12)
-    sub.add_argument("--max-len", type=int, default=60)
     sub.set_defaults(func=_cmd_translate)
 
     sub = commands.add_parser("bleu", help="corpus BLEU against references")
@@ -453,6 +456,14 @@ def build_parser():
     sub.add_argument("--out-dir", default=None, help="override config out_dir")
     sub.set_defaults(func=_cmd_experiment)
 
+    # Last, so that each command's help lists these after its other options.
+    defaults = PipelineConfig()
+    for command, options in (("train", _TRAIN_OPTIONS), ("translate", _TRANSLATE_OPTIONS)):
+        for flag, name in options:
+            default = getattr(defaults, name)
+            commands.choices[command].add_argument(
+                flag, dest=name, type=type(default), default=default,
+                metavar=flag[2:].upper().replace("-", "_"))
     return parser
 
 

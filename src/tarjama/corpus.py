@@ -1,11 +1,11 @@
-"""Parallel corpus ingestion: line reading and writing, deduplication,
-vocabulary indexing, and the TSV vocabulary format shared by the trainer."""
+"""Parallel corpus ingestion: line reading and writing, line tables,
+deduplication, and vocabulary indexing and its TSV format."""
 
 import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -126,14 +126,27 @@ def _columns(rows, types):
 
 def write_lines(path, lines):
     """Write lines as UTF-8 with LF endings to a file, or to stdout when
-    path is None or "-"."""
-    data = "".join(line + "\n" for line in lines).encode("utf-8")
-    if path in (None, "-"):
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+    path is None or "-".  Lines go out 1,024 at a time, so lines from a
+    generator are never all held at once."""
+    lines = iter(lines)
+    with nullcontext(sys.stdout.buffer) if path in (None, "-") else open(path, "wb") as fh:
+        while block := list(islice(lines, 1024)):
+            fh.write(("\n".join(block) + "\n").encode("utf-8"))
+        fh.flush()
+
+
+def write_table(path, rows, sep="\t", header=None):
+    """Write a line table read_table reads back: each row's fields, as str,
+    joined by sep on one line, after the header line when one is given."""
+    lines = (sep.join(map(str, row)) for row in rows)
+    write_lines(path, lines if header is None else chain([header], lines))
+
+
+def check_aligned(src_path, src_lines, tgt_path, tgt_lines):
+    """Raise CorpusError naming both files unless they hold as many lines."""
+    if len(src_lines) != len(tgt_lines):
+        raise CorpusError("line count mismatch: %s has %d lines, %s has %d"
+                          % (src_path, len(src_lines), tgt_path, len(tgt_lines)))
 
 
 def load_parallel(src_path, tgt_path):
@@ -145,11 +158,7 @@ def load_parallel(src_path, tgt_path):
     """
     src_lines = read_lines(src_path)
     tgt_lines = read_lines(tgt_path)
-    if len(src_lines) != len(tgt_lines):
-        raise CorpusError(
-            "line count mismatch: %s has %d lines, %s has %d"
-            % (src_path, len(src_lines), tgt_path, len(tgt_lines))
-        )
+    check_aligned(src_path, src_lines, tgt_path, tgt_lines)
     return [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
 
 
@@ -204,9 +213,7 @@ class Vocab:
         return toks
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for idx in sorted(self.id_to_token):
-                fh.write(f"{self.id_to_token[idx]}\t{idx}\n")
+        write_table(path, ((self.id_to_token[idx], idx) for idx in sorted(self.id_to_token)))
 
     @classmethod
     def load(cls, path):

@@ -9,7 +9,6 @@ from .model import (
     init_model,
     encode,
     decoder_init,
-    attend,
     decode_step,
     sequence_loss,
     save_model,
@@ -28,7 +27,6 @@ __all__ = [
     "init_model",
     "encode",
     "decoder_init",
-    "attend",
     "decode_step",
     "sequence_loss",
     "save_model",

@@ -239,9 +239,15 @@ class DecoderState:
 # leading axes, so the same code serves a training batch, a beam of
 # hypotheses and a single state.
 
+# The largest argument whose exp is finite.
+_EXP_MAX = float(np.log(np.finfo(np.float64).max))
+
+
 def _sigmoid_inplace(x):
-    """1 / (1 + exp(-x)) in place."""
+    """1 / (1 + exp(-x)) in place.  Below x = -_EXP_MAX, where exp(-x)
+    would overflow, it is the value at -_EXP_MAX, about 5.6e-309."""
     np.negative(x, out=x)
+    np.minimum(x, _EXP_MAX, out=x)
     np.exp(x, out=x)
     x += 1.0
     return np.divide(1.0, x, out=x)
@@ -605,13 +611,6 @@ def decoder_init(model, enc):
     """Initial decoder state: tanh projection of the mean annotation."""
     z, weights, _ = _init_state(model.params, enc.annotations, enc.mask)
     return DecoderState(z, weights)
-
-
-def attend(model, state, y_emb, enc):
-    """Context vector and attention weights for one query."""
-    p = model.params
-    query = state.z @ p["att_Wz"].T + (y_emb @ p["att_Wy"].T + p["att_b"])
-    return _attend(p["att_v"], enc.keys, enc.annotations, enc.mask_bias, query)
 
 
 def _advance(params, enc, z, y):

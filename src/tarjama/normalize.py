@@ -9,7 +9,7 @@ alone.  Truecasing is the most-frequent-casing heuristic.
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import FormatError, read_table
+from .corpus import FormatError, read_table, write_table
 
 ALIF = "ا"
 ALIF_MADDA = "آ"
@@ -46,11 +46,8 @@ class NormRules:
                     )
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for src in sorted(self.char_map):
-                fh.write("%04X\t%s\n" % (ord(src), self.char_map[src]))
-            for src in sorted(self.strip_set):
-                fh.write("%04X\t\n" % ord(src))
+        rows = sorted(self.char_map.items()) + [(src, "") for src in sorted(self.strip_set)]
+        write_table(path, (("%04X" % ord(src), repl) for src, repl in rows))
 
     @classmethod
     def load(cls, path):
@@ -79,10 +76,11 @@ def default_arabic_rules(lrb="-LRB-", rrb="-RRB-"):
     return NormRules(char_map, strip_set)
 
 
-def normalize_arabic(text, rules=None):
+DEFAULT_RULES = default_arabic_rules()
+
+
+def normalize_arabic(text, rules=DEFAULT_RULES):
     """Apply a NormRules table to text.  Total and idempotent."""
-    if rules is None:
-        rules = default_arabic_rules()
     out = []
     for ch in text:
         if ch in rules.strip_set:
@@ -106,10 +104,7 @@ class TruecaseModel:
         return entry[0] if entry else None
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for lower in sorted(self.case_freq):
-                surface, count = self.case_freq[lower]
-                fh.write(f"{lower}\t{surface}\t{count}\n")
+        write_table(path, ((lower, *self.case_freq[lower]) for lower in sorted(self.case_freq)))
 
     @classmethod
     def load(cls, path):

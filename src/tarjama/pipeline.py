@@ -11,7 +11,7 @@ import json
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import corpus as corpus_io
 from .bleu import bleu
@@ -20,14 +20,12 @@ from .corpus import MIN_VOCAB_SIZE, build_vocab, read_lines, write_lines
 from .nmt import NmtConfig, beam_decode, init_model, save_model, train_nmt
 from .normalize import (
     TruecaseModel,
-    default_arabic_rules,
     lowercase,
     normalize_arabic,
     truecase_apply,
     truecase_train,
 )
 from .segment import (
-    DEFAULT_INVENTORY,
     DetokTable,
     atb_segment,  # not called here; bench/tracing.py wraps pipeline.atb_segment
     detokenize,
@@ -177,8 +175,6 @@ class PipelineConfig:
 
 @dataclass
 class PipelineArtifacts:
-    norm_rules: object = field(default_factory=default_arabic_rules)
-    inventory: object = DEFAULT_INVENTORY
     detok_table: DetokTable = None
     truecase: TruecaseModel = None
     bpe_src: BpeModel = None
@@ -219,12 +215,12 @@ def _splitter(config, side):
     return simple_tokenize if on else str.split
 
 
-def _tokenize(config, side, lines, rules):
+def _tokenize(config, side, lines):
     """First step: normalize Arabic, tokenize, and lowercase English when
     so configured."""
     arabic = side == config.arabic_side()
     if arabic and config.arabic_norm:
-        lines = [normalize_arabic(line, rules) for line in lines]
+        lines = [normalize_arabic(line) for line in lines]
     split = _splitter(config, side)
     sents = [split(line) for line in lines]
     if config.english_lower and not arabic:
@@ -232,21 +228,37 @@ def _tokenize(config, side, lines, rules):
     return sents
 
 
-def _segment_or_truecase(config, side, sents, arts):
-    """Second step: clitic-segment Arabic, truecase English.  Returns the
-    sentences and, for segmented Arabic, their detokenization table."""
-    if side == config.arabic_side():
-        if config.arabic_atb:
-            return segment_corpus(sents, arts.inventory)
-    elif config.english_true and arts.truecase is not None:
-        return [truecase_apply(sent, arts.truecase) for sent in sents], None
-    return sents, None
-
-
-def _subwords(side, sents, arts):
-    """Last step: BPE, when this side has a model."""
-    model = getattr(arts, "bpe_" + side)
-    return sents if model is None else [apply_bpe(sent, model) for sent in sents]
+def _preprocess(config, src_lines, tgt_lines, arts, learn):
+    """Apply the configured steps to both sides; with learn, learn each
+    side artifact into arts just before the step that uses it."""
+    sides = []
+    for side, lines in (("src", src_lines), ("tgt", tgt_lines)):
+        sents = _tokenize(config, side, lines)
+        # Second step: clitic-segment Arabic, truecase English.
+        if side == config.arabic_side():
+            if config.arabic_atb:
+                sents, table = segment_corpus(sents)
+                if learn:
+                    arts.detok_table = table
+        elif config.english_true:
+            if learn:
+                arts.truecase = truecase_train(sents)
+            if arts.truecase is not None:
+                sents = [truecase_apply(sent, arts.truecase) for sent in sents]
+        # Last step: BPE.
+        if learn and config.bpe_size > 0:
+            freqs = Counter(tok for sent in sents for tok in sent)
+            try:
+                model = learn_bpe(freqs, config.bpe_size)
+            except ValueError as exc:  # too small for this side's characters
+                raise PipelineError("bpe_size is too small for the %s side: %s"
+                                    % ("source" if side == "src" else "target", exc)) from None
+            setattr(arts, "bpe_" + side, model)
+        model = getattr(arts, "bpe_" + side)
+        if model is not None:
+            sents = [apply_bpe(sent, model) for sent in sents]
+        sides.append(sents)
+    return list(zip(*sides))
 
 
 def run_preprocess(config, src_lines, tgt_lines):
@@ -257,29 +269,12 @@ def run_preprocess(config, src_lines, tgt_lines):
     Returns (pairs, artifacts) where pairs are token-list tuples.
     """
     arts = PipelineArtifacts()
-    sides = []
-    for side, lines in (("src", src_lines), ("tgt", tgt_lines)):
-        sents = _tokenize(config, side, lines, arts.norm_rules)
-        if config.english_true and side != config.arabic_side():
-            arts.truecase = truecase_train(sents)
-        sents, table = _segment_or_truecase(config, side, sents, arts)
-        if table is not None:
-            arts.detok_table = table
-        if config.bpe_size > 0:
-            freqs = Counter(tok for sent in sents for tok in sent)
-            setattr(arts, "bpe_" + side, learn_bpe(freqs, config.bpe_size))
-        sides.append(_subwords(side, sents, arts))
-    return list(zip(*sides)), arts
+    return _preprocess(config, src_lines, tgt_lines, arts, learn=True), arts
 
 
 def apply_preprocess(config, src_lines, tgt_lines, arts):
     """Apply already-learned artifacts to held-out corpora."""
-    sides = []
-    for side, lines in (("src", src_lines), ("tgt", tgt_lines)):
-        sents = _tokenize(config, side, lines, arts.norm_rules)
-        sents, _ = _segment_or_truecase(config, side, sents, arts)
-        sides.append(_subwords(side, sents, arts))
-    return list(zip(*sides))
+    return _preprocess(config, src_lines, tgt_lines, arts, learn=False)
 
 
 def run_postprocess(config, decoded, arts):
@@ -297,7 +292,7 @@ def run_postprocess(config, decoded, arts):
         if target_is_arabic and config.arabic_atb:
             if arts.detok_table is None:
                 raise PipelineError("artifact missing: detokenization table")
-            tokens = detokenize(tokens, arts.detok_table, arts.inventory)
+            tokens = detokenize(tokens, arts.detok_table)
         if not target_is_arabic and config.english_true:
             if arts.truecase is None:
                 raise PipelineError("artifact missing: truecase model")
@@ -313,7 +308,7 @@ def prepare_references(config, lines):
     so hypotheses and references live in the same space; truecasing is
     not, since postprocessing restores surface casing.
     """
-    return _tokenize(config, "tgt", lines, default_arabic_rules())
+    return _tokenize(config, "tgt", lines)
 
 
 def retokenize(config, surface_lines):
@@ -396,10 +391,8 @@ def run_experiment(config):
                          "test_src", "test_tgt")
         }
         for split in ("train", "dev", "test"):
-            if len(raw[split + "_src"]) != len(raw[split + "_tgt"]):
-                raise corpus_io.CorpusError(
-                    "%s sides have different line counts" % split
-                )
+            corpus_io.check_aligned(getattr(config, split + "_src"), raw[split + "_src"],
+                                    getattr(config, split + "_tgt"), raw[split + "_tgt"])
 
         stage = "preprocess"
         train_pairs, arts = run_preprocess(

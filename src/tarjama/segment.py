@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .corpus import FormatError, read_lines, read_table
+from .corpus import FormatError, read_lines, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -205,10 +205,8 @@ class DetokTable:
         return len(self.entries)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for key in sorted(self.entries):
-                for surface in sorted(self.entries[key]):
-                    fh.write(f"{key}\t{surface}\t{self.entries[key][surface]}\n")
+        write_table(path, ((key, surface, count) for key in sorted(self.entries)
+                           for surface, count in sorted(self.entries[key].items())))
 
     @classmethod
     def load(cls, path, inv=None):

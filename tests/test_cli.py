@@ -5,17 +5,21 @@ import re
 import struct
 import time
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tarjama import cli
+from tarjama.bpe import learn_bpe
 from tarjama.cli import _exit_code, main
 from tarjama.corpus import CorpusError, FormatError, Vocab
 from tarjama.ngram import ArpaError, lm_read_arpa, lm_score_set, lm_train, lm_write_arpa
 from tarjama.nmt import NmtConfig, init_model, load_model, save_model
+from tarjama.normalize import default_arabic_rules, truecase_train
 from tarjama.pipeline import PipelineError
+from tarjama.segment import DEFAULT_INVENTORY, segment_corpus
 
 
 def write(path, lines):
@@ -221,16 +225,11 @@ def model_file_inputs(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("kind", sorted(MODEL_FILE_COMMANDS))
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=MODEL_BYTES)
-def test_any_model_file_exits_zero_or_two_in_one_line(tmp_path, caplog, capsys,
-                                                      model_file_inputs, kind, data):
+def _assert_model_file_exits_zero_or_two_in_one_line(tmp_path, caplog, capsys, inputs,
+                                                     kind, data):
     model = tmp_path / "model.bin"
     model.write_bytes(data)
-    argv = [arg.format(model=str(model), **model_file_inputs)
-            for arg in MODEL_FILE_COMMANDS[kind]]
+    argv = [arg.format(model=str(model), **inputs) for arg in MODEL_FILE_COMMANDS[kind]]
     caplog.clear()
     code = main(argv + ["-o", str(tmp_path / "out.txt")])
     assert code in (0, 2)
@@ -239,6 +238,57 @@ def test_any_model_file_exits_zero_or_two_in_one_line(tmp_path, caplog, capsys,
         [record] = caplog.records
         message = record.getMessage()
         assert message.startswith(str(model)) and "\n" not in message
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FILE_COMMANDS))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=MODEL_BYTES)
+def test_any_model_file_exits_zero_or_two_in_one_line(tmp_path, caplog, capsys,
+                                                      model_file_inputs, kind, data):
+    _assert_model_file_exits_zero_or_two_in_one_line(tmp_path, caplog, capsys,
+                                                     model_file_inputs, kind, data)
+
+
+@pytest.fixture(scope="module")
+def valid_model_files(model_file_inputs, tmp_path_factory):
+    """The bytes of a valid file of each kind in MODEL_FILE_COMMANDS."""
+    directory = tmp_path_factory.mktemp("valid")
+    arabic = [line.split() for line in AR_LINES]
+    english = [line.split() for line in EN_LINES]
+    models = {
+        "bpe": learn_bpe(Counter(tok for sent in arabic for tok in sent), 40),
+        "detok-table": segment_corpus(arabic)[1],
+        "rules": default_arabic_rules(),
+        "truecase": truecase_train(english),
+    }
+    for kind, model in models.items():
+        model.save(str(directory / kind))
+    write(directory / "clitics", list(DEFAULT_INVENTORY.proclitics)
+          + ["+" + e for e in DEFAULT_INVENTORY.enclitics])
+    files = {kind: (directory / kind).read_bytes() for kind in [*models, "clitics"]}
+    for kind, name in (("src-vocab", "vocab"), ("checkpoint", "ckpt")):
+        with open(model_file_inputs[name], "rb") as fh:
+            files[kind] = fh.read()
+    return files
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FILE_COMMANDS))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_model_file_exits_zero_or_two_in_one_line(tmp_path, caplog, capsys,
+                                                          model_file_inputs,
+                                                          valid_model_files, kind, data):
+    # Up to 3 bytes of a valid file flipped, and the file maybe cut short.
+    damaged = bytearray(valid_model_files[kind])
+    for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(damaged) - 1),
+                                                 st.integers(1, 255)), max_size=3)):
+        damaged[at] ^= mask
+    length = data.draw(st.one_of(st.none(), st.integers(0, len(damaged))))
+    _assert_model_file_exits_zero_or_two_in_one_line(tmp_path, caplog, capsys,
+                                                     model_file_inputs, kind,
+                                                     bytes(damaged[:length]))
 
 
 def test_validation_problems_exit_one(tmp_path):
@@ -661,27 +711,30 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("command, setting, message", [
-    ("train", ["--l2", "nan"], "l2_coeff must be finite and nonnegative"),
-    ("train", ["--l2", "inf"], "l2_coeff must be finite and nonnegative"),
-    ("train", ["--embed-dim", "0"], "embed_dim must be at least 1"),
-    ("train", ["--patience", "0"], "patience must be at least 1"),
-    ("train", ["--seed", "-1"], "seed must be nonnegative"),
-    ("train", ["--max-vocab", "4"], "src_vocab_max must be at least 5"),
+    # A flag's error names the flag, a config file's the key.
+    ("train", ["--l2", "nan"], "--l2 must be finite and nonnegative"),
+    ("train", ["--l2", "inf"], "--l2 must be finite and nonnegative"),
+    ("train", ["--embed-dim", "0"], "--embed-dim must be at least 1"),
+    ("train", ["--patience", "0"], "--patience must be at least 1"),
+    ("train", ["--seed", "-1"], "--seed must be nonnegative"),
+    ("train", ["--max-vocab", "4"], "--max-vocab must be at least 5"),
     ("experiment", ["l2_coeff=nan"], "l2_coeff must be finite and nonnegative"),
     ("experiment", ["beam_width=0"], "beam_width must be at least 1"),
     ("experiment", ["max_decode_len=0"], "max_decode_len must be at least 1"),
     ("experiment", ["max_train_len=-1"], "max_train_len must be at least 1"),
     ("experiment", ["seed=-1"], "seed must be nonnegative"),
+    # Only learn_bpe knows a side's character count.
+    ("experiment", ["bpe_size=2"], "bpe_size is too small for the source side: "),
     # The Arabic steps write detok.tsv into the out-dir before training.
     ("experiment", ["arabic_tok=yes", "arabic_norm=yes", "arabic_atb=yes",
                     "src_vocab_max=3"], "src_vocab_max must be at least 5"),
     # On an empty input nothing reaches the search, which checks these too.
-    ("translate", ["--beam", "0"], "beam_width must be at least 1"),
-    ("translate", ["--max-len", "0"], "max_decode_len must be at least 1"),
+    ("translate", ["--beam", "0"], "--beam must be at least 1"),
+    ("translate", ["--max-len", "0"], "--max-len must be at least 1"),
 ], ids=["train-l2-nan", "train-l2-inf", "train-embed-dim-0", "train-patience-0",
         "train-seed-minus-1", "train-max-vocab-4",
         "experiment-l2-nan", "experiment-beam-0", "experiment-max-decode-len-0",
-        "experiment-max-train-len-minus-1", "experiment-seed-minus-1",
+        "experiment-max-train-len-minus-1", "experiment-seed-minus-1", "experiment-bpe-size-2",
         "experiment-src-vocab-max-3", "translate-beam-0", "translate-max-len-0"])
 def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_file_inputs,
                                                      command, setting, message):
@@ -716,11 +769,11 @@ def _numbers(low, high):
     return st.one_of(st.integers(low, high), st.floats())
 
 
-# Every numeric option of the commands that build a PipelineConfig: flags,
-# and for `experiment` the config file's keys.  Model sizes stay small, so
-# that every model a draw builds is allocated at once: embedding, hidden and
-# attention sizes above 6, more than 2 encoder layers and vocabulary caps
-# above 12 are not run here.
+# Every numeric option of every subcommand: flags, and for `experiment` the
+# config file's keys.  Model sizes stay small, so that every model a draw
+# builds is allocated at once: embedding, hidden and attention sizes above
+# 6, more than 2 encoder layers and vocabulary caps above 12 are not run
+# here; nor are LM orders above 6.
 _SIZE, _CAP, _SEED = _numbers(-1, 6), _numbers(-1, 12), _numbers(-2, 2**64)
 NUMERIC_OPTIONS = {
     "train": {"--max-vocab": _CAP, "--embed-dim": _SIZE, "--enc-hidden": _SIZE,
@@ -736,7 +789,28 @@ NUMERIC_OPTIONS = {
                    "beam_width": _numbers(-1, 4), "max_decode_len": _numbers(-1, 6),
                    "--seed": _SEED},
     "translate": {"--beam": _numbers(-1, 4), "--max-len": _numbers(-1, 6)},
+    "segment": {"--min-stem": _numbers(-1, 6)},
+    "detokenize": {"--min-stem": _numbers(-1, 6)},
+    "bpe-learn": {"--vocab-size": _numbers(-1, 60)},
+    "lm-train": {"--order": _numbers(-1, 6), "--discount": _numbers(-1, 2)},
+    "vocab": {"--max-size": _CAP},
 }
+
+
+def _text_tool_run(command, run):
+    """The argv of a text tool's run on Arabic text, before its drawn flags,
+    and the files it may write."""
+    text, out, table = run / "in.txt", run / "out.txt", run / "detok.tsv"
+    write(text, AR_LINES)
+    argv = [command, str(text), "-o", str(out)]
+    if command == "segment":
+        return argv + ["--table-out", str(table)], [out, table]
+    if command == "detokenize":
+        write(table, ["و+ كتاب\tوكتاب\t2"])
+        return argv + ["--table", str(table)], [out]
+    if command == "bpe-learn":
+        argv.append("--vocab-size=40")  # required; a drawn value comes after it
+    return argv, [out]
 
 
 @pytest.mark.parametrize("command", sorted(NUMERIC_OPTIONS))
@@ -764,11 +838,14 @@ def test_any_numeric_setting_exits_by_contract_and_a_rejected_one_writes_nothing
                                            if not item[0].startswith("--")])
         outputs = [run / "out"]
         argv = ["experiment", "--config", config, "--out-dir", str(outputs[0])] + flags
-    else:
+    elif command == "translate":
         outputs = [run / "out.txt"]
         argv = ["translate", model_file_inputs["text"], "--model", model_file_inputs["ckpt"],
                 "--src-vocab", model_file_inputs["vocab"],
                 "--tgt-vocab", model_file_inputs["vocab"], "-o", str(outputs[0])] + flags
+    else:
+        argv, outputs = _text_tool_run(command, run)
+        argv += flags
     caplog.clear()
     try:
         code = main(argv)
@@ -979,6 +1056,17 @@ def test_experiment_missing_data_exits_two(tmp_path):
         "test_tgt=%s" % (tmp_path / "nope.en"),
     ])
     assert main(["experiment", "--config", str(config)]) == 2
+
+
+def test_experiment_with_misaligned_corpora_names_both_files(tmp_path, caplog):
+    config, paths = small_experiment(tmp_path)
+    write(tmp_path / "train.ar", AR_LINES[:2])
+    write(tmp_path / "train.en", EN_LINES[:1])
+    assert main(["experiment", "--config", config,
+                 "--out-dir", str(tmp_path / "run")]) == 2
+    assert ("stage load failed: line count mismatch: %s has 2 lines, %s has 1"
+            % (paths["train_src"], paths["train_tgt"])) in caplog.text
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_with_other_subcommand_is_usage_error(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import io
 import types
+from collections import Counter
 
 import pytest
 
+from tarjama.bpe import BpeModel, learn_bpe
 from tarjama.corpus import (
     BOS_ID,
     CorpusError,
@@ -17,7 +19,10 @@ from tarjama.corpus import (
     load_parallel,
     read_lines,
     read_table,
+    write_lines,
 )
+from tarjama.normalize import NormRules, TruecaseModel, default_arabic_rules, truecase_train
+from tarjama.segment import DetokTable, segment_corpus
 
 
 def write(path, data):
@@ -55,6 +60,18 @@ def test_read_lines_from_stdin(monkeypatch):
     stdin(b"ok\n\xff\xfe\n")
     with pytest.raises(CorpusError, match="^stdin: invalid UTF-8 on line 2"):
         read_lines(None)
+
+
+def test_write_lines_writes_a_generator_of_many_blocks(tmp_path, monkeypatch):
+    lines = ["%d ي" % i for i in range(2500)] + [""]
+    want = "".join(line + "\n" for line in lines).encode("utf-8")
+    path = tmp_path / "out.txt"
+    write_lines(str(path), iter(lines))
+    assert path.read_bytes() == want
+    stdout = io.BytesIO()
+    monkeypatch.setattr("sys.stdout", types.SimpleNamespace(buffer=stdout))
+    write_lines("-", iter(lines))
+    assert stdout.getvalue() == want
 
 
 def test_load_parallel_splits_and_aligns(tmp_path):
@@ -123,6 +140,29 @@ def test_vocab_save_load_round_trip(tmp_path):
     vocab.save(path)
     again = Vocab.load(str(path))
     assert again.token_to_id == vocab.token_to_id
+
+
+_ARABIC = [line.split() for line in ("وكتابه على الطاولة", "فقالها لهم وكتابه", "كتب")]
+_ENGLISH = [line.split() for line in ("The cat saw the Cat", "a cat and The dog")]
+# Each line-table kind: a model learned from text, and its loader.
+LINE_TABLES = {
+    "vocab": (lambda: build_vocab(_ENGLISH, 8), Vocab.load),
+    "truecase": (lambda: truecase_train(_ENGLISH), TruecaseModel.load),
+    "rules": (default_arabic_rules, NormRules.load),
+    "detok": (lambda: segment_corpus(_ARABIC)[1], DetokTable.load),
+    "bpe": (lambda: learn_bpe(Counter(tok for sent in _ARABIC for tok in sent), 30),
+            BpeModel.load),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_TABLES))
+def test_line_table_rewritten_from_its_load_is_byte_identical(tmp_path, kind):
+    learn, load = LINE_TABLES[kind]
+    first, second = tmp_path / "first", tmp_path / "second"
+    learn().save(str(first))
+    load(str(first)).save(str(second))
+    assert len(first.read_bytes().splitlines()) > 3
+    assert second.read_bytes() == first.read_bytes()
 
 
 def _version(line):

@@ -164,14 +164,24 @@ def test_decoder_init_and_attention_match_plain_numpy():
         state.z, oracles.init_forward(model.params, enc.annotations), atol=1e-12
     )
     assert np.allclose(state.alpha, np.full(3, 1.0 / 3.0))
-    y_emb = model.params["tgt_emb"][4]
-    context, alpha = nmt.attend(model, state, y_emb, enc)
-    want_ctx, want_alpha = oracles.attend_forward(
-        model.params, state.z, y_emb, enc.annotations
+    # The first step attends with the query of the start symbol.
+    alpha = nmt.decode_step(model, state, BOS_ID, enc)[0].alpha
+    _, want_alpha = oracles.attend_forward(
+        model.params, state.z, model.params["tgt_emb"][BOS_ID], enc.annotations
     )
-    assert np.allclose(context, want_ctx, atol=1e-12)
     assert np.allclose(alpha, want_alpha, atol=1e-12)
     assert math.isclose(alpha.sum(), 1.0, rel_tol=1e-12)
+
+
+def test_sigmoid_saturates_without_an_overflow_warning():
+    # A byte-flipped checkpoint weight can drive a gate far below -709.
+    x = np.array([-1e300, -nmt_model._EXP_MAX, -700.0, 0.0, 700.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nmt_model._sigmoid_inplace(x.copy())
+    floor = 1.0 / (1.0 + math.exp(nmt_model._EXP_MAX))
+    assert got.tolist() == [floor, floor, 1.0 / (1.0 + math.exp(700.0)), 0.5, 1.0, 1.0]
+    assert 0.0 < floor < 6e-309
 
 
 def test_decode_step_matches_plain_numpy():

@@ -18,7 +18,7 @@ from tarjama.pipeline import (
     run_postprocess,
     run_preprocess,
 )
-from tarjama.segment import atb_segment, simple_tokenize
+from tarjama.segment import DEFAULT_INVENTORY, atb_segment, simple_tokenize
 
 AR_LINES = [
     "والكتاب على الطاولة .",
@@ -167,6 +167,16 @@ def test_preprocess_without_steps_just_splits():
     assert arts.bpe_src is None
 
 
+@pytest.mark.parametrize("src, tgt, side", [
+    (["abcdef"], ["ab"], "source"), (["ab"], ["abcdef"], "target"),
+])
+def test_preprocess_names_the_side_bpe_size_is_too_small_for(src, tgt, side):
+    config = PipelineConfig(bpe_size=3)
+    with pytest.raises(PipelineError, match="^bpe_size is too small for the %s side: "
+                                            "target_vocab_size 3 is below" % side):
+        run_preprocess(config, src, tgt)
+
+
 def test_preprocess_normalizes_before_segmenting():
     config = PipelineConfig(direction="ar2en", arabic_tok=True,
                             arabic_norm=True, arabic_atb=True)
@@ -185,7 +195,7 @@ def test_apply_preprocess_segments_unseen_words_like_per_token_atb_segment():
     got = apply_preprocess(config, heldout, ["x"] * len(heldout), arts)
     rules = default_arabic_rules()
     words = [simple_tokenize(normalize_arabic(line, rules)) for line in heldout]
-    want = [[seg for tok in sent for seg in atb_segment(tok, arts.inventory)]
+    want = [[seg for tok in sent for seg in atb_segment(tok, DEFAULT_INVENTORY)]
             for sent in words]
     assert [src for src, _ in got] == want
     trained = {tok for line in AR_LINES for tok in simple_tokenize(normalize_arabic(line, rules))}
