@@ -8,6 +8,7 @@ problem (or an internal error, logged in one line), 2 data problem,
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -20,6 +21,7 @@ from .corpus import (
     FormatError,
     Vocab,
     build_vocab,
+    check_aligned,
     find_duplicates,
     load_parallel,
     read_lines,
@@ -210,13 +212,13 @@ _TRAIN_OPTIONS = (
 _TRANSLATE_OPTIONS = (("--beam", "beam_width"), ("--max-len", "max_decode_len"))
 
 
-def _config(args, options, **values):
-    """The PipelineConfig of values and of the fields options (flag, field
-    pairs) set.  A config error begins with the name of its field; for a
-    field a flag set, it names the flag instead."""
-    flags = dict(((name, flag) for flag, name in options), seed="--seed")
+def _config(args, options, build=PipelineConfig, **values):
+    """build(**values) plus the fields of the flags in options (flag, field
+    pairs) that are set.  A config error begins with the name of its field;
+    for a field a flag set, it names the flag instead."""
+    flags = {name: flag for flag, name in options if getattr(args, name) is not None}
     try:
-        return PipelineConfig(**values, **{name: getattr(args, name) for _, name in options})
+        return build(**values, **{name: getattr(args, name) for name in flags})
     except (PipelineError, ValueError) as exc:
         name, _, rest = str(exc).partition(" ")
         if name not in flags:
@@ -226,11 +228,10 @@ def _config(args, options, **values):
 
 def _cmd_train(args):
     config = _config(
-        args, _TRAIN_OPTIONS,
+        args, _TRAIN_OPTIONS + (("--seed", "seed"),),
         train_src=args.train_src, train_tgt=args.train_tgt,
         dev_src=args.dev_src, dev_tgt=args.dev_tgt,
         tgt_vocab_max=args.src_vocab_max,
-        **({} if args.seed is None else {"seed": args.seed}),
     )
     _, _, _, record = train_model(
         config,
@@ -292,15 +293,11 @@ def _cmd_bleu(args):
     hyp_lines = read_lines(args.input)
     if not hyp_lines:
         raise CorpusError("hypothesis corpus is empty")
+    hyp_path = "stdin" if args.input in (None, "-") else args.input
     ref_sets = []
     for path in args.ref:
-        lines = read_lines(path)
-        if len(lines) != len(hyp_lines):
-            raise CorpusError(
-                "%s has %d lines, hypotheses have %d"
-                % (path, len(lines), len(hyp_lines))
-            )
-        ref_sets.append(lines)
+        ref_sets.append(read_lines(path))
+        check_aligned(hyp_path, hyp_lines, path, ref_sets[-1])
     # bleu() counts in blocks of sentences, so only a block is split at once.
     report = bleu((line.split() for line in hyp_lines),
                   ([line.split() for line in lines] for lines in zip(*ref_sets)),
@@ -315,10 +312,9 @@ def _cmd_bleu(args):
 def _cmd_experiment(args):
     if not args.config:
         raise PipelineError("experiment needs --config with a pipeline config file")
-    overrides = {} if args.seed is None else {"seed": args.seed}
-    if args.out_dir:
-        overrides["out_dir"] = args.out_dir
-    config = PipelineConfig.from_file(args.config, **overrides)
+    config = _config(args, (("--seed", "seed"),),
+                     functools.partial(PipelineConfig.from_file, args.config),
+                     **({"out_dir": args.out_dir} if args.out_dir else {}))
     report = run_experiment(config)
     print(report.summary())
     return 0

@@ -195,22 +195,13 @@ class Vocab:
     def id(self, token):
         return self.token_to_id.get(token, UNK_ID)
 
-    def token(self, idx):
-        return self.id_to_token[idx]
+    def encode(self, tokens):
+        return [self.id(t) for t in tokens]
 
-    def encode(self, tokens, add_bos=False, add_eos=False):
-        ids = [self.id(t) for t in tokens]
-        if add_bos:
-            ids.insert(0, BOS_ID)
-        if add_eos:
-            ids.append(EOS_ID)
-        return ids
-
-    def decode(self, ids, strip_reserved=True):
+    def decode(self, ids):
+        """The tokens of ids, leaving out the reserved ones."""
         toks = [self.id_to_token[i] for i in ids]
-        if strip_reserved:
-            toks = [t for t in toks if t not in RESERVED]
-        return toks
+        return [t for t in toks if t not in RESERVED]
 
     def save(self, path):
         write_table(path, ((self.id_to_token[idx], idx) for idx in sorted(self.id_to_token)))

@@ -17,11 +17,11 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text_blocks
+from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text_blocks, write_lines
 
 FLOOR = -99.0
-# Rows per write of lm_write_arpa, lines per read of lm_read_arpa: what
-# either holds beyond the model.
+# Rows whose values lm_write_arpa converts at once, lines per read of
+# lm_read_arpa: what either holds beyond the model.
 _CHUNK = 8192
 
 
@@ -282,22 +282,27 @@ def lm_score_set(model, sentences):
 
 
 def lm_write_arpa(model, path):
-    """Serialize to ARPA: counts header, per-order sections, \\end\\.
+    """Serialize to ARPA, to a file or to stdout when path is None or "-":
+    counts header, per-order sections, \\end\\.
 
     Rows go out in the model's order (sorted gram order for a trained
-    model, file order for a read one), _CHUNK rows to a write.
+    model, file order for a read one), their values converted _CHUNK rows
+    at a time.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\\data\\\n" + "".join(
-            "ngram %d=%d\n" % (m, len(grams)) for m, grams in enumerate(model.grams, 1)))
+    def lines():
+        yield "\\data\\"
+        for m, grams in enumerate(model.grams, 1):
+            yield "ngram %d=%d" % (m, len(grams))
         for m, (grams, logp, bow) in enumerate(zip(model.grams, model.logp, model.bow), 1):
-            fh.write("\n\\%d-grams:\n" % m)
+            yield from ("", "\\%d-grams:" % m)
             for at in range(0, len(grams), _CHUNK):
                 rows = slice(at, at + _CHUNK)
-                fh.write("".join([
-                    "%.7g\t%s\n" % (p, g) if math.isnan(b) else "%.7g\t%s\t%.7g\n" % (p, g, b)
-                    for g, p, b in zip(grams[rows], logp[rows].tolist(), bow[rows].tolist())]))
-        fh.write("\n\\end\\\n")
+                yield from (
+                    "%.7g\t%s" % (p, g) if math.isnan(b) else "%.7g\t%s\t%.7g" % (p, g, b)
+                    for g, p, b in zip(grams[rows], logp[rows].tolist(), bow[rows].tolist()))
+        yield from ("", "\\end\\")
+
+    write_lines(path, lines())
 
 
 def _line_error(line, m):

@@ -159,18 +159,10 @@ class PipelineConfig:
         return "src" if self.direction == "ar2en" else "tgt"
 
     def nmt_config(self, src_vocab_size, tgt_vocab_size):
-        return NmtConfig(
-            src_vocab_size=src_vocab_size,
-            tgt_vocab_size=tgt_vocab_size,
-            embed_dim=self.embed_dim,
-            enc_hidden=self.enc_hidden,
-            enc_layers=self.enc_layers,
-            dec_hidden=self.dec_hidden,
-            attn_hidden=self.attn_hidden,
-            dropout_rate=self.dropout_rate,
-            l2_coeff=self.l2_coeff,
-            seed=self.seed,
-        )
+        """The NmtConfig of these vocabulary sizes and this config's other fields."""
+        sizes = {"src_vocab_size": src_vocab_size, "tgt_vocab_size": tgt_vocab_size}
+        return NmtConfig(**sizes, **{f.name: getattr(self, f.name)
+                                     for f in fields(NmtConfig) if f.name not in sizes})
 
 
 @dataclass
@@ -209,19 +201,14 @@ class PipelineArtifacts:
         return arts
 
 
-def _splitter(config, side):
-    """simple_tokenize when the side's tokenize step is on, else str.split."""
-    on = config.arabic_tok if side == config.arabic_side() else config.english_tok
-    return simple_tokenize if on else str.split
-
-
 def _tokenize(config, side, lines):
     """First step: normalize Arabic, tokenize, and lowercase English when
     so configured."""
     arabic = side == config.arabic_side()
     if arabic and config.arabic_norm:
         lines = [normalize_arabic(line) for line in lines]
-    split = _splitter(config, side)
+    on = config.arabic_tok if arabic else config.english_tok
+    split = simple_tokenize if on else str.split
     sents = [split(line) for line in lines]
     if config.english_lower and not arabic:
         sents = [[lowercase(t) for t in sent] for sent in sents]
@@ -309,12 +296,6 @@ def prepare_references(config, lines):
     not, since postprocessing restores surface casing.
     """
     return _tokenize(config, "tgt", lines)
-
-
-def retokenize(config, surface_lines):
-    """Tokenize postprocessed hypotheses for scoring."""
-    split = _splitter(config, "tgt")
-    return [split(line) for line in surface_lines]
 
 
 def _sha256(path):
@@ -433,8 +414,9 @@ def run_experiment(config):
 
         stage = "evaluate"
         refs = prepare_references(config, raw["test_tgt"])
-        hyp_tokens = retokenize(config, hypotheses)
-        report = bleu(hyp_tokens, [[r] for r in refs])
+        # The target steps of _tokenize leave postprocessed hypotheses, built
+        # from target tokens that already went through them, as they are.
+        report = bleu(_tokenize(config, "tgt", hypotheses), [[r] for r in refs])
         report_path = os.path.join(config.out_dir, "report.json")
         write_lines(report_path, [report.to_json()])
         written.append(report_path)

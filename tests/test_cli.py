@@ -493,6 +493,54 @@ def test_dedup_filters_and_lists(tmp_path):
     assert read(out) == ["0", "2"]
 
 
+# Every subcommand that writes text, with {out} where it writes it.
+OUTPUT_COMMANDS = {
+    "normalize": ["normalize", "{text}", "-o", "{out}"],
+    "tokenize": ["tokenize", "{text}", "-o", "{out}"],
+    "segment": ["segment", "{text}", "-o", "{out}"],
+    "segment-table": ["segment", "{text}", "-o", "{other}", "--table-out", "{out}"],
+    "detokenize": ["detokenize", "{text}", "-o", "{out}"],
+    "bpe-learn": ["bpe-learn", "{text}", "-o", "{out}", "--vocab-size", "40"],
+    "bpe-apply": ["bpe-apply", "{text}", "--model", "{bpe}", "-o", "{out}"],
+    "bpe-undo": ["bpe-undo", "{text}", "-o", "{out}"],
+    "truecase-train": ["truecase-train", "{text}", "-o", "{out}"],
+    "truecase": ["truecase", "{text}", "--model", "{truecase}", "-o", "{out}"],
+    "lm-train": ["lm-train", "{text}", "-o", "{out}", "--order", "2"],
+    "lm-score": ["lm-score", "--model", "{arpa}", "--set", "{text}", "-o", "{out}"],
+    "vocab": ["vocab", "{text}", "-o", "{out}"],
+    "dedup": ["dedup", "{text}", "--train", "{text}", "--list", "-o", "{out}"],
+    "translate": ["translate", "{text}", "--model", "{ckpt}", "--src-vocab", "{vocab}",
+                  "--tgt-vocab", "{vocab}", "-o", "{out}"],
+    "bleu": ["bleu", "{text}", "--ref", "{text}", "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_COMMANDS))
+def test_output_dash_writes_to_stdout_what_a_file_gets(tmp_path, monkeypatch,
+                                                       model_file_inputs, case):
+    monkeypatch.chdir(tmp_path)
+    corpus = [["The", "cat", "sat", "."], ["والكتاب", "على", "الطاولة", "."]]
+    write(tmp_path / "text", [" ".join(sent) for sent in corpus])
+    learn_bpe(Counter(tok for sent in corpus for tok in sent), 30).save(tmp_path / "bpe")
+    truecase_train(corpus).save(tmp_path / "truecase")
+    lm_write_arpa(lm_train(corpus, 2), tmp_path / "arpa")
+    # The checkpoint and vocabulary of model_file_inputs, and the files above.
+    files = {**model_file_inputs, **{name: str(tmp_path / name) for name in
+                                     ("text", "bpe", "truecase", "arpa", "other")}}
+
+    def run(out):
+        stdout = io.BytesIO()
+        monkeypatch.setattr("sys.stdout", types.SimpleNamespace(buffer=stdout,
+                                                                flush=lambda: None))
+        argv = [arg.format(out=out, **files) for arg in OUTPUT_COMMANDS[case]]
+        assert main(argv) == 0
+        return stdout.getvalue()
+
+    assert run(str(tmp_path / "out.txt")) == b""
+    assert run("-") == (tmp_path / "out.txt").read_bytes() != b""
+    assert not (tmp_path / "-").exists()
+
+
 # ------------------------------------------------------ model subcommands
 
 def tiny_parallel(tmp_path):
@@ -723,6 +771,7 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
     ("experiment", ["max_decode_len=0"], "max_decode_len must be at least 1"),
     ("experiment", ["max_train_len=-1"], "max_train_len must be at least 1"),
     ("experiment", ["seed=-1"], "seed must be nonnegative"),
+    ("experiment", ["--seed", "-1"], "--seed must be nonnegative"),
     # Only learn_bpe knows a side's character count.
     ("experiment", ["bpe_size=2"], "bpe_size is too small for the source side: "),
     # The Arabic steps write detok.tsv into the out-dir before training.
@@ -734,7 +783,8 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
 ], ids=["train-l2-nan", "train-l2-inf", "train-embed-dim-0", "train-patience-0",
         "train-seed-minus-1", "train-max-vocab-4",
         "experiment-l2-nan", "experiment-beam-0", "experiment-max-decode-len-0",
-        "experiment-max-train-len-minus-1", "experiment-seed-minus-1", "experiment-bpe-size-2",
+        "experiment-max-train-len-minus-1", "experiment-seed-minus-1",
+        "experiment-seed-flag-minus-1", "experiment-bpe-size-2",
         "experiment-src-vocab-max-3", "translate-beam-0", "translate-max-len-0"])
 def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_file_inputs,
                                                      command, setting, message):
@@ -748,9 +798,11 @@ def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_fil
         outputs = [out, tmp_path / "model.ckpt.src-vocab.tsv",
                    tmp_path / "model.ckpt.tgt-vocab.tsv"]
     elif command == "experiment":
-        config, _ = small_experiment(tmp_path, setting)
+        # A key=value setting goes into the config file, the rest after it.
+        config, _ = small_experiment(tmp_path, [s for s in setting if "=" in s])
         out = tmp_path / "run"
-        argv = ["experiment", "--config", config, "--out-dir", str(out)]
+        argv = ["experiment", "--config", config, "--out-dir", str(out)] + [
+            s for s in setting if "=" not in s]
         outputs = [out]
     else:
         text, out = tmp_path / "in.txt", tmp_path / "out.txt"
@@ -761,7 +813,8 @@ def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_fil
         outputs = [out]
     assert main(argv) == 1
     assert [path for path in outputs if path.exists()] == []
-    assert message in caplog.text
+    # Preceded by a space, so that "seed ..." does not match "--seed ...".
+    assert " " + message in caplog.text
 
 
 def _numbers(low, high):
@@ -888,12 +941,16 @@ def test_bleu_multiple_references_and_case(tmp_path):
     assert read(out)[0].startswith("BLEU = 100.00")
 
 
-def test_bleu_length_mismatch_exits_two(tmp_path):
+def test_bleu_length_mismatch_exits_two(tmp_path, monkeypatch, caplog):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"
     write(hyp, ["a b", "c d"])
     write(ref, ["a b"])
     assert main(["bleu", str(hyp), "--ref", str(ref)]) == 2
+    assert "line count mismatch: %s has 2 lines, %s has 1" % (hyp, ref) in caplog.text
+    monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(b"a b\nc d\n")))
+    assert main(["bleu", "--ref", str(ref)]) == 2
+    assert "line count mismatch: stdin has 2 lines, %s has 1" % ref in caplog.text
 
 
 # ------------------------------------------------------------- experiment

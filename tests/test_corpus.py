@@ -119,12 +119,10 @@ def test_build_vocab_skips_reserved_spellings():
 
 def test_vocab_encode_decode():
     vocab = build_vocab([["a", "b"]], max_size=8)
-    ids = vocab.encode(["a", "zzz", "b"], add_bos=True, add_eos=True)
-    assert ids == [BOS_ID, 4, UNK_ID, 5, EOS_ID]
-    assert vocab.decode(ids) == ["a", "b"]
-    assert vocab.decode(ids, strip_reserved=False) == [
-        "<s>", "a", "<unk>", "b", "</s>"
-    ]
+    ids = vocab.encode(["a", "zzz", "b"])
+    assert ids == [4, UNK_ID, 5]
+    # Reserved tokens, the unknown one included, are left out.
+    assert vocab.decode([BOS_ID] + ids + [EOS_ID, PAD_ID]) == ["a", "b"]
 
 
 def test_vocab_rejects_broken_tables():

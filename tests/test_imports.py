@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+only corpus.py opens a file as text."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,30 @@ def test_every_imported_name_is_used(path):
     unused = {name for name in unused_imports(path.read_text(encoding="utf-8"))
               if (module, name) not in UNUSED_ON_PURPOSE}
     assert unused == set()
+
+
+def text_opens(source):
+    """The line numbers of the open() calls in source whose mode is not a
+    string holding "b"."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if not any(isinstance(mode, ast.Constant) and "b" in str(mode.value)
+                       for mode in modes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_text_opens_finds_each_text_mode():
+    source = 'open(p)\nopen(p, "rb")\nopen(p, mode="w")\nopen(p, m)\nopen(p, mode="wb")\n'
+    assert text_opens(source) == [1, 3, 4]
+
+
+def test_only_corpus_opens_a_text_file():
+    """corpus.py reads and writes every text file, so one module decides
+    their encoding, line endings and stdin/stdout names."""
+    found = ["%s:%d" % (path.relative_to(PACKAGE).as_posix(), line)
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "corpus.py"
+             for line in text_opens(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -11,9 +11,9 @@ from tarjama.pipeline import (
     PipelineConfig,
     PipelineError,
     StageError,
+    _tokenize,
     apply_preprocess,
     prepare_references,
-    retokenize,
     run_experiment,
     run_postprocess,
     run_preprocess,
@@ -275,12 +275,19 @@ def test_prepare_references_normalizes_arabic_targets():
     assert refs == [["ذهب", "الي", "المدرسة"]]
 
 
-def test_retokenize_matches_reference_space():
-    config = PipelineConfig(direction="ar2en", english_tok=True)
-    assert retokenize(config, ["the U.S. team won ."]) == \
-        [["the", "U.S.", "team", "won", "."]]
-    config = PipelineConfig(direction="ar2en")
-    assert retokenize(config, ["a b  c"]) == [["a", "b", "c"]]
+@pytest.mark.parametrize("config, hypothesis, tokens", [
+    (PipelineConfig(direction="ar2en", english_tok=True), "the U.S. team won .",
+     ["the", "U.S.", "team", "won", "."]),
+    (PipelineConfig(direction="ar2en"), "a b  c", ["a", "b", "c"]),
+    # A hypothesis is made of target tokens that were already normalized or
+    # lowercased, so the reference steps only split it.
+    (PipelineConfig(direction="en2ar", arabic_tok=True, arabic_norm=True),
+     "ذهب الي المدرسة -LRB- نعم -RRB- .", ["ذهب", "الي", "المدرسة", "-LRB-", "نعم", "-RRB-", "."]),
+    (PipelineConfig(direction="ar2en", english_tok=True, english_lower=True),
+     "the u.s. team won ( yes ) .", ["the", "u.s.", "team", "won", "(", "yes", ")", "."]),
+], ids=["ar2en-tok", "ar2en-split", "en2ar-norm", "ar2en-lower"])
+def test_hypotheses_tokenize_into_reference_space(config, hypothesis, tokens):
+    assert _tokenize(config, "tgt", [hypothesis]) == [tokens]
 
 
 # ------------------------------------------------------------- experiments
