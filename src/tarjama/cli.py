@@ -30,6 +30,7 @@ from .corpus import (
 from .ngram import (
     lm_read_arpa,
     lm_score_sentence,
+    lm_score_sentences,
     lm_score_set,
     lm_train,
     lm_write_arpa,
@@ -46,6 +47,7 @@ from .normalize import (
     truecase_train,
 )
 from .pipeline import (
+    ConfigFileError,
     PipelineConfig,
     PipelineError,
     StageError,
@@ -155,8 +157,9 @@ def _cmd_truecase(args):
 
 
 def _cmd_lm_train(args):
-    corpus = [line.split() for line in read_lines(args.input)]
-    model = lm_train(corpus, args.order, args.discount)
+    # lm_train reads the sentences once: none is split before it is needed.
+    model = lm_train((line.split() for line in read_lines(args.input)), args.order,
+                     args.discount)
     lm_write_arpa(model, args.output)
     return 0
 
@@ -165,7 +168,7 @@ def _cmd_lm_score(args):
     model = lm_read_arpa(args.model)
     sentences = [line.split() for line in read_lines(args.set)]
     if args.per_sentence:
-        out = ["%.4f" % lm_score_sentence(model, s) for s in sentences]
+        out = ["%.4f" % score for score in lm_score_sentences(model, sentences)]
         write_lines(args.output, out)
     else:
         if not sentences:
@@ -215,10 +218,13 @@ _TRANSLATE_OPTIONS = (("--beam", "beam_width"), ("--max-len", "max_decode_len"))
 def _config(args, options, build=PipelineConfig, **values):
     """build(**values) plus the fields of the flags in options (flag, field
     pairs) that are set.  A config error begins with the name of its field;
-    for a field a flag set, it names the flag instead."""
+    for a field a flag set, it names the flag instead.  An error in a config
+    file begins with the file's name and keeps it."""
     flags = {name: flag for flag, name in options if getattr(args, name) is not None}
     try:
         return build(**values, **{name: getattr(args, name) for name in flags})
+    except ConfigFileError:
+        raise
     except (PipelineError, ValueError) as exc:
         name, _, rest = str(exc).partition(" ")
         if name not in flags:

@@ -20,31 +20,56 @@ import numpy as np
 from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text_blocks, write_lines
 
 FLOOR = -99.0
-# Rows whose values lm_write_arpa converts at once, lines per read of
+# Rows whose lines lm_write_arpa builds at once, lines per read of
 # lm_read_arpa: what either holds beyond the model.
-_CHUNK = 8192
+_CHUNK = 1024
+# Token ids, big-endian: the bytes of an id row, as one void key, sort and
+# search like the row.
+_ID = np.dtype(">u4")
 
 
 class ArpaError(FormatError):
     """Raised for malformed ARPA files."""
 
 
+class _Numbering(dict):
+    """Token -> id, each new token numbered next."""
+
+    def __missing__(self, token):
+        self[token] = len(self)
+        return len(self) - 1
+
+
 @dataclass(eq=False)
 class NgramModel:
-    """An n-gram model held as one column triple per order.
+    """An n-gram model held as token-id columns.
 
-    For each order m, grams[m - 1] lists the m-grams as ARPA text (words
-    joined by single spaces), and logp[m - 1] and bow[m - 1] are float64
-    arrays of their log10 probabilities and log10 backoff weights, NaN
-    where a gram has none.  index[m - 1] maps gram text to row; it is
-    built on the first query when not given.
+    tokens is the token table, which ids index: sorted for a trained
+    model, in order of first listing for a read one (sorted again for any
+    file a trained model wrote).  For each order m, ids[m - 1] is an
+    (n, m) array of _ID ids, one row per m-gram, rows sorted, and logp[m -
+    1] and bow[m - 1] are float64 arrays of their log10 probabilities and
+    log10 backoffs, NaN where a gram has none.  listed[m - 1] holds the
+    row of each line a read model read, in file order, in which it writes
+    them back; it is None when the rows were listed in their own order.
     """
 
     order: int
-    grams: list
+    tokens: list
+    ids: list
     logp: list
     bow: list
-    index: list = None
+    listed: list = None
+
+    def __post_init__(self):
+        self.listed = self.listed or [None] * self.order
+        self.token_id = dict(zip(self.tokens, range(len(self.tokens))))
+        self._keys = [np.ascontiguousarray(ids, _ID).view("V%d" % (4 * m)).ravel()
+                      for m, ids in enumerate(self.ids, 1)]
+        # By id, False in a last slot (id -1) for a token the model lacks.
+        self._known = np.zeros(len(self.tokens) + 1, bool)
+        self._known[self.ids[0][:, 0]] = True
+        self._known[[self.token_id.get(tok, -1) for tok in (BOS, PAD)]] = False
 
     @property
     def probs(self):
@@ -56,37 +81,30 @@ class NgramModel:
         """Read-only view: context tuple -> log10 bow."""
         return GramView(self, self.bow)
 
-    def rows(self):
-        """Per order, a dict from gram text to row."""
-        if self.index is None:
-            self.index = [dict(zip(grams, range(len(grams)))) for grams in self.grams]
-        return self.index
-
     def events(self):
         """Every predictable token: the unigrams that are not reserved
         tokens, sorted, then UNK and EOS."""
-        return sorted(w for w in self.grams[0] if w not in RESERVED) + [UNK, EOS]
+        unigrams = map(self.tokens.__getitem__, self.ids[0][:, 0].tolist())
+        return sorted(w for w in unigrams if w not in RESERVED) + [UNK, EOS]
 
     def known(self, token):
-        return token in self.rows()[0] and token not in (BOS, PAD)
+        return bool(self._known[self.token_id.get(token, -1)])
 
     def conditional(self, context, word):
         """log10 p(word | context) via the backoff chain."""
         context = tuple(context)
         context = context[max(len(context) - self.order + 1, 0):]
-        index = self.rows()
-        acc = 0.0
-        while True:
-            m = len(context)
-            row = index[m].get(" ".join(context + (word,)))
-            if row is not None:
-                return acc + self.logp[m].item(row)
-            if not context:
-                return acc + FLOOR
-            row = index[m - 1].get(" ".join(context))
-            bow = 0.0 if row is None else self.bow[m - 1].item(row)
-            acc += 0.0 if math.isnan(bow) else bow
-            context = context[1:]
+        ids = np.array([self.token_id.get(tok, len(self.tokens)) for tok in context + (word,)])
+        return _backoff(self, ids, np.arange(len(ids)))[-1].item()
+
+    def _find(self, m, grams):
+        """The row in order m of each gram (a row of m ids), or -1."""
+        keys = self._keys[m - 1]
+        query = np.ascontiguousarray(grams, _ID).view(keys.dtype).ravel()
+        at = np.searchsorted(keys, query)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == query[hit]
+        return np.where(hit, at, -1)
 
 
 class GramView(Mapping):
@@ -98,18 +116,22 @@ class GramView(Mapping):
         self._columns = columns
 
     def __getitem__(self, gram):
-        if isinstance(gram, tuple) and 1 <= len(gram) <= self._model.order:
-            row = self._model.rows()[len(gram) - 1].get(" ".join(gram))
-            if row is not None:
+        model = self._model
+        if isinstance(gram, tuple) and 1 <= len(gram) <= model.order:
+            ids = [model.token_id.get(tok, len(model.tokens)) for tok in gram]
+            row = model._find(len(gram), [ids]).item()
+            if row >= 0:
                 value = self._columns[len(gram) - 1].item(row)
                 if not math.isnan(value):
                     return value
         raise KeyError(gram)
 
     def __iter__(self):
-        for grams, values in zip(self._model.grams, self._columns):
-            for row in np.flatnonzero(~np.isnan(values)).tolist():
-                yield tuple(grams[row].split(" "))
+        model = self._model
+        for ids, values, listed in zip(model.ids, self._columns, model.listed):
+            rows = np.arange(len(values)) if listed is None else listed
+            for row in ids[rows[~np.isnan(values[rows])]].tolist():
+                yield tuple(map(model.tokens.__getitem__, row))
 
     def __len__(self):
         return sum(len(values) - int(np.isnan(values).sum()) for values in self._columns)
@@ -123,22 +145,38 @@ def ngram_rows(ids, room, size, order):
     (m, pos, keys, counts, rows) for m = 1..order: the positions starting
     an m-gram, the sorted distinct keys (prefix row * size + last token;
     every id below size for m = 1), their counts, and each position's
-    index into keys, -1 where fewer than m tokens are left.  Rows sort
-    like the m-gram tuples whenever ids sort like the tokens.
+    index into keys (int32 from m = 2), -1 where fewer than m tokens are
+    left.  Rows sort like the m-gram tuples whenever ids sort like the
+    tokens.
     """
     rows = ids
     yield 1, np.arange(len(ids)), np.arange(size), np.bincount(ids, minlength=size), rows
     for m in range(2, order + 1):
         pos = np.flatnonzero(room >= m)
-        keys, inverse, counts = np.unique(rows[pos] * size + ids[pos + m - 1],
-                                          return_inverse=True, return_counts=True)
-        rows = np.full(len(ids), -1, np.int64)
+        keys = np.multiply(rows[pos], size, dtype=np.int64)
+        keys += ids[pos + m - 1]
+        keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        rows = np.full(len(ids), -1, np.int32)
         rows[pos] = inverse
+        del inverse
         yield m, pos, keys, counts, rows
+        del pos, keys, counts  # not held through the next order's count
+
+
+def _each(f, values, dtype=float):
+    """f(v) for each float v, as an array of dtype, _CHUNK values at a
+    time: f is called once for each distinct value of a chunk (bit
+    pattern, so -0.0 and 0.0 are two)."""
+    out = np.empty(len(values), dtype)
+    for at in range(0, len(values), _CHUNK):
+        bits, inverse = np.unique(values[at:at + _CHUNK].view(np.int64), return_inverse=True)
+        out[at:at + _CHUNK] = np.array(list(map(f, bits.view(float).tolist())), dtype)[inverse]
+    return out
 
 
 def lm_train(corpus, order, discount=0.75):
-    """Estimate an NgramModel from a tokenized corpus.
+    """Estimate an NgramModel from a tokenized corpus, an iterable of token
+    sequences that is read once.
 
     Tokens get ids in sorted string order, and each order's n-grams form a
     table of unique rows in sorted tuple order (see ngram_rows), and every
@@ -148,53 +186,59 @@ def lm_train(corpus, order, discount=0.75):
         raise ValueError("order must be >= 1")
     if not 0.0 < discount < 1.0:
         raise ValueError("discount must lie in (0, 1)")
-    corpus = [list(sent) for sent in corpus]
-    if not corpus:
+    # Ids in order of first appearance, then ranked in sorted order.
+    number = _Numbering({BOS: 0, EOS: 1, UNK: 2})
+    stream, lengths = [], []
+    for sent in corpus:
+        start = len(stream)
+        stream += [0, *map(number.__getitem__, sent), 1]
+        lengths.append(len(stream) - start)
+    if not lengths:
         raise ValueError("training corpus is empty")
 
-    distinct = {tok for sent in corpus for tok in sent}
     # A gram's text joins its tokens with spaces, and ARPA lines split on
     # whitespace, so a token holding any would not come back as itself.
-    bad = [tok for tok in distinct if "".join(tok.split()) != tok]
+    bad = [tok for tok in number if "".join(tok.split()) != tok]
     if bad:
         raise ValueError("token %r holds whitespace" % min(bad))
-    tokens = sorted(distinct | {BOS, EOS, UNK})
-    size = len(tokens)
-    index = {tok: i for i, tok in enumerate(tokens)}
-    bos = index[BOS]
-    ids = np.array([i for sent in corpus
-                    for i in (bos, *(index[tok] for tok in sent), index[EOS])], np.int64)
-    lengths = np.array([len(sent) + 2 for sent in corpus])
+    tokens = sorted(number)
+    rank = np.empty(len(tokens), np.int64)
+    rank[[number[tok] for tok in tokens]] = range(len(tokens))
+    size, (bos, eos, unk) = len(tokens), rank[:3].tolist()  # numbered first
+    ids = rank[stream]
+    del stream, number, rank
     # Tokens left in each position's BOS/EOS-wrapped sentence, itself included.
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+    room = (np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))).astype(np.int32)
 
     # Per order m: the rows' prefix ids (into order m-1), last tokens,
-    # suffix ids (the (m-1)-gram one position later), first tokens and raw
-    # counts.  The unigram table holds every token, seen or not.  Each
-    # table is dropped once nothing below reads it.
+    # suffix ids (the (m-1)-gram one position later), whether they start
+    # with BOS, and raw counts, all held as int32 or bool.  The unigram
+    # table holds every token, seen or not.  Each table is dropped once
+    # nothing below reads it.
     prefix, last, suffix, head, raw = {}, {}, {}, {}, {}
-    for m, pos, keys, raw[m], at in ngram_rows(ids, room, size, order):
+    for m, pos, keys, counts, at in ngram_rows(ids, room, size, order):
+        raw[m] = counts.astype(np.int32)
         if m == 1:
-            head[1] = keys
+            head[1] = keys == bos
         else:
-            prefix[m], last[m] = np.divmod(keys, size)
-            suffix[m] = np.empty(len(keys), np.int64)
+            prefix[m], last[m] = (part.astype(np.int32) for part in np.divmod(keys, size))
+            suffix[m] = np.empty(len(keys), np.int32)
             suffix[m][at[pos]] = below[pos + 1]
             head[m] = head[m - 1][prefix[m]]
         below = at
-    del ids, room, pos, keys, at, below
+        del pos, keys, counts
+    del ids, room, at, below
 
     # Continuation counts: distinct non-BOS left extensions of each m-gram.
-    cont = {m - 1: np.bincount(suffix[m][head[m] != bos], minlength=len(head[m - 1]))
+    cont = {m - 1: np.bincount(suffix[m][~head[m]], minlength=len(head[m - 1]))
             for m in range(2, order + 1)}
 
     # The lowest level is the continuation ratio over every token (or the
     # raw relative frequency without BOS, for unigram models and corpora
     # of empty sentences); only events get probability.
     is_event = np.array([tok not in RESERVED for tok in tokens])
-    is_event[[index[UNK], index[EOS]]] = True
-    counts = cont[1] if order > 1 and cont[1].sum() > 0 else np.where(
-        head[1] == bos, 0, raw[1])
+    is_event[[unk, eos]] = True
+    counts = cont[1] if order > 1 and cont[1].sum() > 0 else np.where(head[1], 0, raw[1])
     p = {1: np.where(is_event, counts / counts.sum(), 0.0)}
 
     gamma = {}
@@ -207,39 +251,37 @@ def lm_train(corpus, order, discount=0.75):
     # middle orders store continuation-seen grams, BOS-headed grams (their
     # special case), and prefixes of longer stored grams so every backoff
     # weight has a line to live on; unigrams cover all events and BOS.
-    stored = {1: is_event | (head[1] == bos)}
+    stored = {1: is_event | head[1]}
     if order > 1:
         stored[order] = np.ones(len(head[order]), bool)
     for m in range(order - 1, 0, -1):
         if m > 1:
-            stored[m] = (cont[m] > 0) | (head[m] == bos)
+            stored[m] = (cont[m] > 0) | head[m]
         stored[m][prefix[m + 1][stored[m + 1]]] = True
     del cont, head
 
-    # Emit each order's stored rows as columns, in row order, which is
-    # sorted gram order.  The prefix of a stored gram is stored, so each
-    # gram's text extends the text of a row one order down; a context's
-    # backoff is the log10 of its gamma.
-    grams, logp, bow = [], [], []
-    spaced = [" " + tok for tok in tokens]
+    # Emit each order's stored rows, in row order, which is sorted gram
+    # order.  The prefix of a stored gram is stored, so each gram's ids are
+    # a row one order down plus its last token; a context's backoff is the
+    # log10 of its gamma.
+    ids, logp, bow = [], [], []
     for m in range(1, order + 1):
         rows = np.flatnonzero(stored[m])
+        gram = np.empty((len(rows), m), _ID)
         if m == 1:
-            text = [tokens[r] for r in rows.tolist()]
+            gram[:, 0] = rows
         else:
             rank = np.cumsum(stored.pop(m - 1)) - 1
-            lower = grams[-1]
             context = prefix.pop(m)[rows]
-            text = [lower[k] + spaced[w] for k, w in
-                    zip(rank[context].tolist(), last.pop(m)[rows].tolist())]
+            gram[:, :-1] = ids[-1][rank[context]]
+            gram[:, -1] = last.pop(m)[rows]
             contexts = np.unique(context)
-            bow[-1][rank[contexts]] = list(map(math.log10, gamma.pop(m)[contexts].tolist()))
-        grams.append(text)
-        logp.append(np.fromiter((math.log10(x) if x > 0.0 else FLOOR
-                                 for x in p.pop(m)[rows].tolist()), float, len(rows)))
-        bow.append(np.full(len(text), np.nan))
+            bow[-1][rank[contexts]] = _each(math.log10, gamma.pop(m)[contexts])
+        ids.append(gram)
+        logp.append(_each(lambda x: math.log10(x) if x > 0.0 else FLOOR, p.pop(m)[rows]))
+        bow.append(np.full(len(rows), np.nan))
 
-    return NgramModel(order, grams, logp, bow)
+    return NgramModel(order, tokens, ids, logp, bow)
 
 
 def _interpolate(raw, cont, prefix, contexts, lower, discount):
@@ -261,16 +303,58 @@ def _interpolate(raw, cont, prefix, contexts, lower, discount):
     return np.maximum(c - discount, 0.0) / total[prefix] + gamma[prefix] * lower, gamma
 
 
+def _backoff(model, ids, hist):
+    """log10 p(ids[k] | the min(hist[k], order - 1) ids before it) at every
+    position k: the log10 backoffs of the contexts tried, longest first,
+    added in turn (0 for one without), then the log10 p of the first stored
+    gram, or the floor.  Each order is searched once, for the gram ending
+    at each position; position k's context is the gram ending at k - 1."""
+    found = [None] + [np.full(len(ids), -1) for _ in range(model.order)]
+    for m in range(1, model.order + 1):
+        at = np.flatnonzero(hist >= m - 1)
+        found[m][at] = model._find(m, ids[at[:, None] + np.arange(1 - m, 1)])
+    value, acc = np.empty(len(ids)), np.zeros(len(ids))
+    tries = np.minimum(hist, model.order - 1)  # the context length to try next
+    for m in range(model.order - 1, -1, -1):
+        k = np.flatnonzero(tries == m)
+        rows = found[m + 1][k]
+        value[k[rows >= 0]] = acc[k[rows >= 0]] + model.logp[m][rows[rows >= 0]]
+        k = k[rows < 0]
+        rows = found[m][k - 1] if m else np.full(len(k), -1)
+        bow = np.zeros(len(k))
+        bow[rows >= 0] = model.bow[m - 1][rows[rows >= 0]]
+        acc[k] += np.where(np.isnan(bow), 0.0, bow)
+        tries[k] = m - 1
+    value[tries < 0] = acc[tries < 0] + FLOOR
+    return value
+
+
+def lm_score_sentences(model, sentences):
+    """Each sentence's total log10 probability (EOS included, OOV -> UNK),
+    1,024 sentences at a time, its positions' values added left to right."""
+    get, missing = model.token_id.get, len(model.tokens)
+    sentences = iter(sentences)
+    while block := list(map(list, islice(sentences, 1024))):
+        words = np.fromiter((get(tok, missing) for sent in block for tok in sent), np.int64)
+        # BOS, the sentence and EOS, sentence after sentence.
+        size = np.fromiter(map(len, block), np.int64, len(block)) + 2
+        start = np.cumsum(size) - size
+        ids = np.full(size.sum(), get(EOS, missing))
+        ids[start] = get(BOS, missing)
+        inner = np.ones(len(ids), bool)
+        inner[start] = inner[start + size - 1] = False
+        ids[inner] = np.where(model._known[words], words, get(UNK, missing))
+        value = _backoff(model, ids, np.arange(len(ids)) - np.repeat(start, size)).tolist()
+        for at, end in zip(start.tolist(), (start + size).tolist()):
+            score = 0.0
+            for v in value[at + 1:end]:
+                score += v
+            yield score
+
+
 def lm_score_sentence(model, sentence):
     """Total log10 probability of a sentence (EOS included, OOV -> UNK)."""
-    mapped = [tok if model.known(tok) else UNK for tok in sentence]
-    history = [BOS]
-    score = 0.0
-    for tok in mapped + [EOS]:
-        # The last order - 1 tokens (none for order 1), not a copy of all.
-        score += model.conditional(history[max(len(history) - model.order + 1, 0):], tok)
-        history.append(tok)
-    return score
+    return next(lm_score_sentences(model, [sentence]))
 
 
 def lm_score_set(model, sentences):
@@ -278,7 +362,7 @@ def lm_score_set(model, sentences):
     sentences = list(sentences)
     if not sentences:
         raise ValueError("evaluation set is empty")
-    return sum(lm_score_sentence(model, s) for s in sentences) / len(sentences)
+    return sum(lm_score_sentences(model, sentences)) / len(sentences)
 
 
 def lm_write_arpa(model, path):
@@ -286,20 +370,28 @@ def lm_write_arpa(model, path):
     counts header, per-order sections, \\end\\.
 
     Rows go out in the model's order (sorted gram order for a trained
-    model, file order for a read one), their values converted _CHUNK rows
-    at a time.
+    model, file order for a read one), _CHUNK at a time, each chunk's
+    lines built a column at a time in object arrays of str: log10 p, the
+    gram's tokens from their ids, the backoff.
     """
+    spaced = np.array([tok + " " for tok in model.tokens], object)
+    tokens = np.array(model.tokens, object)
+
     def lines():
         yield "\\data\\"
-        for m, grams in enumerate(model.grams, 1):
-            yield "ngram %d=%d" % (m, len(grams))
-        for m, (grams, logp, bow) in enumerate(zip(model.grams, model.logp, model.bow), 1):
+        for m, logp in enumerate(model.logp, 1):
+            yield "ngram %d=%d" % (m, len(logp))
+        for m, (ids, logp, bow, listed) in enumerate(
+                zip(model.ids, model.logp, model.bow, model.listed), 1):
             yield from ("", "\\%d-grams:" % m)
-            for at in range(0, len(grams), _CHUNK):
-                rows = slice(at, at + _CHUNK)
-                yield from (
-                    "%.7g\t%s" % (p, g) if math.isnan(b) else "%.7g\t%s\t%.7g" % (p, g, b)
-                    for g, p, b in zip(grams[rows], logp[rows].tolist(), bow[rows].tolist()))
+            for at in range(0, len(logp), _CHUNK):
+                rows = slice(at, at + _CHUNK) if listed is None else listed[at:at + _CHUNK]
+                text = _each("%.7g\t".__mod__, logp[rows], object)
+                for j in range(m - 1):
+                    text += spaced[ids[rows, j]]
+                text += tokens[ids[rows, m - 1]]
+                yield from (text + _each(lambda b: "" if math.isnan(b) else "\t%.7g" % b,
+                                         bow[rows], object)).tolist()
         yield from ("", "\\end\\")
 
     write_lines(path, lines())
@@ -320,11 +412,10 @@ def _line_error(line, m):
     return "non-numeric field in %r" % line
 
 
-def _section_columns(body, m):
-    """The gram list and the logp and bow arrays of the lines of section m,
-    or None when some line has a defect that _line_error names."""
-    if not body:
-        return [], np.empty(0), np.empty(0)
+def _section_columns(body, m, number):
+    """The id rows (tokens numbered by number), logp and bow of the lines
+    of section m, or None when some line has a defect that _line_error
+    names."""
     tabs = list(map(str.count, body, repeat("\t")))
     if not 1 <= min(tabs) <= max(tabs) <= 2:
         return None
@@ -344,7 +435,33 @@ def _section_columns(body, m):
         return None
     if np.isnan(logp).any() or np.isnan(bow[has_bow]).any():
         return None
-    return grams, logp, bow
+    words = " ".join(grams).split(" ")
+    return np.fromiter(map(number.__getitem__, words), _ID, len(words)).reshape(-1, m), logp, bow
+
+
+def _sorted_section(runs, m):
+    """A section's columns joined from its chunks' (each run emptied as it
+    is joined), rows sorted: ids, logp, bow, and listed, the row of each
+    line in turn, or None when the lines were in sorted order.  Also the
+    place and row of the first line to repeat an earlier line's n-gram,
+    or None."""
+    section = []
+    for run, empty in zip(runs, (np.empty((0, m), _ID), np.empty(0), np.empty(0))):
+        section.append(np.concatenate([empty, *run], dtype=empty.dtype))
+        run.clear()
+    rows = np.argsort(section[0].view("V%d" % (4 * m)).ravel(), kind="stable")
+    listed = None
+    if (rows[1:] < rows[:-1]).any():
+        section = [column[rows] for column in section]
+        listed = np.empty(len(rows), np.intp)
+        listed[rows] = np.arange(len(rows))
+    # Equal rows are adjacent, each run of them in line order.
+    keys = section[0].view("V%d" % (4 * m)).ravel()
+    twice = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    if not len(twice):
+        return section + [listed], None
+    first = twice[np.argmin(rows[twice])]
+    return section + [listed], (rows[first].item(), first)
 
 
 def _arpa_chunks(path):
@@ -353,7 +470,9 @@ def _arpa_chunks(path):
     them: CRLF and lone CR end lines too, as in a text-mode open."""
     tail = ""
     for text in read_text_blocks(path, _CHUNK):
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
         # Only the file's last block can end in an unterminated line.
         tail = lines.pop()
         yield lines
@@ -361,16 +480,18 @@ def _arpa_chunks(path):
 
 
 def lm_read_arpa(path):
-    """Parse an ARPA file back into an NgramModel, rows in file order.
+    """Parse an ARPA file back into an NgramModel that writes its rows
+    back in file order.
 
     The grammar is the one SRILM and KenLM write: blank lines, \\data\\,
     one count line for each order 1..N in turn, then for m = 1..N the
     header \\m-grams: and exactly as many n-gram lines as declared, then
     \\end\\; blank lines may come before each header.  A section's lines
-    are read _CHUNK at a time and converted column by column.  The first
-    defective line is reported by number.  An n-gram listed twice is a
-    defect too, reported once the rest of its section converts.  Invalid
-    UTF-8 anywhere in the file outranks every defect.
+    are read _CHUNK at a time and converted column by column, each gram
+    straight to token ids.  The first defective line is reported by
+    number.  An n-gram listed twice is a defect too, reported once the
+    rest of its section converts.  Invalid UTF-8 anywhere in the file
+    outranks every defect.
     """
     chunks = _arpa_chunks(path)
     lines = chain.from_iterable(chunks)
@@ -412,36 +533,36 @@ def lm_read_arpa(path):
     if not counts:
         fail(start, "no ngram counts declared")
 
-    grams, logp, bow, index = [], [], [], []
+    number = _Numbering()
+    columns = [[], [], [], []]  # per order: ids, logp, bow, listed
     for m, count in enumerate(counts, 1):
         expect("\\%d-grams:" % m, "section header \\%d-grams:" % m)
-        listed, runs = [], []
+        got, runs = 0, ([], [], [])
         short = "\\data\\ declares %d %d-grams but %%d listed" % (count, m)
         section = islice(lines, count)
         while body := list(islice(section, _CHUNK)):
-            columns = _section_columns(body, m)
-            if columns is None:
+            chunk = _section_columns(body, m, number)
+            if chunk is None:
                 # A blank line or one starting with a backslash (both always
                 # defective) ends the section early.
                 end = next(j for j, line in enumerate(body) if _line_error(line, m))
                 if body[end].strip() and not body[end].startswith("\\"):
                     fail(n + end + 1, _line_error(body[end], m))
-                fail(n + end + 1, short % (len(listed) + end))
-            listed += columns[0]
-            runs.append(columns[1:])
+                fail(n + end + 1, short % (got + end))
+            for run, column in zip(runs, chunk):
+                run.append(column)
+            got += len(body)
             n += len(body)
-        if len(listed) < count:
-            fail(n, short % len(listed))
-        rows = dict(zip(listed, range(count)))
-        if len(rows) < count:
-            first = dict(zip(reversed(listed), reversed(range(count))))
-            j = next(j for j, gram in enumerate(listed) if first[gram] < j)
-            fail(n - count + j + 1, "ngram %r is listed twice" % listed[j])
-        grams.append(listed)
-        index.append(rows)
-        logp.append(np.concatenate([np.empty(0)] + [run[0] for run in runs]))
-        bow.append(np.concatenate([np.empty(0)] + [run[1] for run in runs]))
+        if got < count:
+            fail(n, short % got)
+        section, twice = _sorted_section(runs, m)
+        if twice:
+            names = list(number)
+            fail(n - count + twice[0] + 1, "ngram %r is listed twice"
+                 % " ".join(map(names.__getitem__, section[0][twice[1]].tolist())))
+        for column, values in zip(columns, section):
+            column.append(values)
     expect("\\end\\", "\\end\\ marker")
     for _ in chunks:  # what follows \end\ must still be UTF-8
         pass
-    return NgramModel(len(counts), grams, logp, bow, index)
+    return NgramModel(len(counts), list(number), *columns)

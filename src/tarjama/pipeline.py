@@ -42,6 +42,11 @@ class PipelineError(Exception):
     """Invalid configuration or missing artifact."""
 
 
+class ConfigFileError(PipelineError):
+    """A config file line or value that does not parse; the message begins
+    with the file's name."""
+
+
 class StageError(Exception):
     """A pipeline stage failed; carries the stage name and the cause."""
 
@@ -126,7 +131,7 @@ class PipelineConfig:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise PipelineError(
+                raise ConfigFileError(
                     "%s line %d: expected key=value, got %r" % (path, i + 1, line)
                 )
             key, value = line.split("=", 1)
@@ -139,7 +144,7 @@ class PipelineConfig:
         kinds = {f.name: f.type for f in fields(cls)}
         for key, value in values.items():
             if key not in kinds:
-                raise PipelineError("%s: unknown option %r" % (source, key))
+                raise ConfigFileError("%s: unknown option %r" % (source, key))
             kind = kinds[key]
             try:
                 if kind is bool:
@@ -147,7 +152,7 @@ class PipelineConfig:
                 else:
                     kwargs[key] = kind(value)
             except (KeyError, ValueError):
-                raise PipelineError(
+                raise ConfigFileError(
                     "%s: bad value %r for option %r" % (source, value, key)
                 )
         return cls(**kwargs)

@@ -433,6 +433,31 @@ def dict_read_arpa(path):
     return len(counts), probs, backoffs
 
 
+def dict_conditional(order, probs, backoffs, context, word):
+    """log10 p(word | context) by the backoff chain over dicts keyed by
+    gram tuple: the backoffs of the contexts tried, longest first, added
+    in turn, then the log10 p of the longest stored gram, or the floor."""
+    context = tuple(context)[max(len(context) - order + 1, 0):]
+    acc = 0.0
+    while context + (word,) not in probs:
+        if not context:
+            return acc + FLOOR
+        acc += backoffs.get(context, 0.0)
+        context = context[1:]
+    return acc + probs[context + (word,)]
+
+
+def dict_sentence_score(order, probs, backoffs, sentence):
+    """Total log10 probability of a sentence and its end over dicts: a
+    token without a unigram (or BOS or PAD) is scored as UNK."""
+    words = [w if (w,) in probs and w not in (BOS, "<pad>") else UNK for w in sentence]
+    history, score = [BOS], 0.0
+    for word in words + [EOS]:
+        score += dict_conditional(order, probs, backoffs, history, word)
+        history.append(word)
+    return score
+
+
 # ------------------------------------------------------------------ network
 
 def _sigmoid(x):

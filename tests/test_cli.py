@@ -817,6 +817,22 @@ def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_fil
     assert " " + message in caplog.text
 
 
+@pytest.mark.parametrize("name, lines, message", [
+    ("seed", ["direction=ar2en", "abc"], "seed line 2: expected key=value, got 'abc'"),
+    ("seed x", ["foo=1"], "seed x: unknown option 'foo'"),
+    ("seed y", ["epochs=abc"], "seed y: bad value 'abc' for option 'epochs'"),
+], ids=["syntax", "unknown-key", "bad-value"])
+def test_config_file_error_names_the_file_when_a_flag_sets_its_field(
+        tmp_path, caplog, monkeypatch, name, lines, message):
+    # The file's name begins like a field that --seed sets; the error is the
+    # file's, so it keeps the file's name.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / name, lines)
+    assert main(["experiment", "--config", name, "--seed", "3"]) == 1
+    assert " " + message in caplog.text
+    assert "--seed" not in caplog.text
+
+
 def _numbers(low, high):
     """Integers in [low, high], or any float: nan, inf and -0.0 included."""
     return st.one_of(st.integers(low, high), st.floats())

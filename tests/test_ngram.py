@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import re
 import tracemalloc
@@ -10,14 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    dict_conditional,
     dict_kn_train,
     dict_read_arpa,
+    dict_sentence_score,
     dict_write_arpa,
     naive_kn_backoff,
     naive_kn_prob,
     naive_kn_sentence,
 )
 from tarjama import ngram
+from tarjama.cli import main
 from tarjama.corpus import CorpusError
 from tarjama.ngram import (
     ArpaError,
@@ -519,3 +523,153 @@ def test_train_validation():
         lm_train([["a"]], order=0)
     with pytest.raises(ValueError):
         lm_train([["a"]], order=2, discount=1.5)
+
+
+def _large_corpus():
+    """The corpus of the large_model fixture."""
+    rng = np.random.default_rng(14)
+    words = ["w%d" % i for i in range(2000)]
+    return [[words[i] for i in rng.integers(0, len(words), int(rng.integers(3, 16)))]
+            for _ in range(3000)]
+
+
+def _with_lookup(build, *args):
+    """build(*args) after its first query, so any lookup built on demand
+    is built."""
+    model = build(*args)
+    model.conditional(("w1", "w2", "w3"), "w4")
+    return model
+
+
+def test_models_hold_at_most_64_bytes_per_ngram(tmp_path, large_model):
+    # Ids, the two float columns, the file order of a read model and the
+    # token table: no string and no dict entry per n-gram.
+    trained, size, _ = _traced(_with_lookup, lm_train, _large_corpus(), 4)
+    assert size <= 64 * len(trained.probs), size / len(trained.probs)
+    path = tmp_path / "large.arpa"
+    lm_write_arpa(large_model, path)
+    read, size, _ = _traced(_with_lookup, lm_read_arpa, str(path))
+    assert size <= 64 * len(read.probs), size / len(read.probs)
+
+
+# SHA-256 of `lm-train --order N` on golden_corpus's training text, and of
+# `lm-score` and `lm-score --per-sentence` of its held-out text with that
+# model, as the string-keyed model before the id columns wrote them.
+GOLDEN = {
+    1: ("afaab6ad121883bf675b22d708e442a7194de2fd30eaf7c1932f805f7d9dff9a",
+        "4a48dfffff67d6174d99d7b26b1878f5e68cb5047daf21b2516a5950087b1c7f",
+        "8d53b2d0a0b8fd683020110bace5950d18ad9eddaf463f589881a8df38c5a148"),
+    3: ("a2e816a3a56299fe9683180202363863fa249d57b29d1f2feacb2b4d47afe3f2",
+        "4791b08411ab963bc84283b57c812b6801c0890470a6639350c516e206832c7e",
+        "5dbf4f57988da119047e3bedbd2b03619f5f93cb644801121eaf27a209be2173"),
+    4: ("a83058efefa38cedc7b9a2f3830fff7b7c4700329722ca9b284bffb16ca229c8",
+        "a66fe432c981247d985d2253bf8d86bdc6ff27a8fef3315e19edc27b7cb69939",
+        "4151fce6c27591e2234b50ee8444052fa5c1f27408f5a4242fc9bc116b0b71d9"),
+    5: ("8fbcebe21122830bcb915e565252b755e40a6b61e7326801b1b19864125504ea",
+        "9df0c446fdf14120418d2d6b8d0ce5af6fd2da8366463ef96663e4c5d91a36f3",
+        "abd31754fa1fad2988415bae10d1b3911bbda95a140c3c68d71a28ddd3f9179c"),
+}
+
+
+def golden_corpus():
+    """500 training sentences and 63 held-out ones over a Zipf-like
+    vocabulary of 705 tokens (more than 256, so ids take two bytes):
+    Arabic and accented words, literal reserved tokens, empty sentences
+    and, held out, unseen words."""
+    rng = np.random.default_rng(2016)
+    words = ["w%d" % i for i in range(700)] + ["كتاب", "مدرسة", "Ünïcode", "<unk>", "</s>"]
+    weights = 1.0 / np.arange(1, len(words) + 1)
+    weights /= weights.sum()
+
+    def sentences(n):
+        return [" ".join(words[i] for i in rng.choice(len(words), int(rng.integers(0, 18)),
+                                                      p=weights))
+                for _ in range(n)]
+
+    train = sentences(500)
+    return train, sentences(60) + ["zzz w0 oov", "", "<s> w1 <pad>"]
+
+
+@pytest.mark.parametrize("order", sorted(GOLDEN))
+def test_lm_outputs_match_the_string_model_byte_for_byte(tmp_path, order):
+    train, heldout = golden_corpus()
+    paths = {name: tmp_path / name for name in ("train", "heldout", "arpa", "set", "each")}
+    paths["train"].write_text("".join(line + "\n" for line in train), encoding="utf-8")
+    paths["heldout"].write_text("".join(line + "\n" for line in heldout), encoding="utf-8")
+    assert main(["lm-train", str(paths["train"]), "--order", str(order),
+                 "-o", str(paths["arpa"])]) == 0
+    score = ["lm-score", "--model", str(paths["arpa"]), "--set", str(paths["heldout"])]
+    assert main(score + ["-o", str(paths["set"])]) == 0
+    assert main(score + ["--per-sentence", "-o", str(paths["each"])]) == 0
+    digests = tuple(hashlib.sha256(paths[name].read_bytes()).hexdigest()
+                    for name in ("arpa", "set", "each"))
+    assert digests == GOLDEN[order]
+
+
+def _read_with_oracle(path, text):
+    path.write_text(text, encoding="utf-8")
+    return lm_read_arpa(str(path)), dict_read_arpa(str(path))
+
+
+def test_gram_found_when_its_prefix_is_not_listed(tmp_path):
+    # "a b c" is listed, "a b" is not: the 3-gram is found all the same,
+    # and the chain never backs off through "a b".
+    model, (order, probs, backoffs) = _read_with_oracle(tmp_path / "m.arpa", (
+        "\\data\\\nngram 1=5\nngram 2=2\nngram 3=1\n\n"
+        "\\1-grams:\n-0.6\t</s>\n-99\t<s>\t-0.2\n-0.7\ta\t-0.3\n-0.8\tb\t-0.4\n-0.9\tc\n\n"
+        "\\2-grams:\n-0.5\t<s> a\t-0.1\n-0.45\tb c\n\n"
+        "\\3-grams:\n-0.25\ta b c\n\n\\end\\\n"))
+    assert model.conditional(("a", "b"), "c") == -0.25
+    for context, word in [(("a", "b"), "c"), (("x", "a", "b"), "c"), (("a", "b"), "b"),
+                          (("<s>", "a"), "b"), (("b",), "c"), ((), "a"), (("c", "a"), "zzz")]:
+        assert model.conditional(context, word) == dict_conditional(
+            order, probs, backoffs, context, word), (context, word)
+    for sentence in (["a", "b", "c"], ["b", "c", "a"], ["a", "zzz", "c"], []):
+        assert lm_score_sentence(model, sentence) == dict_sentence_score(
+            order, probs, backoffs, sentence), sentence
+
+
+def test_token_only_in_a_higher_section_is_unknown(tmp_path):
+    # "x" has no unigram: it is not known, a sentence scores it as <unk>,
+    # and only conditional, which maps nothing, finds the 2-gram "a x".
+    model, (order, probs, backoffs) = _read_with_oracle(tmp_path / "m.arpa", (
+        "\\data\\\nngram 1=5\nngram 2=3\n\n"
+        "\\1-grams:\n-0.6\t</s>\n-99\t<s>\t-0.2\n-0.7\ta\t-0.3\n-1.5\t<unk>\n-0.9\tb\n\n"
+        "\\2-grams:\n-0.5\t<s> a\n-0.15\ta x\n-0.35\ta <unk>\n\n\\end\\\n"))
+    assert not model.known("x") and model.known("a") and not model.known("<s>")
+    assert "x" not in model.events()
+    assert model.conditional(("a",), "x") == -0.15
+    assert lm_score_sentence(model, ["a", "x"]) == lm_score_sentence(model, ["a", "<unk>"])
+    for sentence in (["a", "x"], ["x"], ["x", "a", "b"]):
+        assert lm_score_sentence(model, sentence) == dict_sentence_score(
+            order, probs, backoffs, sentence), sentence
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=small_corpora, order=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 3, 8192]))
+def test_unsorted_file_is_written_back_and_scored_as_read(tmp_path_factory, corpus, order,
+                                                          seed, chunk):
+    # Each section's lines shuffled, or left in place: the model writes
+    # them back in file order, and scores as the dict oracle does.
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("arpa") / "model.arpa"
+    lm_write_arpa(lm_train(corpus, order), path)
+    blocks = path.read_text(encoding="utf-8").split("\n\n")
+    for k in range(1, len(blocks) - 1):
+        head, *body = blocks[k].split("\n")
+        if rng.random() < 0.7:
+            body = [body[j] for j in rng.permutation(len(body))]
+        blocks[k] = "\n".join([head] + body)
+    text = "\n\n".join(blocks)
+    path.write_text(text, encoding="utf-8")
+    again = path.parent / "again.arpa"
+    with mock.patch.object(ngram, "_CHUNK", chunk):
+        model = lm_read_arpa(str(path))
+        lm_write_arpa(model, again)
+    assert again.read_text(encoding="utf-8") == text
+    order, probs, backoffs = dict_read_arpa(str(path))
+    assert (dict(model.probs), dict(model.backoffs)) == (probs, backoffs)
+    for sentence in corpus + [["zzz"], ["a", "zzz", "b"]]:
+        assert lm_score_sentence(model, sentence) == dict_sentence_score(
+            order, probs, backoffs, sentence)
