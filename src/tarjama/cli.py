@@ -30,7 +30,6 @@ from .corpus import (
 from .ngram import (
     lm_read_arpa,
     lm_score_sentence,
-    lm_score_sentences,
     lm_score_set,
     lm_train,
     lm_write_arpa,
@@ -109,11 +108,10 @@ def _cmd_tokenize(args):
 
 def _cmd_segment(args):
     inv = _inventory(args)
-    corpus = [line.split() for line in read_lines(args.input)]
-    segmented, table = segment_corpus(corpus, inv)
+    segmented, table = segment_corpus((line.split() for line in read_lines(args.input)), inv)
     if args.table_out:
         table.save(args.table_out)
-    write_lines(args.output, [" ".join(sent) for sent in segmented])
+    write_lines(args.output, map(" ".join, segmented))
     return 0
 
 
@@ -168,7 +166,7 @@ def _cmd_lm_score(args):
     model = lm_read_arpa(args.model)
     sentences = [line.split() for line in read_lines(args.set)]
     if args.per_sentence:
-        out = ["%.4f" % score for score in lm_score_sentences(model, sentences)]
+        out = ["%.4f" % lm_score_sentence(model, s) for s in sentences]
         write_lines(args.output, out)
     else:
         if not sentences:

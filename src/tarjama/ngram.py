@@ -21,10 +21,10 @@ from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text_blocks,
 
 FLOOR = -99.0
 # Rows whose lines lm_write_arpa builds at once, lines per read of
-# lm_read_arpa: what either holds beyond the model.
+# lm_read_arpa, sentences lm_score_set scores at once: what each holds
+# beyond the model.
 _CHUNK = 1024
-# Token ids, big-endian: the bytes of an id row, as one void key, sort and
-# search like the row.
+# Token ids, big-endian, so the bytes of an id row sort like the row.
 _ID = np.dtype(">u4")
 
 
@@ -33,7 +33,8 @@ class ArpaError(FormatError):
 
 
 class _Numbering(dict):
-    """Token -> id, each new token numbered next."""
+    """Token -> id, each new token numbered next.  map(number.__getitem__,
+    words) runs Python code only for new words; setdefault, for each."""
 
     def __missing__(self, token):
         self[token] = len(self)
@@ -44,14 +45,12 @@ class _Numbering(dict):
 class NgramModel:
     """An n-gram model held as token-id columns.
 
-    tokens is the token table, which ids index: sorted for a trained
-    model, in order of first listing for a read one (sorted again for any
-    file a trained model wrote).  For each order m, ids[m - 1] is an
-    (n, m) array of _ID ids, one row per m-gram, rows sorted, and logp[m -
-    1] and bow[m - 1] are float64 arrays of their log10 probabilities and
-    log10 backoffs, NaN where a gram has none.  listed[m - 1] holds the
-    row of each line a read model read, in file order, in which it writes
-    them back; it is None when the rows were listed in their own order.
+    tokens is the token table that ids index.  For each order m, ids[m - 1]
+    is an (n, m) array of _ID ids, one row per m-gram, and logp[m - 1] and
+    bow[m - 1] are float64 arrays of their log10 probabilities and log10
+    backoffs, NaN where a gram has none.  Rows are in sorted gram order for
+    a trained model and in file order for a read one; sorter[m - 1] is the
+    permutation that sorts order m's rows, None when they are sorted.
     """
 
     order: int
@@ -59,11 +58,12 @@ class NgramModel:
     ids: list
     logp: list
     bow: list
-    listed: list = None
+    sorter: list = None
 
     def __post_init__(self):
-        self.listed = self.listed or [None] * self.order
+        self.sorter = self.sorter or [None] * self.order
         self.token_id = dict(zip(self.tokens, range(len(self.tokens))))
+        # Each id row read as one void key of 4m bytes, searched with sorter.
         self._keys = [np.ascontiguousarray(ids, _ID).view("V%d" % (4 * m)).ravel()
                       for m, ids in enumerate(self.ids, 1)]
         # By id, False in a last slot (id -1) for a token the model lacks.
@@ -99,10 +99,12 @@ class NgramModel:
 
     def _find(self, m, grams):
         """The row in order m of each gram (a row of m ids), or -1."""
-        keys = self._keys[m - 1]
+        keys, sorter = self._keys[m - 1], self.sorter[m - 1]
         query = np.ascontiguousarray(grams, _ID).view(keys.dtype).ravel()
-        at = np.searchsorted(keys, query)
+        at = np.searchsorted(keys, query, sorter=sorter)
         hit = at < len(keys)
+        if sorter is not None:
+            at[hit] = sorter[at[hit]]
         hit[hit] = keys[at[hit]] == query[hit]
         return np.where(hit, at, -1)
 
@@ -127,11 +129,9 @@ class GramView(Mapping):
         raise KeyError(gram)
 
     def __iter__(self):
-        model = self._model
-        for ids, values, listed in zip(model.ids, self._columns, model.listed):
-            rows = np.arange(len(values)) if listed is None else listed
-            for row in ids[rows[~np.isnan(values[rows])]].tolist():
-                yield tuple(map(model.tokens.__getitem__, row))
+        for ids, values in zip(self._model.ids, self._columns):
+            for row in ids[~np.isnan(values)].tolist():
+                yield tuple(map(self._model.tokens.__getitem__, row))
 
     def __len__(self):
         return sum(len(values) - int(np.isnan(values).sum()) for values in self._columns)
@@ -165,8 +165,9 @@ def ngram_rows(ids, room, size, order):
 
 def _each(f, values, dtype=float):
     """f(v) for each float v, as an array of dtype, _CHUNK values at a
-    time: f is called once for each distinct value of a chunk (bit
-    pattern, so -0.0 and 0.0 are two)."""
+    time, f called once for each distinct value of a chunk (bit pattern,
+    so -0.0 and 0.0 are two).  A model's values repeat: most backoffs are
+    NaN, and a third of the log10 probabilities in a chunk recur in it."""
     out = np.empty(len(values), dtype)
     for at in range(0, len(values), _CHUNK):
         bits, inverse = np.unique(values[at:at + _CHUNK].view(np.int64), return_inverse=True)
@@ -271,12 +272,15 @@ def lm_train(corpus, order, discount=0.75):
         if m == 1:
             gram[:, 0] = rows
         else:
-            rank = np.cumsum(stored.pop(m - 1)) - 1
+            rank = np.cumsum(stored.pop(m - 1), dtype=np.int32) - 1
             context = prefix.pop(m)[rows]
-            gram[:, :-1] = ids[-1][rank[context]]
-            gram[:, -1] = last.pop(m)[rows]
             contexts = np.unique(context)
             bow[-1][rank[contexts]] = _each(math.log10, gamma.pop(m)[contexts])
+            context = rank[context]  # the row of each gram's context one order down
+            for j in range(m - 1):  # a column at a time: no copy of the rows
+                gram[:, j] = ids[-1][context, j]
+            gram[:, -1] = last.pop(m)[rows]
+            del rank, context
         ids.append(gram)
         logp.append(_each(lambda x: math.log10(x) if x > 0.0 else FLOOR, p.pop(m)[rows]))
         bow.append(np.full(len(rows), np.nan))
@@ -329,12 +333,12 @@ def _backoff(model, ids, hist):
     return value
 
 
-def lm_score_sentences(model, sentences):
+def _scores(model, sentences):
     """Each sentence's total log10 probability (EOS included, OOV -> UNK),
-    1,024 sentences at a time, its positions' values added left to right."""
+    _CHUNK sentences at a time, its positions' values added left to right."""
     get, missing = model.token_id.get, len(model.tokens)
     sentences = iter(sentences)
-    while block := list(map(list, islice(sentences, 1024))):
+    while block := list(map(list, islice(sentences, _CHUNK))):
         words = np.fromiter((get(tok, missing) for sent in block for tok in sent), np.int64)
         # BOS, the sentence and EOS, sentence after sentence.
         size = np.fromiter(map(len, block), np.int64, len(block)) + 2
@@ -354,7 +358,7 @@ def lm_score_sentences(model, sentences):
 
 def lm_score_sentence(model, sentence):
     """Total log10 probability of a sentence (EOS included, OOV -> UNK)."""
-    return next(lm_score_sentences(model, [sentence]))
+    return next(_scores(model, [sentence]))
 
 
 def lm_score_set(model, sentences):
@@ -362,7 +366,7 @@ def lm_score_set(model, sentences):
     sentences = list(sentences)
     if not sentences:
         raise ValueError("evaluation set is empty")
-    return sum(lm_score_sentences(model, sentences)) / len(sentences)
+    return sum(_scores(model, sentences)) / len(sentences)
 
 
 def lm_write_arpa(model, path):
@@ -374,22 +378,20 @@ def lm_write_arpa(model, path):
     lines built a column at a time in object arrays of str: log10 p, the
     gram's tokens from their ids, the backoff.
     """
-    spaced = np.array([tok + " " for tok in model.tokens], object)
     tokens = np.array(model.tokens, object)
+    spaced = np.array([" " + tok for tok in model.tokens], object)
 
     def lines():
         yield "\\data\\"
         for m, logp in enumerate(model.logp, 1):
             yield "ngram %d=%d" % (m, len(logp))
-        for m, (ids, logp, bow, listed) in enumerate(
-                zip(model.ids, model.logp, model.bow, model.listed), 1):
+        for m, (ids, logp, bow) in enumerate(zip(model.ids, model.logp, model.bow), 1):
             yield from ("", "\\%d-grams:" % m)
             for at in range(0, len(logp), _CHUNK):
-                rows = slice(at, at + _CHUNK) if listed is None else listed[at:at + _CHUNK]
-                text = _each("%.7g\t".__mod__, logp[rows], object)
-                for j in range(m - 1):
+                rows = slice(at, at + _CHUNK)
+                text = _each("%.7g\t".__mod__, logp[rows], object) + tokens[ids[rows, 0]]
+                for j in range(1, m):
                     text += spaced[ids[rows, j]]
-                text += tokens[ids[rows, m - 1]]
                 yield from (text + _each(lambda b: "" if math.isnan(b) else "\t%.7g" % b,
                                          bow[rows], object)).tolist()
         yield from ("", "\\end\\")
@@ -439,29 +441,17 @@ def _section_columns(body, m, number):
     return np.fromiter(map(number.__getitem__, words), _ID, len(words)).reshape(-1, m), logp, bow
 
 
-def _sorted_section(runs, m):
-    """A section's columns joined from its chunks' (each run emptied as it
-    is joined), rows sorted: ids, logp, bow, and listed, the row of each
-    line in turn, or None when the lines were in sorted order.  Also the
-    place and row of the first line to repeat an earlier line's n-gram,
-    or None."""
-    section = []
-    for run, empty in zip(runs, (np.empty((0, m), _ID), np.empty(0), np.empty(0))):
-        section.append(np.concatenate([empty, *run], dtype=empty.dtype))
-        run.clear()
-    rows = np.argsort(section[0].view("V%d" % (4 * m)).ravel(), kind="stable")
-    listed = None
-    if (rows[1:] < rows[:-1]).any():
-        section = [column[rows] for column in section]
-        listed = np.empty(len(rows), np.intp)
-        listed[rows] = np.arange(len(rows))
-    # Equal rows are adjacent, each run of them in line order.
-    keys = section[0].view("V%d" % (4 * m)).ravel()
-    twice = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-    if not len(twice):
-        return section + [listed], None
-    first = twice[np.argmin(rows[twice])]
-    return section + [listed], (rows[first].item(), first)
+def _sorter(ids, m):
+    """The stable permutation that sorts the id rows of section m, None
+    when they are in order, and the first row to repeat an earlier one, or
+    -1: equal rows are adjacent in sorted order, in row order."""
+    keys = ids.view("V%d" % (4 * m)).ravel()
+    rows = np.argsort(keys, kind="stable")
+    in_order = not (rows[1:] < rows[:-1]).any()
+    if not in_order:
+        keys = keys[rows]
+    twice = rows[1:][keys[1:] == keys[:-1]]
+    return None if in_order else rows, twice.min() if len(twice) else -1
 
 
 def _arpa_chunks(path):
@@ -470,9 +460,7 @@ def _arpa_chunks(path):
     them: CRLF and lone CR end lines too, as in a text-mode open."""
     tail = ""
     for text in read_text_blocks(path, _CHUNK):
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         # Only the file's last block can end in an unterminated line.
         tail = lines.pop()
         yield lines
@@ -480,8 +468,7 @@ def _arpa_chunks(path):
 
 
 def lm_read_arpa(path):
-    """Parse an ARPA file back into an NgramModel that writes its rows
-    back in file order.
+    """Parse an ARPA file back into an NgramModel, rows in file order.
 
     The grammar is the one SRILM and KenLM write: blank lines, \\data\\,
     one count line for each order 1..N in turn, then for m = 1..N the
@@ -533,8 +520,7 @@ def lm_read_arpa(path):
     if not counts:
         fail(start, "no ngram counts declared")
 
-    number = _Numbering()
-    columns = [[], [], [], []]  # per order: ids, logp, bow, listed
+    number, columns = _Numbering(), ([], [], [], [])  # token ids; ids, logp, bow, sorter
     for m, count in enumerate(counts, 1):
         expect("\\%d-grams:" % m, "section header \\%d-grams:" % m)
         got, runs = 0, ([], [], [])
@@ -555,13 +541,16 @@ def lm_read_arpa(path):
             n += len(body)
         if got < count:
             fail(n, short % got)
-        section, twice = _sorted_section(runs, m)
-        if twice:
+        for column, run, empty in zip(columns, runs, (np.empty((0, m), _ID), np.empty(0),
+                                                      np.empty(0))):
+            column.append(np.concatenate([empty, *run], dtype=empty.dtype))
+            run.clear()  # each run is let go once it is joined
+        sorter, row = _sorter(columns[0][-1], m)
+        columns[3].append(sorter)
+        if row >= 0:
             names = list(number)
-            fail(n - count + twice[0] + 1, "ngram %r is listed twice"
-                 % " ".join(map(names.__getitem__, section[0][twice[1]].tolist())))
-        for column, values in zip(columns, section):
-            column.append(values)
+            fail(n - count + row + 1, "ngram %r is listed twice"
+                 % " ".join(map(names.__getitem__, columns[0][-1][row].tolist())))
     expect("\\end\\", "\\end\\ marker")
     for _ in chunks:  # what follows \end\ must still be UTF-8
         pass

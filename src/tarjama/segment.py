@@ -233,9 +233,12 @@ def segment_corpus(corpus, inv=DEFAULT_INVENTORY):
 
     Every word contributes a table entry, identity segmentations included,
     so that seen data always round-trips by lookup.  Each distinct token is
-    segmented once and enters the table once, with its count.
+    segmented once and enters the table once, with its count.  The corpus is
+    held with one str object per distinct token.
     """
-    corpus = list(corpus)
+    first = {}
+    corpus = [[first.setdefault(token, token) for token in sent] for sent in corpus]
+    del first
     counts = Counter(chain.from_iterable(corpus))
     segs = {token: atb_segment(token, inv) for token in counts}
     table = DetokTable()

@@ -9,8 +9,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tarjama"
 MODULES = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py")
 # Imported and never called: bench/tracing.py wraps these attributes.
-UNUSED_ON_PURPOSE = {("pipeline.py", "atb_segment"), ("nmt/decoding.py", "decode_step"),
-                     ("cli.py", "lm_score_sentence")}
+UNUSED_ON_PURPOSE = {("pipeline.py", "atb_segment"), ("nmt/decoding.py", "decode_step")}
 
 
 def unused_imports(source):

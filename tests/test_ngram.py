@@ -542,7 +542,7 @@ def _with_lookup(build, *args):
 
 
 def test_models_hold_at_most_64_bytes_per_ngram(tmp_path, large_model):
-    # Ids, the two float columns, the file order of a read model and the
+    # Ids, the two float columns, the sorter of a read model and the
     # token table: no string and no dict entry per n-gram.
     trained, size, _ = _traced(_with_lookup, lm_train, _large_corpus(), 4)
     assert size <= 64 * len(trained.probs), size / len(trained.probs)
