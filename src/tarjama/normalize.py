@@ -33,6 +33,8 @@ class NormRules:
 
     def __post_init__(self):
         self.validate()
+        # Stripping wins over a rewrite of the same character.
+        self._table = str.maketrans(self.char_map | dict.fromkeys(self.strip_set))
 
     def validate(self):
         # Closure: a rewrite output must never contain a character that is
@@ -81,12 +83,7 @@ DEFAULT_RULES = default_arabic_rules()
 
 def normalize_arabic(text, rules=DEFAULT_RULES):
     """Apply a NormRules table to text.  Total and idempotent."""
-    out = []
-    for ch in text:
-        if ch in rules.strip_set:
-            continue
-        out.append(rules.char_map.get(ch, ch))
-    return "".join(out)
+    return text.translate(rules._table)
 
 
 def lowercase(text):

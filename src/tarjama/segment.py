@@ -6,7 +6,10 @@ scheme: one conjunction slot, one particle slot, one pronominal enclitic
 slot, definite article never split, ta marbuta restored when an enclitic
 comes off.  Proclitics carry a trailing ``+`` marker, enclitics a leading
 one, and segmentation is undone either by table lookup (most frequent
-surface wins) or by three concatenation rules.
+surface wins) or by three concatenation rules.  The table holds one count
+per (segmented form, surface) pair and each form's current best surface;
+detokenizing gives each token a one-letter kind and finds the marker-linked
+runs with one regular expression over the string of kinds.
 """
 
 import logging
@@ -111,14 +114,6 @@ class CliticInventory:
 DEFAULT_INVENTORY = CliticInventory()
 
 
-def _escape_plus(token):
-    return token.replace("+", "\\+")
-
-
-def _unescape_plus(token):
-    return token.replace("\\+", "+")
-
-
 def _is_arabic_word(token):
     return bool(token) and not token.strip(_ARABIC_LETTERS)
 
@@ -139,7 +134,7 @@ def atb_segment(token, inv=DEFAULT_INVENTORY):
     with literal ``+`` escaped as ``\\+`` so it cannot read as a marker.
     """
     if not _is_arabic_word(token):
-        return [_escape_plus(token)] if token else [token]
+        return [token.replace("+", "\\+")]
 
     rest = token
     proclitics = []
@@ -176,15 +171,18 @@ def atb_segment(token, inv=DEFAULT_INVENTORY):
 @dataclass
 class DetokTable:
     """Frequency map from segmented form (space-joined, with markers) back
-    to observed surface forms."""
+    to observed surface forms, filled only by add."""
 
-    entries: dict = field(default_factory=dict)  # key -> Counter of surfaces
-    # key -> lookup(key), kept until the key's next add
-    _best: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    counts: dict = field(default_factory=dict, init=False)  # (key, surface) -> count
+    best: dict = field(default_factory=dict, init=False)  # key -> lookup(key)
 
     def add(self, key, surface, count=1):
-        self.entries.setdefault(key, Counter())[surface] += count
-        self._best.pop(key, None)
+        count += self.counts.get((key, surface), 0)
+        self.counts[key, surface] = count
+        # Counts only grow, so only the surface just counted can take over.
+        best = self.best.get(key)
+        if best is None or (-count, surface) < (-best[1], best[0]):
+            self.best[key] = (surface, count)
 
     def lookup(self, key):
         """Best (surface, count) for a segmented form, or None.
@@ -192,21 +190,13 @@ class DetokTable:
         Most frequent surface wins; count ties go to the lexicographically
         smaller surface.
         """
-        best = self._best.get(key)
-        if best is None:
-            surfaces = self.entries.get(key)
-            if not surfaces:
-                return None
-            surface = min(surfaces, key=lambda s: (-surfaces[s], s))
-            best = self._best[key] = (surface, surfaces[surface])
-        return best
+        return self.best.get(key)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.best)
 
     def save(self, path):
-        write_table(path, ((key, surface, count) for key in sorted(self.entries)
-                           for surface, count in sorted(self.entries[key].items())))
+        write_table(path, (pair + (count,) for pair, count in sorted(self.counts.items())))
 
     @classmethod
     def load(cls, path, inv=None):
@@ -247,26 +237,28 @@ def segment_corpus(corpus, inv=DEFAULT_INVENTORY):
     return [[seg for token in sent for seg in segs[token]] for sent in corpus], table
 
 
-def _is_proclitic_token(token):
-    return token.endswith("+") and not token.endswith("\\+") and len(token) > 1
+def _kind(token):
+    """P for a proclitic (x+), E for an enclitic (+x), B for both (+x+),
+    S for anything else, an escaped ``\\+`` included."""
+    if len(token) < 2:
+        return "S"
+    return "SEPB"[2 * (token[-1] == "+" and token[-2] != "\\") + (token[0] == "+")]
 
 
-def _is_enclitic_token(token):
-    return token.startswith("+") and len(token) > 1
+# A run: proclitics, at most one stem, enclitics; B is a proclitic before
+# the stem and an enclitic after it.  A run starts at a token: (?=.) keeps
+# out the empty match after the last one.
+_RUN_RE = re.compile("(?=.)([PB]*)(S?)([EB]*)")
 
 
 def _rules_join(proclitics, stem, enclitics):
     """R1 strip markers and concatenate; R2 ta marbuta back to ta before an
     enclitic; R3 lam before a definite article swallows the article's alif."""
-    pros = [p[:-1] for p in proclitics]
-    encs = [e[1:] for e in enclitics]
-    if stem is None:
-        return "".join(pros) + "".join(encs)
-    if encs and stem.endswith(TA_MARBUTA):
+    if enclitics and stem.endswith(TA_MARBUTA):
         stem = stem[:-1] + TA
-    if pros and pros[-1] == "ل" and stem.startswith(_DEFINITE_ARTICLE):
+    if proclitics and proclitics[-1] == "ل+" and stem.startswith(_DEFINITE_ARTICLE):
         stem = stem[1:]
-    return "".join(pros) + stem + "".join(encs)
+    return "".join(p[:-1] for p in proclitics) + stem + "".join(e[1:] for e in enclitics)
 
 
 def detokenize(tokens, table=None, inv=DEFAULT_INVENTORY):
@@ -278,40 +270,21 @@ def detokenize(tokens, table=None, inv=DEFAULT_INVENTORY):
     dangling proclitic at sentence end) are closed as-is via R1 with a
     warning.
     """
+    kinds = "".join(map(_kind, tokens))
     out = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        linked = _is_proclitic_token(tok) or _is_enclitic_token(tok) or (
-            i + 1 < n and _is_enclitic_token(tokens[i + 1])
-        )
-        if not linked:
-            out.append(_unescape_plus(tok))
-            i += 1
+    for run in _RUN_RE.finditer(kinds):
+        start, end = run.span()
+        if run.group() == "S":
+            out.append(tokens[start].replace("\\+", "+"))
             continue
-
-        start = i
-        pros = []
-        while i < n and _is_proclitic_token(tokens[i]):
-            pros.append(tokens[i])
-            i += 1
-        stem = None
-        if i < n and not _is_proclitic_token(tokens[i]) and not _is_enclitic_token(tokens[i]):
-            stem = tokens[i]
-            i += 1
-        encs = []
-        while i < n and _is_enclitic_token(tokens[i]):
-            encs.append(tokens[i])
-            i += 1
-
-        group = tokens[start:i]
+        group = tokens[start:end]
         if table is not None:
             hit = table.lookup(" ".join(group))
             if hit is not None:
                 out.append(hit[0])
                 continue
-        if stem is None:
+        pros, stem, encs = (tokens[slice(*run.span(g))] for g in (1, 2, 3))
+        if not stem:
             log.warning("detokenize: marker run %r has no stem", group)
-        out.append(_rules_join(pros, stem, encs))
+        out.append(_rules_join(pros, "".join(stem), encs))
     return out

@@ -334,6 +334,26 @@ def test_normalize_reads_stdin_writes_stdout(monkeypatch):
     assert captured.getvalue().decode("utf-8") == "الي\n"
 
 
+def test_readme_arabic_round_trip(monkeypatch, tmp_path):
+    def run(argv, text):
+        monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(text.encode())))
+        captured = io.BytesIO()
+        monkeypatch.setattr("sys.stdout", types.SimpleNamespace(
+            buffer=captured, flush=lambda: None
+        ))
+        assert main(argv) == 0
+        return captured.getvalue().decode("utf-8")
+
+    table = str(tmp_path / "table.tsv")
+    text = "وقِيلَ إنه ذهب لمدرسته\n"
+    for argv in (["normalize"], ["tokenize"], ["segment", "--table-out", table]):
+        text = run(argv, text)
+    assert text == "و+ قيل انه ذهب ل+ مدرسة +ه\n"
+    segmented = tmp_path / "segmented.txt"
+    segmented.write_text(text, encoding="utf-8")
+    assert run(["detokenize", "--table", table, str(segmented)], "") == "وقيل انه ذهب لمدرسته\n"
+
+
 def test_tokenize(tmp_path):
     src = tmp_path / "in.txt"
     out = tmp_path / "out.txt"

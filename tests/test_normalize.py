@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tarjama.corpus import CorpusError
 from tarjama.normalize import (
@@ -56,11 +57,25 @@ def test_idempotent_on_random_arabic_text():
         assert normalize_arabic(once) == once
 
 
+# "a" is both rewritten and stripped; "b" rewrites to nothing.
+@pytest.mark.parametrize("rules", [default_arabic_rules(),
+                                   NormRules({"a": "xy", "b": "", "(": "-LRB-"}, {"a", "z"})],
+                         ids=["default", "overlapping"])
+@given(text=st.text(st.sampled_from([chr(c) for c in range(0x0600, 0x0700)]
+                                    + list("abxyz() \t"))))
+def test_normalize_equals_the_per_character_rule(rules, text):
+    want = "".join(rules.char_map.get(ch, ch) for ch in text if ch not in rules.strip_set)
+    assert normalize_arabic(text, rules) == want
+
+
 def test_rules_reject_non_idempotent_mappings():
     with pytest.raises(ValueError, match="idempotent"):
         NormRules(char_map={"a": "b", "b": "c"})
     with pytest.raises(ValueError, match="idempotent"):
         NormRules(char_map={"a": "b"}, strip_set={"b"})
+    # A key of two characters could never match one character of text.
+    with pytest.raises(ValueError, match="length 1"):
+        NormRules(char_map={"ab": "c"})
 
 
 def test_rules_save_load_round_trip(tmp_path):

@@ -1,8 +1,10 @@
+import logging
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tarjama.corpus import CorpusError
 from tarjama.segment import (
@@ -113,6 +115,34 @@ def test_detokenize_rules_join():
     assert detokenize(["C\\+X"]) == ["C+X"]
 
 
+# The run grammar: a run is proclitics, at most one stem, then enclitics;
+# "+x+" counts as a proclitic before a stem and as an enclitic after one.
+@pytest.mark.parametrize("tokens, words, warnings", [
+    (["+x+"], ["+x"], 1),
+    (["+"], ["+"], 0),
+    (["x\\+"], ["x+"], 0),
+    (["\\+"], ["+"], 0),
+    (["قال", "و+"], ["قال", "و"], 1),
+    (["+ه", "+ها"], ["هها"], 1),
+    (["و+", "+ه"], ["وه"], 1),
+    (["كتاب", "+ه", "+ها"], ["كتابهها"], 0),
+    (["قال", "كتاب"], ["قال", "كتاب"], 0),
+    (["x", "+y+"], ["xy+"], 0),
+    (["+y+", "x"], ["+yx"], 0),
+    (["و+", "+x+", "ل+", "الكتاب", "+ه"], ["و+xللكتابه"], 0),
+    (["+ه", "x", "+\\+"], ["ه", "x\\+"], 1),
+    ([], [], 0),
+], ids=["both-markers", "lone-plus", "escaped-suffix", "escaped-plus", "dangling-proclitic",
+        "enclitics-no-stem", "proclitic-then-enclitic", "two-enclitics", "two-stems",
+        "both-after-stem", "both-before-stem", "both-between-proclitics",
+        "enclitic-then-escaped-enclitic", "empty"])
+def test_detokenize_run_grammar(caplog, tokens, words, warnings):
+    with caplog.at_level(logging.WARNING, logger="tarjama.segment"):
+        assert detokenize(tokens) == words
+    assert sum(bool(re.search("marker run .* has no stem", r.getMessage()))
+               for r in caplog.records) == warnings
+
+
 def test_detokenize_table_lookup_wins_over_rules():
     table = DetokTable()
     table.add("و+ قلم", "wqlm-override")  # table is authoritative, rules are not
@@ -141,6 +171,28 @@ def test_detok_table_add_replaces_a_remembered_lookup():
     table.add("j", "z")  # a key once missing, and another key's add
     assert table.lookup("j") == ("z", 1)
     assert table.lookup("k") == ("a", 3)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(["k", "j", "و+ قلم"]),
+                          st.sampled_from(["a", "b", "ab", "وقلم"]),
+                          st.integers(1, 3))))
+def test_detok_table_lookup_is_the_top_summed_count(tmp_path, adds):
+    table = DetokTable()
+    summed = {}
+    for key, surface, count in adds:
+        table.add(key, surface, count)
+        summed.setdefault(key, Counter())[surface] += count
+    for key in ("k", "j", "و+ قلم", "missing"):
+        surfaces = summed.get(key, {})
+        want = min(surfaces.items(), key=lambda sn: (-sn[1], sn[0]), default=None)
+        assert table.lookup(key) == want
+    assert len(table) == len(summed)
+    path = tmp_path / "table.tsv"
+    table.save(path)
+    again = DetokTable.load(str(path))
+    assert again.counts == table.counts
+    assert all(again.lookup(key) == table.lookup(key) for key in summed)
 
 
 def test_detok_table_save_load(tmp_path):
@@ -201,9 +253,10 @@ def test_segment_corpus_equals_per_token_segmenting_and_adding():
         want.append(out)
     segmented, table = segment_corpus(iter(corpus))
     assert segmented == want
-    assert table.entries == want_table.entries
-    assert list(table.entries) == list(want_table.entries)
-    for key in want_table.entries:
+    assert table.counts == want_table.counts
+    assert list(table.counts) == list(want_table.counts)
+    assert table.best == want_table.best
+    for key in want_table.best:
         assert table.lookup(key) == want_table.lookup(key)
 
 
