@@ -67,7 +67,7 @@ print("pieces:      ", pieces)
 # Inversion: undo BPE, then rejoin the clitics. Byte-for-byte identical
 # to what went in.
 assert undo_bpe(pieces) == ["teaching", "reacher", "noon"]
-restored = detokenize(segmented[0], table, DEFAULT_INVENTORY)
+restored = detokenize(segmented[0], table)
 print("\nrestored:    ", " ".join(restored))
 assert restored == ar_tokens
 print("round trip OK")

@@ -11,7 +11,7 @@ import heapq
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 from .corpus import FormatError, read_table, write_table
 
@@ -67,78 +67,77 @@ def merge_word(symbols, pair):
     return tuple(out)
 
 
-def _pair_counts(vocab):
-    """Frequency-weighted counts of every adjacent symbol pair, and which
-    words contain each pair."""
-    counts = Counter()
-    where = defaultdict(set)
-    for word, (symbols, freq) in vocab.items():
-        for a, b in zip(symbols, symbols[1:]):
-            counts[(a, b)] += freq
-            where[(a, b)].add(word)
-    return counts, where
-
-
 def learn_bpe(word_freqs, target_vocab_size):
     """Learn a merge list from word frequencies.
 
     Stops once the working symbol vocabulary reaches target_vocab_size or no
-    pair occurs at least twice.  Pair statistics are updated incrementally,
-    touching only the words that contained the merged pair; results are
+    pair occurs at least twice.  A merge recounts only the pairs next to the
+    sites it merges, in the words that may hold its pair; results are
     identical to recounting from scratch each round.
     """
     if target_vocab_size < 1:
         raise ValueError("target_vocab_size must be positive")
-    vocab = {}
-    # symbol -> number of words holding it; its length is the symbol
-    # vocabulary, kept current by touching only the words a merge changes.
-    holders = Counter()
-    for word, freq in word_freqs.items():
-        if freq < 1:
-            raise ValueError(f"word {word!r} has count {freq}; counts must be >= 1")
-        vocab[word] = (tuple(word), freq)
-        holders.update(set(word))
+    if min(word_freqs.values(), default=1) < 1:
+        word, freq = next((w, f) for w, f in word_freqs.items() if f < 1)
+        raise ValueError(f"word {word!r} has count {freq}; counts must be >= 1")
+    # symbol -> its number of occurrences over the word types; its length is
+    # the symbol vocabulary.  Each merged site turns one occurrence of each
+    # of the pair's symbols into one of the merged symbol.
+    occurrences = Counter(chain.from_iterable(word_freqs))
+    if target_vocab_size < len(occurrences):
+        raise ValueError("target_vocab_size %d is below the initial character vocabulary; "
+                         "minimum is %d" % (target_vocab_size, len(occurrences)))
 
-    initial = len(holders)
-    if target_vocab_size < initial:
-        raise ValueError(
-            "target_vocab_size %d is below the initial character vocabulary; "
-            "minimum is %d" % (target_vocab_size, initial)
-        )
+    words = list(map(tuple, word_freqs))  # word index -> its symbols
+    freqs = list(word_freqs.values())
+    # pair -> indices of the words it was counted in, a word once per count;
+    # a word that has since lost the pair stays listed, and merges nothing.
+    where = defaultdict(list)
+    for i, word in enumerate(word_freqs):
+        for pair in zip(word, word[1:]):
+            where[pair].append(i)
+    # Frequency-weighted counts of every adjacent symbol pair.
+    counts = {pair: sum(map(freqs.__getitem__, held)) for pair, held in where.items()}
 
     merges = []
-    counts, where = _pair_counts(vocab)
     # (-count, pair) entries, ties going to the smallest pair.  A merge pushes
     # every count it changes; an entry whose count no longer holds is stale.
     heap = [(-count, pair) for pair, count in counts.items()]
     heapq.heapify(heap)
-    while len(holders) < target_vocab_size and heap:
+    while len(occurrences) < target_vocab_size and heap:
         neg, pair = heapq.heappop(heap)
         if counts.get(pair) != -neg:
             continue
         if -neg < 2:
             break
         merges.append(pair)
-        delta = Counter()
-        # Only the pair's symbols can leave a word, only the merged one join.
-        changing = {*pair, "".join(pair)}
-        for word in where.pop(pair):  # no word holds the pair afterwards
-            symbols, freq = vocab[word]
-            new = merge_word(symbols, pair)
-            vocab[word] = (new, freq)
-            for p in zip(symbols, symbols[1:]):
-                delta[p] -= freq
-                where[p].discard(word)
-            for p in zip(new, new[1:]):
-                delta[p] += freq
-                where[p].add(word)
-            for s in changing:
-                holders[s] += (s in new) - (s in symbols)
-                if not holders[s]:  # pair symbols only fall, the merged one only rises
-                    del holders[s]
+        joined = "".join(pair)
+        delta = {}
+        sites = 0
+        for i in set(where.pop(pair)):  # no word holds the pair afterwards
+            old = words[i]
+            words[i] = new = merge_word(old, pair)
+            merged = len(old) - len(new)
+            if not merged:
+                continue
+            sites += merged
+            # Only pairs from the symbol before the first joined one to the
+            # one after the last can change; the rest is as it was.
+            lo = max(new.index(joined) - 1, 0)
+            end = len(new) + 1 - new[::-1].index(joined)
+            for p in zip(old[lo:end + merged], old[lo + 1:end + merged]):
+                delta[p] = delta.get(p, 0) - freqs[i]
+            for p in zip(new[lo:end], new[lo + 1:end]):
+                delta[p] = delta.get(p, 0) + freqs[i]
+                where[p].append(i)
+        occurrences[joined] += sites
+        for s in pair:  # a symbol paired with itself loses two per site
+            occurrences[s] -= sites
+            if not occurrences[s]:
+                del occurrences[s]
         for p, change in delta.items():
             if change:
-                counts[p] += change
+                counts[p] = counts.get(p, 0) + change
                 if counts[p] > 0:
                     heapq.heappush(heap, (-counts[p], p))
                 else:
@@ -186,16 +185,14 @@ def apply_bpe(sentence, model):
 
 
 def undo_bpe(sentence):
-    """Concatenate continuation-marked tokens back into whole words."""
-    out = []
-    buffer = ""
-    for tok in sentence:
-        if tok.endswith(CONTINUATION):
-            buffer += tok[: -len(CONTINUATION)]
-        else:
-            out.append(buffer + tok)
-            buffer = ""
-    if buffer:
+    """Concatenate continuation-marked tokens, which hold no space (as from
+    str.split), back into whole words with one replace over their join.  A
+    marker-only token adds nothing; pieces unjoined at the end are kept as
+    one word, with a warning."""
+    text = " ".join([*sentence, ""]).replace(CONTINUATION + " ", "")
+    if text.endswith(" "):  # the last token was unmarked
+        return text[:-1].split(" ")
+    if text:
         log.warning("undo_bpe: dangling continuation marker at sentence end")
-        out.append(buffer)
-    return out
+        return text.split(" ")
+    return []

@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 from collections import Counter
+from itertools import chain
 
 from .bleu import bleu
 from .bpe import BpeModel, apply_bpe, learn_bpe, undo_bpe
@@ -79,8 +80,7 @@ def _inventory(args):
     if getattr(args, "min_stem", None) is not None:
         kwargs["min_stem_len"] = args.min_stem
     if getattr(args, "lexicon", None):
-        stems = {line for line in read_lines(args.lexicon) if line}
-        kwargs["stem_lexicon"] = stems
+        kwargs["stem_lexicon"] = {line for line in read_lines(args.lexicon) if line}
     if getattr(args, "clitics", None):
         return CliticInventory.from_file(args.clitics, **kwargs)
     return dataclasses.replace(DEFAULT_INVENTORY, **kwargs)
@@ -108,7 +108,7 @@ def _cmd_tokenize(args):
 
 def _cmd_segment(args):
     inv = _inventory(args)
-    segmented, table = segment_corpus((line.split() for line in read_lines(args.input)), inv)
+    segmented, table = segment_corpus(map(str.split, read_lines(args.input)), inv)
     if args.table_out:
         table.save(args.table_out)
     write_lines(args.output, map(" ".join, segmented))
@@ -116,19 +116,15 @@ def _cmd_segment(args):
 
 
 def _cmd_detokenize(args):
-    inv = _inventory(args)
-    table = DetokTable.load(args.table, inv) if args.table else None
-    return _map_lines(
-        args, lambda line: " ".join(detokenize(line.split(), table, inv))
-    )
+    table = DetokTable.load(args.table, _inventory(args)) if args.table else None
+    return _map_lines(args, lambda line: " ".join(detokenize(line.split(), table)))
 
 
 def _cmd_bpe_learn(args):
-    freqs = Counter(tok for line in read_lines(args.input) for tok in line.split())
+    freqs = Counter(chain.from_iterable(map(str.split, read_lines(args.input))))
     if not freqs:
         raise CorpusError("no tokens in input")
-    model = learn_bpe(freqs, args.vocab_size)
-    model.save(args.output)
+    learn_bpe(freqs, args.vocab_size).save(args.output)
     return 0
 
 

@@ -12,6 +12,7 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from . import corpus as corpus_io
 from .bleu import bleu
@@ -239,9 +240,8 @@ def _preprocess(config, src_lines, tgt_lines, arts, learn):
                 sents = [truecase_apply(sent, arts.truecase) for sent in sents]
         # Last step: BPE.
         if learn and config.bpe_size > 0:
-            freqs = Counter(tok for sent in sents for tok in sent)
             try:
-                model = learn_bpe(freqs, config.bpe_size)
+                model = learn_bpe(Counter(chain.from_iterable(sents)), config.bpe_size)
             except ValueError as exc:  # too small for this side's characters
                 raise PipelineError("bpe_size is too small for the %s side: %s"
                                     % ("source" if side == "src" else "target", exc)) from None

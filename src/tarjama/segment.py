@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .corpus import FormatError, read_lines, read_table, write_table
+from .corpus import FormatError, read_lines, read_table, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -91,8 +91,19 @@ class CliticInventory:
         return tuple(p[:-1] for p in self.proclitics if p[:-1] not in _CONJUNCTIONS)
 
     @cached_property
-    def enclitics_longest_first(self):
-        return tuple(sorted(self.enclitics, key=lambda e: (-len(e), e)))
+    def pattern(self):
+        """atb_segment's split of an all-Arabic word into conjunction, particle,
+        stem and enclitic.  Each proclitic slot takes its first clitic, in
+        inventory order, that leaves min_stem_len letters; the lazy stem
+        leaves the longest enclitic that fits."""
+        letters, n = f"[{_ARABIC_LETTERS}]", self.min_stem_len
+        slots = (self.conjunction_slot, self.particle_slot,
+                 sorted(self.enclitics, key=lambda e: (-len(e), e)))
+        # (?!) never matches: an empty slot takes no clitic.
+        conj, particle, enclitic = ("|".join(map(re.escape, slot)) or "(?!)" for slot in slots)
+        rest = f"(?={letters}{{{n}}})"
+        return re.compile(f"(?:({conj}){rest})?(?:({particle}){rest})?"
+                          f"({letters}{{{n},}}?)({enclitic})?")
 
     @classmethod
     def from_file(cls, path, **kwargs):
@@ -123,55 +134,41 @@ def atb_segment(token, inv=DEFAULT_INVENTORY):
 
     Greedy: at most one conjunction, then at most one particle, then the
     longest matching enclitic, each strip conditional on the remainder
-    keeping at least min_stem_len letters.  The definite article is never
-    split (alif is not a proclitic, so ال survives any strip).  When an
-    enclitic is removed and the stem ends in ta, the ta is restored to ta
-    marbuta (unconditionally without a lexicon; with one, only if the
-    restored stem is listed).  If a stem_lexicon is supplied and the final
-    stem is not in it, the whole segmentation is abandoned.
+    keeping at least min_stem_len letters; inv.pattern makes the whole
+    split in one match.  The definite article is never split (alif is not
+    a proclitic, so ال survives any strip).  When an enclitic is removed
+    and the stem ends in ta, the ta is restored to ta marbuta
+    (unconditionally without a lexicon; with one, only if the restored
+    stem is listed).  If a stem_lexicon is supplied and the final stem is
+    not in it, the whole segmentation is abandoned.
 
     Tokens containing anything but Arabic letters are returned unsegmented,
     with literal ``+`` escaped as ``\\+`` so it cannot read as a marker.
     """
     if not _is_arabic_word(token):
         return [token.replace("+", "\\+")]
-
-    rest = token
-    proclitics = []
-    for slot in (inv.conjunction_slot, inv.particle_slot):
-        for clitic in slot:
-            if rest.startswith(clitic) and len(rest) - len(clitic) >= inv.min_stem_len:
-                proclitics.append(clitic + "+")
-                rest = rest[len(clitic):]
-                break
-
-    enclitic = None
-    for cand in inv.enclitics_longest_first:
-        if rest.endswith(cand) and len(rest) - len(cand) >= inv.min_stem_len:
-            enclitic = cand
-            rest = rest[: -len(cand)]
-            break
-
-    stem = rest
-    if enclitic is not None and stem.endswith(TA):
+    match = inv.pattern.fullmatch(token)
+    if match is None:  # shorter than min_stem_len
+        return [token]
+    conj, particle, stem, enclitic = match.groups()
+    if enclitic and stem.endswith(TA):
         restored = stem[:-1] + TA_MARBUTA
         if inv.stem_lexicon is None or restored in inv.stem_lexicon:
             stem = restored
-
-    if inv.stem_lexicon is not None and stem not in inv.stem_lexicon:
-        return [token]
-    if not proclitics and enclitic is None:
-        return [token]
-    out = list(proclitics) + [stem]
-    if enclitic is not None:
-        out.append("+" + enclitic)
+    if stem == token or inv.stem_lexicon is not None and stem not in inv.stem_lexicon:
+        return [token]  # no clitic came off, or the stem is unlisted
+    out = [stem, "+" + enclitic] if enclitic else [stem]
+    if particle:  # list + list, unlike insert, leaves no spare slots
+        out = [particle + "+"] + out
+    if conj:
+        out = [conj + "+"] + out
     return out
 
 
 @dataclass
 class DetokTable:
     """Frequency map from segmented form (space-joined, with markers) back
-    to observed surface forms, filled only by add."""
+    to observed surface forms, filled by add or from whole columns."""
 
     counts: dict = field(default_factory=dict, init=False)  # (key, surface) -> count
     best: dict = field(default_factory=dict, init=False)  # key -> lookup(key)
@@ -196,18 +193,30 @@ class DetokTable:
         return len(self.best)
 
     def save(self, path):
-        write_table(path, (pair + (count,) for pair, count in sorted(self.counts.items())))
+        write_lines(path, (f"{key}\t{surface}\t{count}"
+                           for (key, surface), count in sorted(self.counts.items())))
 
     @classmethod
     def load(cls, path, inv=None):
         """Read a table; with an inventory, re-check that each surface still
         segments to its key (violators are logged and kept, since the
         table is authoritative)."""
-        table = cls()
-        for key, surface, count in zip(*read_table(path, "table", str, str, _positive_int, keys=2)):
+        keys, surfaces, counts = read_table(path, "table", str, str, _positive_int, keys=2)
+        for key, surface in zip(keys, surfaces):
             if inv is not None and " ".join(atb_segment(surface, inv)) != key:
                 log.warning("detok table %s: surface %r no longer segments to %r", path, surface, key)
-            table.add(key, surface, count)
+        return cls._from_rows(keys, surfaces, counts)
+
+    @classmethod
+    def _from_rows(cls, keys, surfaces, counts):
+        """add's table for distinct (key, surface) rows, without a call per row."""
+        table = cls()
+        table.counts = dict(zip(zip(keys, surfaces), counts))
+        best = table.best
+        for (key, surface), count in table.counts.items():
+            held = best.get(key)
+            if held is None or (-count, surface) < (-held[1], held[0]):
+                best[key] = (surface, count)
         return table
 
 
@@ -231,9 +240,7 @@ def segment_corpus(corpus, inv=DEFAULT_INVENTORY):
     del first
     counts = Counter(chain.from_iterable(corpus))
     segs = {token: atb_segment(token, inv) for token in counts}
-    table = DetokTable()
-    for token, count in counts.items():
-        table.add(" ".join(segs[token]), token, count)
+    table = DetokTable._from_rows(map(" ".join, segs.values()), counts, counts.values())
     return [[seg for token in sent for seg in segs[token]] for sent in corpus], table
 
 
@@ -261,7 +268,7 @@ def _rules_join(proclitics, stem, enclitics):
     return "".join(p[:-1] for p in proclitics) + stem + "".join(e[1:] for e in enclitics)
 
 
-def detokenize(tokens, table=None, inv=DEFAULT_INVENTORY):
+def detokenize(tokens, table=None):
     """Rejoin marker-linked runs into surface words.
 
     Each maximal run proclitics+ ... stem ... +enclitics is resolved by

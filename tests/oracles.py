@@ -2,7 +2,8 @@
 
 Everything here recomputes a result from first principles in the most
 direct way available: the subword learner recounts pair statistics from
-scratch every round, the language model probabilities come straight from
+scratch every round, the clitic segmenter and the subword joiner loop
+over slots and tokens, the language model probabilities come straight from
 the recursive definition over raw occurrence scans, BLEU is the textbook
 formula, and the network forward passes are plain numpy with no tape.
 Slow is fine; shared code with the package is not, with three exceptions:
@@ -71,6 +72,63 @@ def replay_segment_word(word, merges):
     for pair in merges:
         symbols = _merge_once(symbols, pair)
     return symbols
+
+
+def loop_undo_bpe(sentence):
+    """Continuation-marked pieces rejoined token by token, and whether
+    pieces were left unjoined at the end: the package's former loop, which
+    the one-replace version must equal, its warning included."""
+    out = []
+    buffer = ""
+    for tok in sentence:
+        if tok.endswith("@@"):
+            buffer += tok[:-2]
+        else:
+            out.append(buffer + tok)
+            buffer = ""
+    if buffer:
+        out.append(buffer)
+    return out, bool(buffer)
+
+
+# ---------------------------------------------------------------- clitics
+
+def loop_atb_segment(token, inv):
+    """ATB split of one word by trying each slot's clitics in turn: the
+    package's former loop, which the one-pattern version must equal.  Only
+    the inventory's fields are read."""
+    if not token or any(not "\u0621" <= ch <= "\u064a" for ch in token):
+        return [token.replace("+", "\\+")]
+    conjunctions = [p[:-1] for p in inv.proclitics if p[:-1] in ("و", "ف")]
+    particles = [p[:-1] for p in inv.proclitics if p[:-1] not in ("و", "ف")]
+    enclitics = sorted(inv.enclitics, key=lambda e: (-len(e), e))
+    rest = token
+    proclitics = []
+    for slot in (conjunctions, particles):
+        for clitic in slot:
+            if rest.startswith(clitic) and len(rest) - len(clitic) >= inv.min_stem_len:
+                proclitics.append(clitic + "+")
+                rest = rest[len(clitic):]
+                break
+    enclitic = None
+    for cand in enclitics:
+        if rest.endswith(cand) and len(rest) - len(cand) >= inv.min_stem_len:
+            enclitic = cand
+            rest = rest[: -len(cand)]
+            break
+    stem = rest
+    if enclitic is not None and stem.endswith("ت"):
+        restored = stem[:-1] + "ة"
+        if inv.stem_lexicon is None or restored in inv.stem_lexicon:
+            stem = restored
+    if inv.stem_lexicon is not None and stem not in inv.stem_lexicon:
+        return [token]
+    if not proclitics and enclitic is None:
+        return [token]
+    out = proclitics + [stem]
+    if enclitic is not None:
+        out.append("+" + enclitic)
+    return out
 
 
 # -------------------------------------------------------------------- BLEU

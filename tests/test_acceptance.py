@@ -313,13 +313,11 @@ def test_detokenize_inverts_segmentation_on_table_covered_words():
     covered = 0
     for word in corpus_words:
         parts = atb_segment(word, DEFAULT_INVENTORY)
-        restored = detokenize(parts, table, DEFAULT_INVENTORY)
+        restored = detokenize(parts, table)
         assert restored == [word], (word, parts, restored)
         covered += 1
     assert covered == len(corpus_words)
-    restored_corpus = [
-        detokenize(sent, table, DEFAULT_INVENTORY) for sent in segmented
-    ]
+    restored_corpus = [detokenize(sent, table) for sent in segmented]
     assert restored_corpus == corpus
 
 
@@ -351,7 +349,7 @@ def test_rule_round_trip_on_synthetic_clitic_words():
                             part[rng.integers(len(part))]) if p]
         enc = encl[rng.integers(len(encl))]
         surface = synth_surface(pros, stem, enc)
-        assert detokenize(atb_segment(surface, inv), inv=inv) == [surface]
+        assert detokenize(atb_segment(surface, inv)) == [surface]
         checked += 1
     assert checked == 600
 
@@ -359,7 +357,7 @@ def test_rule_round_trip_on_synthetic_clitic_words():
 def test_worked_clitic_example_segments_and_restores():
     parts = atb_segment("ولمركبته", DEFAULT_INVENTORY)
     assert parts == ["و+", "ل+", "مركبة", "+ه"]
-    assert detokenize(parts, inv=DEFAULT_INVENTORY) == ["ولمركبته"]
+    assert detokenize(parts) == ["ولمركبته"]
 
 
 # -------------------------------------------------------------------- beam

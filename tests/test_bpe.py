@@ -1,10 +1,11 @@
+import logging
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from oracles import naive_bpe_learn, replay_segment_word
+from oracles import loop_undo_bpe, naive_bpe_learn, replay_segment_word
 from tarjama.bpe import (
     BpeModel,
     apply_bpe,
@@ -74,6 +75,21 @@ def test_undo_concatenates_markers():
 
 def test_undo_dangling_marker_is_kept():
     assert undo_bpe(["lo@@"]) == ["lo"]
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(["a", "b", "", "a@@", "@@", "@@@@", "x@@@", "a@", "a@@b"]),
+                max_size=8))
+@example(["a@", "@@"])  # a marker-only last token: no warning, nothing stripped
+@example(["@@"])
+@example([])
+def test_undo_equals_the_token_loop(caplog, tokens):
+    want, dangling = loop_undo_bpe(tokens)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tarjama.bpe"):
+        assert undo_bpe(tokens) == want
+    assert [r.getMessage() for r in caplog.records] == (
+        ["undo_bpe: dangling continuation marker at sentence end"] if dangling else [])
 
 
 def test_model_save_load_round_trip(tmp_path):

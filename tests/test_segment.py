@@ -4,8 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from oracles import loop_atb_segment
 from tarjama.corpus import CorpusError
 from tarjama.segment import (
     CliticInventory,
@@ -82,6 +83,52 @@ def test_segment_lexicon_all_or_nothing():
     assert atb_segment("ولمركبته", inv) == ["و+", "ل+", "مركبة", "+ه"]
     # Unlisted stem: abandon the whole split.
     assert atb_segment("ولكتابه", inv) == ["ولكتابه"]
+
+
+# Clitics that overlap (ه, ها, هما), span several letters, are not Arabic,
+# or are regular-expression syntax; stems and words from a few letters, ta
+# and ta marbuta among them, so that clitics, stems and lexicons collide.
+PROCLITIC_POOL = ["و", "ف", "ب", "ك", "ل", "س", "بال", "لل", "x", ".", "\\"]
+ENCLITIC_POOL = ["ه", "ها", "هما", "هم", "ك", "كما", "ي", "نا", "تة", "x", ".*", "\\"]
+WORD_LETTERS = "وفبكلسهامنيتة"
+
+
+@st.composite
+def inventories_and_tokens(draw):
+    stems = draw(st.lists(st.text(st.sampled_from(WORD_LETTERS), min_size=1, max_size=6),
+                          min_size=1, max_size=4))
+    stems.append(stems[0] + "ت")
+    lexicon = draw(st.sampled_from([None, "stems", "restored"]))
+    if lexicon is not None:
+        lexicon = frozenset(stems + [s[:-1] + "ة" for s in stems
+                                     if s.endswith("ت") and lexicon == "restored"])
+    proclitics = draw(st.lists(st.sampled_from(PROCLITIC_POOL), max_size=7))
+    enclitics = draw(st.lists(st.sampled_from(ENCLITIC_POOL), max_size=8))
+    inv = CliticInventory(proclitics=tuple(p + "+" for p in proclitics),
+                          enclitics=tuple(enclitics), min_stem_len=draw(st.integers(1, 5)),
+                          stem_lexicon=lexicon)
+    # Mostly the inventory's own clitics around a stem, so that words split.
+    clitic_word = st.builds(
+        lambda *parts: "".join(parts),
+        *(st.sampled_from([""] + proclitics + PROCLITIC_POOL[:2]) for _ in range(2)),
+        st.sampled_from(stems),
+        st.sampled_from([""] + enclitics + ENCLITIC_POOL[:3]))
+    any_word = st.text(st.sampled_from(WORD_LETTERS + "+\\xa1"), max_size=10)
+    return inv, draw(st.lists(clitic_word | clitic_word | any_word, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inventories_and_tokens())
+@example((CliticInventory(proclitics=("x+",)), ["xكتاب"]))  # a non-Arabic word never splits
+# A slot takes its first clitic in inventory order, not its longest.
+@example((CliticInventory(proclitics=("ب+", "بال+")), ["بالبيت"]))
+@example((CliticInventory(proclitics=("بال+", "ب+")), ["بالبيت"]))
+# The longest enclitic that leaves min_stem_len letters.
+@example((CliticInventory(enclitics=("ه", "ها", "هما"), min_stem_len=2), ["كتبهما", "كهما", "هما"]))
+def test_compiled_segmenter_equals_the_slot_loop(case):
+    inv, tokens = case
+    for token in tokens:
+        assert atb_segment(token, inv) == loop_atb_segment(token, inv), (token, inv)
 
 
 def test_inventory_validation_and_slots():
@@ -285,4 +332,4 @@ def test_rule_round_trip_on_synthetic_clitic_words():
                             part[rng.integers(len(part))]) if p]
         enc = encl[rng.integers(len(encl))]
         surface = synth_surface(pros, stem, enc)
-        assert detokenize(atb_segment(surface, inv), inv=inv) == [surface]
+        assert detokenize(atb_segment(surface, inv)) == [surface]
