@@ -10,11 +10,11 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from .ngram import ngram_rows
+from .ngram import _Numbering, ngram_rows
 
 MAX_ORDER = 4
 BLOCK = 256  # sentence pairs counted at once
@@ -68,12 +68,11 @@ def _block_stats(hypotheses, references, fold_case):
     lengths = np.array(list(map(len, sentences)), np.int64)
     group = np.repeat(np.array(groups, np.int64), lengths)
 
-    types = {}
-    ids = np.array([types.setdefault(t, len(types)) for sent in sentences for t in sent],
-                   np.int64)
+    types = _Numbering()
+    ids = np.fromiter(map(types.__getitem__, chain.from_iterable(sentences)), np.int64)
     if fold_case:  # fold each type once, then map every id through it
-        folded = {}
-        ids = np.array([folded.setdefault(t.lower(), len(folded)) for t in types], np.int64)[ids]
+        folded = _Numbering()
+        ids = np.fromiter(map(folded.__getitem__, map(str.lower, types)), np.int64)[ids]
         types = folded
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
 

@@ -185,14 +185,30 @@ def apply_bpe(sentence, model):
 
 
 def undo_bpe(sentence):
-    """Concatenate continuation-marked tokens, which hold no space (as from
-    str.split), back into whole words with one replace over their join.  A
-    marker-only token adds nothing; pieces unjoined at the end are kept as
-    one word, with a warning."""
-    text = " ".join([*sentence, ""]).replace(CONTINUATION + " ", "")
-    if text.endswith(" "):  # the last token was unmarked
-        return text[:-1].split(" ")
-    if text:
+    """undo_bpe_lines of one sentence, as a list of words."""
+    if not sentence:  # it would join as [""] does, which gives [""]
+        return []
+    text, = _undone([sentence])
+    return text.removesuffix(" ").split(" ") if text else []
+
+
+def undo_bpe_lines(sentences):
+    """Concatenate the continuation-marked tokens of each sentence, a list
+    of tokens that hold no whitespace (as from str.split), back into whole
+    words, and give each sentence as one line of its words.  A marker-only
+    token adds nothing; pieces unjoined at a sentence's end are kept as
+    one word, with a warning for each such sentence."""
+    return list(map(str.removesuffix, _undone(sentences), repeat(" ")))
+
+
+def _undone(sentences):
+    """Each sentence as its tokens, each followed by a space, with every
+    marker before a space and that space removed, by one replace over the
+    whole block.  A sentence then ends with a space when its last token is
+    unmarked; every other nonempty one is warned about."""
+    text = " \n".join(chain(map(" ".join, sentences), [""]))
+    texts = text.replace(CONTINUATION + " ", "").split("\n")
+    texts.pop()  # what follows the last sentence's line end
+    for _ in range(sum(map(bool, texts)) - sum(map(str.endswith, texts, repeat(" ")))):
         log.warning("undo_bpe: dangling continuation marker at sentence end")
-        return text.split(" ")
-    return []
+    return texts

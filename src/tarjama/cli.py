@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import chain
 
 from .bleu import bleu
-from .bpe import BpeModel, apply_bpe, learn_bpe, undo_bpe
+from .bpe import BpeModel, apply_bpe, learn_bpe, undo_bpe_lines
 from .corpus import (
     CorpusError,
     FormatError,
@@ -116,7 +116,9 @@ def _cmd_segment(args):
 
 
 def _cmd_detokenize(args):
-    table = DetokTable.load(args.table, _inventory(args)) if args.table else None
+    # The inventory is checked with or without a table, as segment checks it.
+    inv = _inventory(args)
+    table = DetokTable.load(args.table, inv) if args.table else None
     return _map_lines(args, lambda line: " ".join(detokenize(line.split(), table)))
 
 
@@ -134,7 +136,8 @@ def _cmd_bpe_apply(args):
 
 
 def _cmd_bpe_undo(args):
-    return _map_lines(args, lambda line: " ".join(undo_bpe(line.split())))
+    write_lines(args.output, undo_bpe_lines(map(str.split, read_lines(args.input))))
+    return 0
 
 
 def _cmd_truecase_train(args):

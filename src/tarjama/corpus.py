@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -82,11 +82,12 @@ def read_lines(path):
 
 def read_table(path, kind, *types, sep="\t", header=None, keys=1):
     """Columns of a line table, one per type: every non-empty line splits on
-    sep into one field per type, converted by that type.  With header, a
-    function, line 1 is no row and the result is (header(line 1), columns).
-    A wrong field count, or a ValueError or OverflowError from a converter,
-    raises FormatError naming the file, the line number and the line.  So
-    does a row whose first `keys` converted fields repeat an earlier row's.
+    sep, one character, into one field per type, converted by that type.
+    With header, a function, line 1 is no row and the result is
+    (header(line 1), columns).  A wrong field count, or a ValueError or
+    OverflowError from a converter, raises FormatError naming the file, the
+    line number and the line.  So does a row whose first `keys` converted
+    fields repeat an earlier row's.
     """
     lines = read_lines(path) or [""]
     start = 1 if header is None else 2  # line number of the first row
@@ -97,13 +98,13 @@ def read_table(path, kind, *types, sep="\t", header=None, keys=1):
             raise FormatError(f"{path}: malformed {kind} header line 1: {lines[0]!r}") from None
     body = lines[start - 1:]
     try:
-        columns = _columns([line.split(sep) for line in body if line], types)
+        columns = _columns(body, sep, types)
     except (ValueError, OverflowError):
         # Some line is bad: convert them one at a time to find the first.
         for lineno, line in enumerate(body, start):
             try:
                 if line:
-                    _columns([line.split(sep)], types)
+                    _columns([line], sep, types)
             except (ValueError, OverflowError):
                 raise FormatError(f"{path}: malformed {kind} line {lineno}: {line!r}") from None
     rows = columns[0] if keys == 1 else list(zip(*columns[:keys]))
@@ -116,11 +117,17 @@ def read_table(path, kind, *types, sep="\t", header=None, keys=1):
     return columns if header is None else (value, columns)
 
 
-def _columns(rows, types):
-    """Transpose split rows into columns, converting every non-str one."""
-    if set(map(len, rows)) - {len(types)}:
+def _columns(lines, sep, types):
+    """The columns of the non-empty lines split on sep, one per type, each
+    non-str one converted by its type; ValueError unless each line has as
+    many fields as there are types.  The lines are joined by sep and split
+    once, and each column is a slice of the fields with a stride."""
+    width = len(types)
+    lines = list(filter(None, lines))
+    if set(map(str.count, lines, repeat(sep))) - {width - 1}:
         raise ValueError
-    columns = list(zip(*rows)) or [()] * len(types)
+    fields = sep.join(lines).split(sep) if lines else []
+    columns = [tuple(fields[j::width]) for j in range(width)]
     return [col if t is str else list(map(t, col)) for t, col in zip(types, columns)]
 
 
@@ -129,9 +136,20 @@ def write_lines(path, lines):
     path is None or "-".  Lines go out 1,024 at a time, so lines from a
     generator are never all held at once."""
     lines = iter(lines)
-    with nullcontext(sys.stdout.buffer) if path in (None, "-") else open(path, "wb") as fh:
+
+    def blocks():
         while block := list(islice(lines, 1024)):
-            fh.write(("\n".join(block) + "\n").encode("utf-8"))
+            yield "\n".join(block) + "\n"
+
+    write_text(path, blocks())
+
+
+def write_text(path, blocks):
+    """Write str blocks as UTF-8 to a file, or to stdout when path is None
+    or "-", each encoded and written as it comes."""
+    with nullcontext(sys.stdout.buffer) if path in (None, "-") else open(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block.encode("utf-8"))
         fh.flush()
 
 

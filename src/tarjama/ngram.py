@@ -17,7 +17,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text_blocks, write_lines
+from .corpus import BOS, EOS, UNK, PAD, RESERVED, FormatError, read_text_blocks, write_text
 
 FLOOR = -99.0
 # Rows whose lines lm_write_arpa builds at once, lines per read of
@@ -374,29 +374,33 @@ def lm_write_arpa(model, path):
     counts header, per-order sections, \\end\\.
 
     Rows go out in the model's order (sorted gram order for a trained
-    model, file order for a read one), _CHUNK at a time, each chunk's
-    lines built a column at a time in object arrays of str: log10 p, the
-    gram's tokens from their ids, the backoff.
+    model, file order for a read one), _CHUNK at a time.  A chunk is an
+    object array of str cells, a row per line: log10 p and a tab, the
+    gram's first token, each further token after a space, the backoff
+    after a tab (or nothing), a newline; one join makes the chunk's text.
     """
     tokens = np.array(model.tokens, object)
     spaced = np.array([" " + tok for tok in model.tokens], object)
 
-    def lines():
-        yield "\\data\\"
-        for m, logp in enumerate(model.logp, 1):
-            yield "ngram %d=%d" % (m, len(logp))
+    def blocks():
+        yield "\\data\\\n" + "".join("ngram %d=%d\n" % (m, len(logp))
+                                      for m, logp in enumerate(model.logp, 1))
         for m, (ids, logp, bow) in enumerate(zip(model.ids, model.logp, model.bow), 1):
-            yield from ("", "\\%d-grams:" % m)
+            yield "\n\\%d-grams:\n" % m
             for at in range(0, len(logp), _CHUNK):
                 rows = slice(at, at + _CHUNK)
-                text = _each("%.7g\t".__mod__, logp[rows], object) + tokens[ids[rows, 0]]
+                cells = np.empty((len(logp[rows]), m + 3), object)
+                cells[:, 0] = _each("%.7g\t".__mod__, logp[rows], object)
+                cells[:, 1] = tokens[ids[rows, 0]]
                 for j in range(1, m):
-                    text += spaced[ids[rows, j]]
-                yield from (text + _each(lambda b: "" if math.isnan(b) else "\t%.7g" % b,
-                                         bow[rows], object)).tolist()
-        yield from ("", "\\end\\")
+                    cells[:, j + 1] = spaced[ids[rows, j]]
+                cells[:, -2] = _each(lambda b: "" if math.isnan(b) else "\t%.7g" % b,
+                                     bow[rows], object)
+                cells[:, -1] = "\n"
+                yield "".join(cells.ravel().tolist())
+        yield "\n\\end\\\n"
 
-    write_lines(path, lines())
+    write_text(path, blocks())
 
 
 def _line_error(line, m):

@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 
 from .corpus import FormatError, read_lines, read_table, write_lines
 
@@ -130,7 +130,12 @@ def _is_arabic_word(token):
 
 
 def atb_segment(token, inv=DEFAULT_INVENTORY):
-    """Split one word into [proclitics...] stem [enclitic] with markers.
+    """segment_words of one word."""
+    return next(segment_words([token], inv))
+
+
+def segment_words(words, inv=DEFAULT_INVENTORY):
+    """Split each word into [proclitics...] stem [enclitic] with markers.
 
     Greedy: at most one conjunction, then at most one particle, then the
     longest matching enclitic, each strip conditional on the remainder
@@ -144,25 +149,36 @@ def atb_segment(token, inv=DEFAULT_INVENTORY):
 
     Tokens containing anything but Arabic letters are returned unsegmented,
     with literal ``+`` escaped as ``\\+`` so it cannot read as a marker.
+    Yields one list per word, as it is asked for.
     """
-    if not _is_arabic_word(token):
-        return [token.replace("+", "\\+")]
-    match = inv.pattern.fullmatch(token)
-    if match is None:  # shorter than min_stem_len
-        return [token]
-    conj, particle, stem, enclitic = match.groups()
-    if enclitic and stem.endswith(TA):
-        restored = stem[:-1] + TA_MARBUTA
-        if inv.stem_lexicon is None or restored in inv.stem_lexicon:
-            stem = restored
-    if stem == token or inv.stem_lexicon is not None and stem not in inv.stem_lexicon:
-        return [token]  # no clitic came off, or the stem is unlisted
-    out = [stem, "+" + enclitic] if enclitic else [stem]
-    if particle:  # list + list, unlike insert, leaves no spare slots
-        out = [particle + "+"] + out
-    if conj:
-        out = [conj + "+"] + out
-    return out
+    fullmatch, lexicon = inv.pattern.fullmatch, inv.stem_lexicon
+    for token in words:
+        match = _is_arabic_word(token) and fullmatch(token)
+        if not match:  # not all Arabic letters, or shorter than min_stem_len
+            yield [token.replace("+", "\\+")]
+            continue
+        conj, particle, stem, enclitic = match.groups()
+        if enclitic and stem.endswith(TA):
+            restored = stem[:-1] + TA_MARBUTA
+            if lexicon is None or restored in lexicon:
+                stem = restored
+        if stem == token or lexicon is not None and stem not in lexicon:
+            yield [token]  # no clitic came off, or the stem is unlisted
+            continue
+        out = [stem, "+" + enclitic] if enclitic else [stem]
+        if particle:  # list + list, unlike insert, leaves no spare slots
+            out = [particle + "+"] + out
+        if conj:
+            out = [conj + "+"] + out
+        yield out
+
+
+class _Kinds(dict):
+    """Token -> _kind(token), each found once."""
+
+    def __missing__(self, token):
+        kind = self[token] = _kind(token)
+        return kind
 
 
 @dataclass
@@ -172,6 +188,8 @@ class DetokTable:
 
     counts: dict = field(default_factory=dict, init=False)  # (key, surface) -> count
     best: dict = field(default_factory=dict, init=False)  # key -> lookup(key)
+    # token -> its kind, as detokenize reads it
+    _kinds: dict = field(default_factory=_Kinds, init=False, repr=False, compare=False)
 
     def add(self, key, surface, count=1):
         count += self.counts.get((key, surface), 0)
@@ -193,18 +211,32 @@ class DetokTable:
         return len(self.best)
 
     def save(self, path):
-        write_lines(path, (f"{key}\t{surface}\t{count}"
-                           for (key, surface), count in sorted(self.counts.items())))
+        """Write one line per (key, surface) pair, in sorted pair order.  A
+        tab sorts below every character but \\x00-\\x08, which are not
+        printable, as a tab is not: unless a key or surface holds a character
+        that is not printable, sorting the lines sorts the pairs."""
+        rows = self.counts.items()
+        by_line = "".join(chain.from_iterable(self.counts)).isprintable()
+        lines = [f"{key}\t{surface}\t{count}"
+                 for (key, surface), count in (rows if by_line else sorted(rows))]
+        if by_line:
+            lines.sort()
+        write_lines(path, lines)
 
     @classmethod
     def load(cls, path, inv=None):
         """Read a table; with an inventory, re-check that each surface still
-        segments to its key (violators are logged and kept, since the
-        table is authoritative)."""
+        segments to its key.  The rows that do not are kept, since the
+        table is authoritative, and logged in one warning."""
         keys, surfaces, counts = read_table(path, "table", str, str, _positive_int, keys=2)
-        for key, surface in zip(keys, surfaces):
-            if inv is not None and " ".join(atb_segment(surface, inv)) != key:
-                log.warning("detok table %s: surface %r no longer segments to %r", path, surface, key)
+        if inv is not None:
+            segmented = map(" ".join, segment_words(surfaces, inv))
+            failing = compress(range(len(keys)), map(str.__ne__, keys, segmented))
+            first = next(failing, None)
+            if first is not None:
+                log.warning("detok table %s: %d of %d surfaces no longer segment to their key; "
+                            "the first is %r under %r", path, 1 + sum(1 for _ in failing),
+                            len(keys), surfaces[first], keys[first])
         return cls._from_rows(keys, surfaces, counts)
 
     @classmethod
@@ -239,7 +271,7 @@ def segment_corpus(corpus, inv=DEFAULT_INVENTORY):
     corpus = [[first.setdefault(token, token) for token in sent] for sent in corpus]
     del first
     counts = Counter(chain.from_iterable(corpus))
-    segs = {token: atb_segment(token, inv) for token in counts}
+    segs = dict(zip(counts, segment_words(counts, inv)))
     table = DetokTable._from_rows(map(" ".join, segs.values()), counts, counts.values())
     return [[seg for token in sent for seg in segs[token]] for sent in corpus], table
 
@@ -277,7 +309,7 @@ def detokenize(tokens, table=None):
     dangling proclitic at sentence end) are closed as-is via R1 with a
     warning.
     """
-    kinds = "".join(map(_kind, tokens))
+    kinds = "".join(map(_kind if table is None else table._kinds.__getitem__, tokens))
     out = []
     for run in _RUN_RE.finditer(kinds):
         start, end = run.span()

@@ -13,6 +13,7 @@ from tarjama.bpe import (
     merge_word,
     segment_word,
     undo_bpe,
+    undo_bpe_lines,
 )
 from tarjama.corpus import CorpusError
 
@@ -90,6 +91,20 @@ def test_undo_equals_the_token_loop(caplog, tokens):
         assert undo_bpe(tokens) == want
     assert [r.getMessage() for r in caplog.records] == (
         ["undo_bpe: dangling continuation marker at sentence end"] if dangling else [])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "", "a@@", "@@", "@@@@", "x@@@", "a@",
+                                          "a@@b"]), max_size=6), max_size=6))
+@example([["a@", "@@"], ["lo@@"], [], ["@@"], [""], ["a@@", "b"]])
+def test_undo_lines_equal_the_token_loop_per_line(caplog, sentences):
+    want = [loop_undo_bpe(sentence) for sentence in sentences]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tarjama.bpe"):
+        assert undo_bpe_lines(iter(sentences)) == [" ".join(words) for words, _ in want]
+    assert [r.getMessage() for r in caplog.records] == (
+        ["undo_bpe: dangling continuation marker at sentence end"]
+        * sum(dangling for _, dangling in want))
 
 
 def test_model_save_load_round_trip(tmp_path):

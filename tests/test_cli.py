@@ -800,12 +800,18 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
     # On an empty input nothing reaches the search, which checks these too.
     ("translate", ["--beam", "0"], "--beam must be at least 1"),
     ("translate", ["--max-len", "0"], "--max-len must be at least 1"),
+    # The inventory is built without --table too; an unreadable file is a
+    # data problem, and exits 2.
+    ("detokenize", ["--min-stem", "0"], "min_stem_len must be positive"),
+    ("detokenize", ["--clitics", "/nonexistent/clitics.txt"],
+     "[Errno 2] No such file or directory: '/nonexistent/clitics.txt'"),
 ], ids=["train-l2-nan", "train-l2-inf", "train-embed-dim-0", "train-patience-0",
         "train-seed-minus-1", "train-max-vocab-4",
         "experiment-l2-nan", "experiment-beam-0", "experiment-max-decode-len-0",
         "experiment-max-train-len-minus-1", "experiment-seed-minus-1",
         "experiment-seed-flag-minus-1", "experiment-bpe-size-2",
-        "experiment-src-vocab-max-3", "translate-beam-0", "translate-max-len-0"])
+        "experiment-src-vocab-max-3", "translate-beam-0", "translate-max-len-0",
+        "detokenize-min-stem-0", "detokenize-missing-clitics"])
 def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_file_inputs,
                                                      command, setting, message):
     if command == "train":
@@ -824,6 +830,11 @@ def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_fil
         argv = ["experiment", "--config", config, "--out-dir", str(out)] + [
             s for s in setting if "=" not in s]
         outputs = [out]
+    elif command == "detokenize":
+        text, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        write(text, ["و+ قيل"])
+        argv = ["detokenize", str(text), "-o", str(out)] + setting
+        outputs = [out]
     else:
         text, out = tmp_path / "in.txt", tmp_path / "out.txt"
         write(text, [])
@@ -831,7 +842,7 @@ def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_fil
                 "--src-vocab", model_file_inputs["vocab"],
                 "--tgt-vocab", model_file_inputs["vocab"], "-o", str(out)] + setting
         outputs = [out]
-    assert main(argv) == 1
+    assert main(argv) == (2 if message.startswith("[Errno") else 1)
     assert [path for path in outputs if path.exists()] == []
     # Preceded by a space, so that "seed ..." does not match "--seed ...".
     assert " " + message in caplog.text

@@ -173,6 +173,11 @@ def test_read_table_converts_columns_and_skips_empty_lines(tmp_path):
     assert read_table(str(path), "t", str, int, header=_version) == (7, [("a", "b"), [1, -2]])
     path.write_text("\n", encoding="utf-8")
     assert read_table(str(path), "t", str, int) == [(), []]
+    # A blank line is no row, even of a one-column table or of empty fields.
+    path.write_text("1\n\n2\n\n", encoding="utf-8")
+    assert read_table(str(path), "t", int) == [[1, 2]]
+    path.write_text("\t1\n\n\t\n", encoding="utf-8")
+    assert read_table(str(path), "t", str, str, keys=2) == [("", ""), ("1", "")]
 
 
 def test_read_table_names_a_repeated_key_at_its_line(tmp_path):
@@ -192,7 +197,8 @@ def test_read_table_names_a_repeated_key_at_its_line(tmp_path):
     ("#v=x\na\t1\n", "header line 1: '#v=x'"),
     ("", "header line 1: ''"),
     ("#v=7\nb\t1\na\tz\nc\n", "line 3: 'a\\tz'"),
-], ids=["field-count", "converter", "header", "empty", "first-of-two"])
+    ("#v=7\na\t1\n\n\nb\n", "line 5: 'b'"),
+], ids=["field-count", "converter", "header", "empty", "first-of-two", "after-blank-lines"])
 def test_read_table_error_names_file_line_and_text(tmp_path, text, where):
     path = tmp_path / "t.tsv"
     path.write_text(text, encoding="utf-8")

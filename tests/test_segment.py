@@ -16,6 +16,7 @@ from tarjama.segment import (
     atb_segment,
     detokenize,
     segment_corpus,
+    segment_words,
     simple_tokenize,
 )
 
@@ -131,6 +132,15 @@ def test_compiled_segmenter_equals_the_slot_loop(case):
         assert atb_segment(token, inv) == loop_atb_segment(token, inv), (token, inv)
 
 
+@settings(max_examples=300, deadline=None)
+@given(inventories_and_tokens())
+def test_segment_words_equals_atb_segment_per_word(case):
+    inv, tokens = case
+    want = [loop_atb_segment(token, inv) for token in tokens]
+    assert list(segment_words(tokens, inv)) == want
+    assert [atb_segment(token, inv) for token in tokens] == want
+
+
 def test_inventory_validation_and_slots():
     inv = DEFAULT_INVENTORY
     assert set(inv.conjunction_slot) == {"و", "ف"}
@@ -240,6 +250,47 @@ def test_detok_table_lookup_is_the_top_summed_count(tmp_path, adds):
     again = DetokTable.load(str(path))
     assert again.counts == table.counts
     assert all(again.lookup(key) == table.lookup(key) for key in summed)
+
+
+# Keys that are prefixes of one another, and characters that sort below a
+# tab, a tab among them, or are not printable.
+_TABLE_TEXT = st.text(st.sampled_from(["a", "b", "ب", " ", "+", "\x00", "\x01", "\x08",
+                                       "\t", "\x7f", "\u200f"]), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_TABLE_TEXT, _TABLE_TEXT, st.integers(1, 12))))
+@example([("a", "b", 1), ("a\x01", "b", 1), ("a", "b\x08", 1), ("ab", "a", 1)])
+@example([("a", "b", 9), ("a", "b\t1", 1)])  # a tab in a surface
+def test_detok_table_save_equals_the_pair_sorted_writer(tmp_path_factory, rows):
+    table = DetokTable()
+    for key, surface, count in rows:
+        table.add(key, surface, count)
+    path = tmp_path_factory.mktemp("table") / "table.tsv"
+    table.save(path)
+    want = "".join(f"{key}\t{surface}\t{count}\n"
+                   for (key, surface), count in sorted(table.counts.items()))
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_detok_table_recheck_logs_one_warning_for_every_failing_row(tmp_path, caplog):
+    # At stem length 2 each of these but قلمي splits otherwise than at 3.
+    words = ["بها", "لها", "كتبهم", "قلمي", "بيته"]
+    inv = CliticInventory(min_stem_len=2)
+    _, table = segment_corpus([words], inv)
+    path = tmp_path / "table.tsv"
+    table.save(path)
+    failing = sorted((key, surface) for key, surface in table.counts
+                     if " ".join(atb_segment(surface)) != key)
+    assert len(failing) == 4
+    with caplog.at_level(logging.WARNING, logger="tarjama.segment"):
+        DetokTable.load(str(path), inv)
+        assert caplog.records == []
+        DetokTable.load(str(path), DEFAULT_INVENTORY)
+    key, surface = failing[0]  # the table file is sorted by key
+    assert [r.getMessage() for r in caplog.records] == [
+        "detok table %s: 4 of 5 surfaces no longer segment to their key; the first is %r "
+        "under %r" % (path, surface, key)]
 
 
 def test_detok_table_save_load(tmp_path):
