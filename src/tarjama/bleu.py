@@ -8,7 +8,7 @@ smoothing: any zero precision zeroes the score.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from itertools import chain, islice
 
@@ -29,15 +29,7 @@ class BleuReport:
     ref_len: int
 
     def to_json(self):
-        return json.dumps(
-            {
-                "bleu": self.bleu,
-                "precisions": list(self.precisions),
-                "brevity_penalty": self.brevity_penalty,
-                "hyp_len": self.hyp_len,
-                "ref_len": self.ref_len,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def summary(self):
         return "BLEU = %.2f, P = %s, BP = %.3f" % (

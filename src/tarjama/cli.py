@@ -76,14 +76,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _inventory(args):
-    kwargs = {}
-    if getattr(args, "min_stem", None) is not None:
-        kwargs["min_stem_len"] = args.min_stem
-    if getattr(args, "lexicon", None):
-        kwargs["stem_lexicon"] = {line for line in read_lines(args.lexicon) if line}
-    if getattr(args, "clitics", None):
-        return CliticInventory.from_file(args.clitics, **kwargs)
-    return dataclasses.replace(DEFAULT_INVENTORY, **kwargs)
+    # --min-stem is checked before either file is read, as every command
+    # checks its settings before it reads data.
+    inv = DEFAULT_INVENTORY
+    if args.min_stem is not None:
+        inv = dataclasses.replace(inv, min_stem_len=args.min_stem)
+    lexicon = {line for line in read_lines(args.lexicon) if line} if args.lexicon else None
+    if args.clitics:
+        return CliticInventory.from_file(args.clitics, min_stem_len=inv.min_stem_len,
+                                         stem_lexicon=lexicon)
+    return dataclasses.replace(inv, stem_lexicon=lexicon)
 
 
 def _map_lines(args, convert):

@@ -403,44 +403,31 @@ def lm_write_arpa(model, path):
     write_text(path, blocks())
 
 
-def _line_error(line, m):
-    """The defect of an n-gram line in section m, or None."""
-    parts = line.split("\t")
-    if len(parts) not in (2, 3):
-        return "malformed ngram line %r" % line
-    if parts[1].count(" ") != m - 1:
-        return "ngram %r has wrong order for section %d" % (parts[1], m)
-    try:
-        if not any(map(math.isnan, map(float, parts[::2]))):
-            return None
-    except ValueError:
-        pass
-    return "non-numeric field in %r" % line
-
-
 def _section_columns(body, m, number):
     """The id rows (tokens numbered by number), logp and bow of the lines
-    of section m, or None when some line has a defect that _line_error
-    names."""
+    of section m.  A defective line raises ValueError, whose message names
+    the line when body is that one line: a field count other than 2 or 3
+    first, then a gram of the wrong order, then a field that is not a
+    number or is NaN."""
     tabs = list(map(str.count, body, repeat("\t")))
     if not 1 <= min(tabs) <= max(tabs) <= 2:
-        return None
+        raise ValueError("malformed ngram line %r" % body[0])
     # One split over the whole body; line k's fields start at start[k].
     fields = "\t".join(body).split("\t")
     width = np.array(tabs) + 1
     start = np.cumsum(width) - width
     grams = list(map(fields.__getitem__, (start + 1).tolist()))
     if set(map(str.count, grams, repeat(" "))) != {m - 1}:
-        return None
+        raise ValueError("ngram %r has wrong order for section %d" % (grams[0], m))
     has_bow = np.flatnonzero(width == 3)
     try:
         logp = np.fromiter(map(float, map(fields.__getitem__, start.tolist())), float, len(body))
         bow = np.full(len(body), np.nan)
         bow[has_bow] = list(map(float, map(fields.__getitem__, (start[has_bow] + 2).tolist())))
+        if np.isnan(logp).any() or np.isnan(bow[has_bow]).any():
+            raise ValueError
     except ValueError:
-        return None
-    if np.isnan(logp).any() or np.isnan(bow[has_bow]).any():
-        return None
+        raise ValueError("non-numeric field in %r" % body[0]) from None
     words = " ".join(grams).split(" ")
     return np.fromiter(map(number.__getitem__, words), _ID, len(words)).reshape(-1, m), logp, bow
 
@@ -491,7 +478,7 @@ def lm_read_arpa(path):
     def fail(lineno, msg):
         for _ in chunks:  # invalid UTF-8 further on outranks the defect
             pass
-        raise ArpaError("%s:%d: %s" % (path, lineno, msg))
+        raise ArpaError("%s:%d: %s" % (path, lineno, msg)) from None
 
     def expect(want, what):
         """Skip blank lines to one that reads `want`."""
@@ -531,14 +518,19 @@ def lm_read_arpa(path):
         short = "\\data\\ declares %d %d-grams but %%d listed" % (count, m)
         section = islice(lines, count)
         while body := list(islice(section, _CHUNK)):
-            chunk = _section_columns(body, m, number)
-            if chunk is None:
-                # A blank line or one starting with a backslash (both always
-                # defective) ends the section early.
-                end = next(j for j, line in enumerate(body) if _line_error(line, m))
-                if body[end].strip() and not body[end].startswith("\\"):
-                    fail(n + end + 1, _line_error(body[end], m))
-                fail(n + end + 1, short % (got + end))
+            try:
+                chunk = _section_columns(body, m, number)
+            except ValueError:
+                # Some line is bad: convert them one at a time to find the
+                # first.  A blank line or one starting with a backslash (both
+                # always defective) ends the section early.
+                for end, line in enumerate(body):
+                    try:
+                        _section_columns([line], m, number)
+                    except ValueError as exc:
+                        if line.strip() and not line.startswith("\\"):
+                            fail(n + end + 1, str(exc))
+                        fail(n + end + 1, short % (got + end))
             for run, column in zip(runs, chunk):
                 run.append(column)
             got += len(body)

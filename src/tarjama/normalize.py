@@ -8,6 +8,7 @@ alone.  Truecasing is the most-frequent-casing heuristic.
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .corpus import FormatError, read_table, write_table
 
@@ -131,10 +132,7 @@ def truecase_train(corpus):
         for pos, tok in enumerate(sent):
             (initial if pos == 0 else medial)[tok.lower()][tok] += 1
     case_freq = {}
-    for lower, tally in medial.items():
-        best = _best_casing(tally)
-        case_freq[lower] = (best, tally[best])
-    for lower, tally in initial.items():
+    for lower, tally in chain(medial.items(), initial.items()):
         if lower not in case_freq:
             best = _best_casing(tally)
             case_freq[lower] = (best, tally[best])

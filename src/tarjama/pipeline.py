@@ -11,7 +11,7 @@ import json
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
 from . import corpus as corpus_io
@@ -37,6 +37,8 @@ from .segment import (
 log = logging.getLogger(__name__)
 
 DIRECTIONS = ("ar2en", "en2ar")
+# The config fields that name corpus files, each of which run_experiment reads.
+_CORPUS_FIELDS = ("train_src", "train_tgt", "dev_src", "dev_tgt", "test_src", "test_tgt")
 
 
 class PipelineError(Exception):
@@ -159,7 +161,7 @@ class PipelineConfig:
         return cls(**kwargs)
 
     def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     def arabic_side(self):
         return "src" if self.direction == "ar2en" else "tgt"
@@ -363,19 +365,14 @@ def run_experiment(config):
     checksums into config.out_dir; a rerun with the same config and seed
     reproduces every output byte for byte.
     """
-    for name in ("train_src", "train_tgt", "dev_src", "dev_tgt",
-                 "test_src", "test_tgt"):
+    for name in _CORPUS_FIELDS:
         if not getattr(config, name):
             raise PipelineError("config is missing corpus path %r" % name)
     written = []
 
     stage = "load"
     try:
-        raw = {
-            name: read_lines(getattr(config, name))
-            for name in ("train_src", "train_tgt", "dev_src", "dev_tgt",
-                         "test_src", "test_tgt")
-        }
+        raw = {name: read_lines(getattr(config, name)) for name in _CORPUS_FIELDS}
         for split in ("train", "dev", "test"):
             corpus_io.check_aligned(getattr(config, split + "_src"), raw[split + "_src"],
                                     getattr(config, split + "_tgt"), raw[split + "_tgt"])

@@ -211,17 +211,10 @@ class DetokTable:
         return len(self.best)
 
     def save(self, path):
-        """Write one line per (key, surface) pair, in sorted pair order.  A
-        tab sorts below every character but \\x00-\\x08, which are not
-        printable, as a tab is not: unless a key or surface holds a character
-        that is not printable, sorting the lines sorts the pairs."""
-        rows = self.counts.items()
-        by_line = "".join(chain.from_iterable(self.counts)).isprintable()
-        lines = [f"{key}\t{surface}\t{count}"
-                 for (key, surface), count in (rows if by_line else sorted(rows))]
-        if by_line:
-            lines.sort()
-        write_lines(path, lines)
+        """Write one line per (key, surface) pair, in sorted pair order."""
+        counts = self.counts
+        write_lines(path, [f"{key}\t{surface}\t{counts[key, surface]}"
+                           for key, surface in sorted(counts)])
 
     @classmethod
     def load(cls, path, inv=None):

@@ -388,6 +388,21 @@ def test_segment_min_stem_option(tmp_path):
     assert read(out) == ["وكتب"]
 
 
+def test_segment_and_detokenize_with_a_stem_lexicon(tmp_path, caplog):
+    src, seg, back = tmp_path / "in.txt", tmp_path / "seg.txt", tmp_path / "back.txt"
+    lexicon, table = tmp_path / "lex.txt", tmp_path / "table.tsv"
+    write(src, ["وقلم وكتب بيتها"])
+    write(lexicon, ["قلم"])
+    # Only a word whose stem is listed comes apart.
+    assert main(["segment", str(src), "-o", str(seg), "--table-out", str(table),
+                 "--lexicon", str(lexicon)]) == 0
+    assert read(seg) == ["و+ قلم وكتب بيتها"]
+    assert main(["detokenize", str(seg), "-o", str(back), "--table", str(table),
+                 "--lexicon", str(lexicon)]) == 0
+    assert read(back) == read(src)
+    assert caplog.records == []
+
+
 def test_bpe_learn_apply_undo(tmp_path):
     src = tmp_path / "corpus.txt"
     model = tmp_path / "bpe.model"
@@ -619,7 +634,7 @@ def test_train_same_seed_reproduces_checkpoint(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-def test_translate_without_vocab_hints_exits_one(tmp_path):
+def test_translate_with_a_missing_vocab_file_exits_two(tmp_path):
     src, tgt, dev_src, dev_tgt = tiny_parallel(tmp_path)
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--train-src", str(src), "--train-tgt", str(tgt),
@@ -630,6 +645,31 @@ def test_translate_without_vocab_hints_exits_one(tmp_path):
     write(test_in, ["aa"])
     # The named vocabulary file is gone: a data problem.
     assert main(["translate", str(test_in), "--model", str(ckpt)]) == 2
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["bpe-learn", "{empty}", "--vocab-size", "40", "-o", "{out}"], 2, "no tokens in input"),
+    (["lm-score", "--model", "{arpa}", "--set", "{empty}"], 2, "no sentences to score"),
+    (["bleu", "{empty}", "--ref", "{text}"], 2, "hypothesis corpus is empty"),
+    (["translate", "{text}", "--model", "{short}"], 2, "{short}: truncated checkpoint"),
+    (["translate", "{text}", "--model", "{other}"], 2, "{other}: not a model checkpoint"),
+    # The checkpoint was saved without vocab_files.
+    (["translate", "{text}", "--model", "{ckpt}"], 1, "checkpoint names no vocabulary files"),
+], ids=["bpe-learn-empty", "lm-score-empty-set", "bleu-empty-hypotheses",
+        "translate-3-byte-checkpoint", "translate-other-format", "translate-no-vocab-files"])
+def test_empty_input_or_unusable_checkpoint_exits_by_contract(tmp_path, caplog, capsys,
+                                                              model_file_inputs, argv, code,
+                                                              message):
+    paths = {name: str(tmp_path / name) for name in ("empty", "out", "arpa", "short", "other")}
+    paths.update(text=model_file_inputs["text"], ckpt=model_file_inputs["ckpt"])
+    write(tmp_path / "empty", [])
+    lm_write_arpa(lm_train([["a", "b"]], 2), paths["arpa"])
+    (tmp_path / "short").write_bytes(b"\0\0\0")
+    header = json.dumps({"format": "something-else"}).encode("utf-8")
+    (tmp_path / "other").write_bytes(struct.pack("<Q", len(header)) + header)
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert message.format(**paths) in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
 def test_train_zero_epochs_saves_initial_model(tmp_path, capsys):
@@ -805,13 +845,19 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
     ("detokenize", ["--min-stem", "0"], "min_stem_len must be positive"),
     ("detokenize", ["--clitics", "/nonexistent/clitics.txt"],
      "[Errno 2] No such file or directory: '/nonexistent/clitics.txt'"),
+    # A bad setting is reported before either inventory file is read.
+    ("detokenize", ["--clitics", "/nonexistent/clitics.txt", "--min-stem", "0"],
+     "min_stem_len must be positive"),
+    ("detokenize", ["--lexicon", "/nonexistent/lex.txt", "--min-stem", "0"],
+     "min_stem_len must be positive"),
 ], ids=["train-l2-nan", "train-l2-inf", "train-embed-dim-0", "train-patience-0",
         "train-seed-minus-1", "train-max-vocab-4",
         "experiment-l2-nan", "experiment-beam-0", "experiment-max-decode-len-0",
         "experiment-max-train-len-minus-1", "experiment-seed-minus-1",
         "experiment-seed-flag-minus-1", "experiment-bpe-size-2",
         "experiment-src-vocab-max-3", "translate-beam-0", "translate-max-len-0",
-        "detokenize-min-stem-0", "detokenize-missing-clitics"])
+        "detokenize-min-stem-0", "detokenize-missing-clitics",
+        "detokenize-missing-clitics-min-stem-0", "detokenize-missing-lexicon-min-stem-0"])
 def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_file_inputs,
                                                      command, setting, message):
     if command == "train":
