@@ -344,6 +344,10 @@ def build_parser():
                           help="also report progress, such as each epoch's losses")
     loudness.add_argument("--quiet", action="store_true", help="only report errors")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    inventory = argparse.ArgumentParser(add_help=False)  # segment's and detokenize's
+    inventory.add_argument("--clitics", default=None, help="clitic inventory file")
+    inventory.add_argument("--min-stem", type=int, default=None, help="minimum stem length")
+    inventory.add_argument("--lexicon", default=None, help="stem lexicon, one stem per line")
 
     sub = commands.add_parser("normalize", help="Arabic orthographic normalization")
     _add_io(sub)
@@ -357,20 +361,16 @@ def build_parser():
     _add_io(sub)
     sub.set_defaults(func=_cmd_tokenize)
 
-    sub = commands.add_parser("segment", help="clitic segmentation of tokenized Arabic")
+    sub = commands.add_parser("segment", help="clitic segmentation of tokenized Arabic",
+                              parents=[inventory])
     _add_io(sub)
-    sub.add_argument("--clitics", default=None, help="clitic inventory file")
-    sub.add_argument("--min-stem", type=int, default=None, help="minimum stem length")
-    sub.add_argument("--lexicon", default=None, help="stem lexicon, one stem per line")
     sub.add_argument("--table-out", default=None, help="write detokenization table here")
     sub.set_defaults(func=_cmd_segment)
 
-    sub = commands.add_parser("detokenize", help="invert clitic segmentation")
+    sub = commands.add_parser("detokenize", help="invert clitic segmentation",
+                              parents=[inventory])
     _add_io(sub)
     sub.add_argument("--table", default=None, help="detokenization table TSV")
-    sub.add_argument("--clitics", default=None, help="clitic inventory file")
-    sub.add_argument("--min-stem", type=int, default=None)
-    sub.add_argument("--lexicon", default=None)
     sub.set_defaults(func=_cmd_detokenize)
 
     sub = commands.add_parser("bpe-learn", help="learn byte-pair merges")

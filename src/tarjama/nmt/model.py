@@ -217,12 +217,21 @@ def _step_weights(params):
 
 @dataclass
 class EncoderStates:
-    annotations: np.ndarray  # (T, 2*enc_hidden)
-    mask: np.ndarray  # (T,), 1.0 at real positions
-    keys: np.ndarray  # (T, attn_hidden): annotations @ att_Wh.T
-    mask_bias: np.ndarray  # (T,): 0.0 at real positions, -inf at padding;
+    """What the decoder reads of one source (S positions), or of a batch of
+    them with a leading (B,) axis: built by _encoder_states alone."""
+
+    annotations: np.ndarray  # (..., S, 2*enc_hidden)
+    mask: np.ndarray  # (..., S), 1.0 at real positions
+    keys: np.ndarray  # (..., S, attn_hidden): annotations @ att_Wh.T
+    mask_bias: np.ndarray  # (..., S): 0.0 at real positions, -inf at padding;
     # None when no position is padding
     step: StepWeights  # the decoder step's weights, of the model that encoded
+
+
+def _encoder_states(params, annotations, mask):
+    mask_bias = None if mask.all() else np.where(mask > 0, 0.0, -np.inf)
+    return EncoderStates(annotations, mask, annotations @ params["att_Wh"].T,
+                         mask_bias, _step_weights(params))
 
 
 @dataclass
@@ -388,25 +397,25 @@ def _attention_hidden(keys, query):
     return np.tanh(hidden, out=hidden)
 
 
-def _attend(att_v, keys, annotations, mask_bias, query):
+def _attend(enc, query):
     """Context vectors and attention weights for queries; softmax over
-    the positions where mask_bias is 0, or over all with no mask_bias."""
-    alpha = _attention_hidden(keys, query) @ att_v
-    if mask_bias is not None:
-        alpha += mask_bias
+    the positions where enc.mask_bias is 0, or over all with no mask_bias."""
+    alpha = _attention_hidden(enc.keys, query) @ enc.step.att_v
+    if enc.mask_bias is not None:
+        alpha += enc.mask_bias
     alpha -= np.maximum.reduce(alpha, axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
-    return (alpha[..., None, :] @ annotations)[..., 0, :], alpha
+    return (alpha[..., None, :] @ enc.annotations)[..., 0, :], alpha
 
 
-def _decoder_step(sw, keys, annotations, mask_bias, z, y_in):
-    """Attention, then the decoder GRU, for one target position given the
-    projected target embeddings y_in."""
-    a = keys.shape[-1]
+def _decoder_step(enc, z, y_in):
+    """Attention over the EncoderStates enc, then the decoder GRU, for one
+    target position given the projected target embeddings y_in."""
+    sw, a = enc.step, enc.keys.shape[-1]
     zp = z.dot(sw.state)
     query = zp[..., :a] + y_in[..., :a]
-    context, alpha = _attend(sw.att_v, keys, annotations, mask_bias, query)
+    context, alpha = _attend(enc, query)
     xp = context.dot(sw.context)
     xp += y_in[..., a:]
     z_new, gates, c, rh = _gru_step(xp, z, zp[..., a:], sw.cand)
@@ -442,14 +451,11 @@ def batch_forward(model, srcs, tgts, rng=None):
     src, src_mask = _pad(srcs)
     tgt, tgt_mask = _pad([t[:-1] for t in tgts])
     y_out, _ = _pad([t[1:] for t in tgts])
-    enc, layers = _encode(params, config, src, src_mask)
-    annotations = np.ascontiguousarray(enc.transpose(1, 0, 2))
-    batch_mask = src_mask.T
-    mask_bias = np.where(batch_mask > 0, 0.0, -np.inf)
-    z, weights, mean = _init_state(params, annotations, batch_mask)
-    keys = annotations @ params["att_Wh"].T
-    sw = _step_weights(params)
-    emb, y_in = _target_inputs(params, sw, tgt)
+    annotations, layers = _encode(params, config, src, src_mask)
+    enc = _encoder_states(params, np.ascontiguousarray(annotations.transpose(1, 0, 2)),
+                          src_mask.T)
+    z, weights, mean = _init_state(params, enc.annotations, enc.mask)
+    emb, y_in = _target_inputs(params, enc.step, tgt)
 
     steps, rows = tgt.shape
     z_prev = np.empty((steps, rows, config.dec_hidden))
@@ -457,7 +463,7 @@ def batch_forward(model, srcs, tgts, rng=None):
     acts = []
     for t in range(steps):
         z_prev[t] = z
-        z, step = _decoder_step(sw, keys, annotations, mask_bias, z, y_in[t])
+        z, step = _decoder_step(enc, z, y_in[t])
         z_out[t] = z
         acts.append(step)
     query, context, alpha, gates, c, rh = (np.stack(a) for a in zip(*acts))
@@ -474,9 +480,8 @@ def batch_forward(model, srcs, tgts, rng=None):
     picked = np.take_along_axis(logp, y_out[:, :, None], axis=2)[:, :, 0]
     losses = -(picked * tgt_mask).sum(axis=0)
     saved = dict(
-        model=model, src=src, src_mask=src_mask, layers=layers,
-        annotations=annotations, weights=weights, mean=mean, z0=z_prev[0],
-        keys=keys, tgt=tgt, tgt_mask=tgt_mask, y_out=y_out, emb=emb,
+        model=model, src=src, layers=layers, enc=enc, weights=weights,
+        mean=mean, z0=z_prev[0], tgt=tgt, tgt_mask=tgt_mask, y_out=y_out, emb=emb,
         query=query, z_prev=z_prev, context=context, alpha=alpha,
         gates=gates, c=c, rh=rh, drop=drop, out_in=out_in, logp=logp,
     )
@@ -508,7 +513,7 @@ def batch_backward(saved):
     # activations, (B, S, attn_hidden) per step, are recomputed here
     # rather than kept for every step.
     W, _, U, Uh = params.gru["dec"]
-    annotations, alpha, keys = s["annotations"], s["alpha"], s["keys"]
+    annotations, keys, alpha = s["enc"].annotations, s["enc"].keys, s["alpha"]
     dpre = np.empty((steps, rows, 3 * d))
     dcontext = np.empty_like(s["context"])
     dquery = np.empty((steps, rows, config.attn_hidden))
@@ -572,12 +577,17 @@ def l2_penalty(model, grads):
 
 # ------------------------------------------------------------ public API
 
-def _check_ids(ids, vocab_size, side):
-    if len(ids) == 0:
-        raise ValueError("%s sequence is empty" % side)
-    for i in ids:
-        if not 0 <= i < vocab_size:
-            raise ValueError("%s id %d out of range [0, %d)" % (side, i, vocab_size))
+def _check_ids(ids, vocab_size, side, where=""):
+    """ids as an intp array once each is in [0, vocab_size); else a ValueError
+    naming `where` (such as "train pair 3: "), the side and the first id out
+    of range.  A source must hold at least one id."""
+    ids = np.asarray(ids)
+    if side == "source" and ids.size == 0:
+        raise ValueError("%ssource sequence is empty" % where)
+    bad = ids[(ids < 0) | (ids >= vocab_size)]
+    if bad.size:
+        raise ValueError("%s%s id %d out of range [0, %d)" % (where, side, bad[0], vocab_size))
+    return ids.astype(np.intp, copy=False)
 
 
 def encode(model, src_ids, mask=None):
@@ -587,7 +597,7 @@ def encode(model, src_ids, mask=None):
     position carries the encoder state through, and the decoder start
     state and attention see only real positions.
     """
-    _check_ids(src_ids, model.config.src_vocab_size, "source")
+    src = _check_ids(src_ids, model.config.src_vocab_size, "source")
     if mask is None:
         mask = np.ones(len(src_ids))
     else:
@@ -598,13 +608,9 @@ def encode(model, src_ids, mask=None):
             raise ValueError("mask must hold only 0 and 1")
         if mask.sum() == 0:
             raise ValueError("mask leaves no live source position")
-    params = model.params
-    enc, _ = _encode(params, model.config, np.asarray(src_ids, dtype=np.intp)[:, None],
-                     mask[:, None], keep=False)
-    annotations = enc[:, 0, :]
-    mask_bias = None if mask.all() else np.where(mask > 0, 0.0, -np.inf)
-    return EncoderStates(annotations, mask, annotations @ params["att_Wh"].T,
-                         mask_bias, _step_weights(params))
+    annotations, _ = _encode(model.params, model.config, src[:, None], mask[:, None],
+                             keep=False)
+    return _encoder_states(model.params, annotations[:, 0, :], mask)
 
 
 def decoder_init(model, enc):
@@ -619,7 +625,7 @@ def _advance(params, enc, z, y):
     attention weights.  The searches call it on the ids they produced;
     decode_step checks its input first."""
     _, y_in = _target_inputs(params, enc.step, y)
-    z, acts = _decoder_step(enc.step, enc.keys, enc.annotations, enc.mask_bias, z, y_in)
+    z, acts = _decoder_step(enc, z, y_in)
     return z, _output(params, z), acts[2]
 
 
@@ -634,11 +640,7 @@ def decode_step(model, state, y_prev, enc):
     """
     y = np.asarray(y_prev)
     single = y.ndim == 0
-    y = y.reshape(-1)
-    if y.size:
-        lo, hi = np.minimum.reduce(y), np.maximum.reduce(y)
-        if lo < 0 or hi >= model.config.tgt_vocab_size:
-            raise ValueError("target id %d out of range" % (lo if lo < 0 else hi))
+    y = _check_ids(y.reshape(-1), model.config.tgt_vocab_size, "target")
     z = state.z.reshape(-1, state.z.shape[-1])
     if z.shape[0] != len(y):
         raise ValueError("state has %d rows but %d target ids" % (z.shape[0], len(y)))

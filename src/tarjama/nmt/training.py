@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corpus import BOS_ID, EOS_ID
-from .model import batch_backward, batch_forward, l2_penalty
+from .model import _check_ids, batch_backward, batch_forward, l2_penalty
 from .optimizer import AdadeltaState, adadelta_step
 
 log = logging.getLogger(__name__)
@@ -25,28 +25,17 @@ class TrainLog:
     stopped_early: bool = False
 
 
-def _validate_pairs(pairs, config, label):
-    for k, (src, tgt) in enumerate(pairs):
-        if len(src) == 0:
-            raise ValueError("%s pair %d has an empty source" % (label, k))
-        for i in src:
-            if not 0 <= i < config.src_vocab_size:
-                raise ValueError("%s pair %d: source id %d out of range" % (label, k, i))
-        for i in tgt:
-            if not 0 <= i < config.tgt_vocab_size:
-                raise ValueError("%s pair %d: target id %d out of range" % (label, k, i))
-
-
-def _wrap_target(tgt):
-    return (BOS_ID,) + tuple(tgt) + (EOS_ID,)
+def _batch(pairs):
+    """The sources and the marker-wrapped targets of pairs, as batch_forward
+    takes them."""
+    return ([src for src, _ in pairs],
+            [(BOS_ID,) + tuple(tgt) + (EOS_ID,) for _, tgt in pairs])
 
 
 def _corpus_nll(model, pairs):
     total = 0.0
     for start in range(0, len(pairs), _EVAL_BATCH):
-        chunk = pairs[start:start + _EVAL_BATCH]
-        losses = batch_forward(model, [src for src, _ in chunk],
-                               [_wrap_target(tgt) for _, tgt in chunk])[0]
+        losses = batch_forward(model, *_batch(pairs[start:start + _EVAL_BATCH]))[0]
         for loss in losses:
             total += float(loss)
     return total / len(pairs)
@@ -77,8 +66,11 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3):
     if not dev_pairs:
         raise ValueError("dev corpus is empty")
     config = model.config
-    _validate_pairs(train_pairs, config, "train")
-    _validate_pairs(dev_pairs, config, "dev")
+    for label, pairs in (("train", train_pairs), ("dev", dev_pairs)):
+        for k, (src, tgt) in enumerate(pairs):
+            where = "%s pair %d: " % (label, k)
+            _check_ids(src, config.src_vocab_size, "source", where)
+            _check_ids(tgt, config.tgt_vocab_size, "target", where)
 
     current = model.copy()
     theta = current.params.flat
@@ -92,10 +84,8 @@ def train_nmt(model, train_pairs, dev_pairs, epochs, batch_size=16, patience=3):
         order = rng.permutation(len(train_pairs))
         epoch_nll = 0.0
         for start in range(0, len(order), batch_size):
-            batch = [train_pairs[i] for i in order[start:start + batch_size]]
-            losses, saved = batch_forward(
-                current, [src for src, _ in batch],
-                [_wrap_target(tgt) for _, tgt in batch], rng)
+            batch = _batch([train_pairs[i] for i in order[start:start + batch_size]])
+            losses, saved = batch_forward(current, *batch, rng)
             if not np.isfinite(losses).all():
                 raise RuntimeError("training diverged: non-finite loss")
             for loss in losses:

@@ -214,6 +214,55 @@ def test_encode_rejects_bad_ids_and_masks():
         nmt.encode(model, [4, 5], mask=[0.0, 0.0])
 
 
+_GOOD = ((4, 5), (4,))
+# Entry point: (side, where, call(model, enc, state, bad)) with the id bad on that side.
+_ID_ENTRY_POINTS = {
+    "encode": ("source", "", lambda m, enc, state, bad: nmt.encode(m, [4, bad])),
+    "decode_step": ("target", "", lambda m, enc, state, bad: nmt.decode_step(
+        m, state, bad, enc)),
+    "decode_step-rows": ("target", "", lambda m, enc, state, bad: nmt.decode_step(
+        m, nmt.DecoderState(np.stack([state.z] * 3), None), np.array([4, bad, 5]), enc)),
+    "sequence_loss-source": ("source", "", lambda m, enc, state, bad: nmt.sequence_loss(
+        m, [4, bad], [BOS_ID, 4, EOS_ID])),
+    "sequence_loss-target": ("target", "", lambda m, enc, state, bad: nmt.sequence_loss(
+        m, [4], [BOS_ID, bad, EOS_ID])),
+    "train_nmt-train-source": ("source", "train pair 1: ", lambda m, enc, state, bad:
+                               nmt.train_nmt(m, [_GOOD, ((4, bad), (4,))], [_GOOD], 1)),
+    "train_nmt-train-target": ("target", "train pair 1: ", lambda m, enc, state, bad:
+                               nmt.train_nmt(m, [_GOOD, ((4,), (bad, 4))], [_GOOD], 1)),
+    "train_nmt-dev-source": ("source", "dev pair 2: ", lambda m, enc, state, bad:
+                             nmt.train_nmt(m, [_GOOD], [_GOOD, _GOOD, ((bad,), ())], 1)),
+    "train_nmt-dev-target": ("target", "dev pair 0: ", lambda m, enc, state, bad:
+                             nmt.train_nmt(m, [_GOOD], [((4,), (4, bad))], 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ID_ENTRY_POINTS))
+def test_every_entry_point_checks_ids_by_one_rule(name):
+    config = tiny_config()
+    model = randomized_model(config)
+    enc = nmt.encode(model, [4, 5])
+    state = nmt.decoder_init(model, enc)
+    side, where, call = _ID_ENTRY_POINTS[name]
+    vocab = config.src_vocab_size if side == "source" else config.tgt_vocab_size
+    for bad in (-1, vocab):
+        message = "^%s%s id %d out of range \\[0, %d\\)$" % (where, side, bad, vocab)
+        with pytest.raises(ValueError, match=message):
+            call(model, enc, state, bad)
+
+
+def test_every_entry_point_rejects_an_empty_source():
+    model = randomized_model(tiny_config())
+    pairs = [((4,), (4,))]
+    for where, call in (
+            ("", lambda: nmt.encode(model, [])),
+            ("", lambda: nmt.sequence_loss(model, [], [BOS_ID, 4, EOS_ID])),
+            ("train pair 1: ", lambda: nmt.train_nmt(model, pairs + [((), (4,))], pairs, 1)),
+            ("dev pair 0: ", lambda: nmt.train_nmt(model, pairs, [((), ())], 1))):
+        with pytest.raises(ValueError, match="^%ssource sequence is empty$" % where):
+            call()
+
+
 # ------------------------------------------------------------------- loss
 
 def test_sequence_loss_matches_plain_numpy():
