@@ -336,7 +336,8 @@ def _add_io(sub, input_help="input file (default stdin)", output_required=False)
 
 def build_parser():
     parser = _Parser(prog="tarjama", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="override random seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override random seed, read only by `train` and `experiment`")
     parser.add_argument("--config", default=None,
                         help="pipeline config file, read only by `experiment`")
     loudness = parser.add_mutually_exclusive_group()
@@ -481,6 +482,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.config is not None and args.command != "experiment":
         parser.error("--config is read only by `experiment`")
+    if args.seed is not None and args.command not in ("train", "experiment"):
+        parser.error("--seed is read only by `train` and `experiment`")
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger("tarjama").setLevel(
         logging.ERROR if args.quiet else logging.INFO if args.verbose else logging.WARNING)

@@ -10,7 +10,6 @@ from .model import (
     encode,
     decoder_init,
     decode_step,
-    sequence_loss,
     save_model,
     load_model,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "encode",
     "decoder_init",
     "decode_step",
-    "sequence_loss",
     "save_model",
     "load_model",
     "AdadeltaState",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import BOS_ID, EOS_ID, PAD_ID, FormatError
+from ..corpus import PAD_ID, RESERVED, FormatError
 
 _MAGIC = "nmt-checkpoint"
 
@@ -57,8 +57,8 @@ class NmtConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1" % name)
-        # Ids 0..3 are reserved, so every vocabulary has at least 4 rows.
-        if self.src_vocab_size < 4 or self.tgt_vocab_size < 4:
+        # The reserved ids come first, so every vocabulary has that many rows.
+        if min(self.src_vocab_size, self.tgt_vocab_size) < len(RESERVED):
             raise ValueError("vocab sizes must be at least 4")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
@@ -590,24 +590,11 @@ def _check_ids(ids, vocab_size, side, where=""):
     return ids.astype(np.intp, copy=False)
 
 
-def encode(model, src_ids, mask=None):
-    """Annotation matrix for a source id sequence.
-
-    mask marks real positions with 1 and padding with 0: a padded
-    position carries the encoder state through, and the decoder start
-    state and attention see only real positions.
-    """
+def encode(model, src_ids):
+    """Annotation matrix for a source id sequence, which holds no padding:
+    the decoder start state and attention see every position."""
     src = _check_ids(src_ids, model.config.src_vocab_size, "source")
-    if mask is None:
-        mask = np.ones(len(src_ids))
-    else:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (len(src_ids),):
-            raise ValueError("mask length does not match source length")
-        if not np.isin(mask, (0.0, 1.0)).all():
-            raise ValueError("mask must hold only 0 and 1")
-        if mask.sum() == 0:
-            raise ValueError("mask leaves no live source position")
+    mask = np.ones(len(src))
     annotations, _ = _encode(model.params, model.config, src[:, None], mask[:, None],
                              keep=False)
     return _encoder_states(model.params, annotations[:, 0, :], mask)
@@ -648,31 +635,6 @@ def decode_step(model, state, y_prev, enc):
     if single:
         return DecoderState(z_new[0], alpha[0]), logp[0]
     return DecoderState(z_new, alpha), logp
-
-
-def _check_target(tgt_ids):
-    if len(tgt_ids) < 2 or tgt_ids[0] != BOS_ID or tgt_ids[-1] != EOS_ID:
-        raise ValueError(
-            "target must be wrapped in sentence markers and non-empty"
-        )
-
-
-def sequence_loss(model, src_ids, tgt_ids, dropout=False, rng=None):
-    """Teacher-forced negative log-likelihood plus the L2 penalty.
-
-    Returns (loss, grads) where grads maps every parameter name to the
-    gradient of the loss with respect to that tensor.
-    """
-    config = model.config
-    _check_ids(src_ids, config.src_vocab_size, "source")
-    _check_target(tgt_ids)
-    _check_ids(tgt_ids, config.tgt_vocab_size, "target")
-    if dropout and config.dropout_rate > 0.0 and rng is None:
-        raise ValueError("dropout needs an explicit rng")
-    losses, saved = batch_forward(model, [src_ids], [tgt_ids],
-                                  rng if dropout else None)
-    grads = batch_backward(saved)
-    return float(losses[0]) + l2_penalty(model, grads), grads
 
 
 def _layout(config):

@@ -17,7 +17,7 @@ from itertools import chain
 from . import corpus as corpus_io
 from .bleu import bleu
 from .bpe import apply_bpe, learn_bpe, undo_bpe, BpeModel
-from .corpus import MIN_VOCAB_SIZE, build_vocab, read_lines, write_lines
+from .corpus import MIN_VOCAB_SIZE, RESERVED, build_vocab, read_lines, write_lines
 from .nmt import NmtConfig, beam_decode, init_model, save_model, train_nmt
 from .normalize import (
     TruecaseModel,
@@ -122,7 +122,7 @@ class PipelineConfig:
                           ("tgt_vocab_max", MIN_VOCAB_SIZE)):
             if getattr(self, name) < low:
                 raise PipelineError("%s must be at least %d" % (name, low))
-        self.nmt_config(4, 4)  # NmtConfig checks the model's own fields
+        self.nmt_config(len(RESERVED), len(RESERVED))  # NmtConfig checks the model's own fields
 
     @classmethod
     def from_file(cls, path, **overrides):

