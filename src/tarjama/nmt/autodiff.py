@@ -26,9 +26,6 @@ class Var:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -78,14 +75,6 @@ def add(a, b):
         a.value + b.value,
         (a, b),
         lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
-    )
-
-
-def sub(a, b):
-    return Var(
-        a.value - b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)),
     )
 
 

@@ -20,7 +20,6 @@ import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
 from itertools import zip_longest
-from typing import NamedTuple
 
 import numpy as np
 
@@ -192,46 +191,39 @@ def init_model(config):
     return NmtModel(config, params)
 
 
-class StepWeights(NamedTuple):
-    """The decoder step's weights, stacked by rows into contiguous arrays and
-    transposed once per encode or batch, so that each step input x takes one
-    product `x @ w`.  Stacking leaves every product bit for bit as the
-    separate weights give."""
-
-    emb: np.ndarray  # (embed, attn + 3*dec): [att_Wy; dec_W[:, :embed]].T
-    emb_b: np.ndarray  # (attn + 3*dec,): [att_b; dec_b]
-    state: np.ndarray  # (dec, attn + 2*dec): [att_Wz; dec_Uz; dec_Ur].T
-    context: np.ndarray  # (2*enc_hidden, 3*dec): dec_W[:, embed:].T
-    cand: np.ndarray  # (dec, dec): dec_Uh.T
-    att_v: np.ndarray  # (attn,)
-
-
-def _step_weights(params):
-    W, b, U, Uh = params.gru["dec"]
-    e = params["tgt_emb"].shape[1]
-    return StepWeights(np.concatenate([params["att_Wy"], W[:, :e]]).T,
-                       np.concatenate([params["att_b"], b]),
-                       np.concatenate([params["att_Wz"], U]).T,
-                       W[:, e:].copy().T, Uh.T, params["att_v"])
-
-
 @dataclass
 class EncoderStates:
     """What the decoder reads of one source (S positions), or of a batch of
-    them with a leading (B,) axis: built by _encoder_states alone."""
+    them with a leading (B,) axis, and the decoder step's weights of the
+    model that encoded it: built by _encoder_states alone.
+
+    The weights are stacked by rows into contiguous arrays and transposed
+    once per encode or batch, so that each step input x takes one product
+    `x @ w`.  Stacking leaves every product bit for bit as the separate
+    weights give."""
 
     annotations: np.ndarray  # (..., S, 2*enc_hidden)
     mask: np.ndarray  # (..., S), 1.0 at real positions
     keys: np.ndarray  # (..., S, attn_hidden): annotations @ att_Wh.T
     mask_bias: np.ndarray  # (..., S): 0.0 at real positions, -inf at padding;
     # None when no position is padding
-    step: StepWeights  # the decoder step's weights, of the model that encoded
+    emb_w: np.ndarray  # (embed, attn + 3*dec): [att_Wy; dec_W[:, :embed]].T
+    emb_b: np.ndarray  # (attn + 3*dec,): [att_b; dec_b]
+    state_w: np.ndarray  # (dec, attn + 2*dec): [att_Wz; dec_Uz; dec_Ur].T
+    context_w: np.ndarray  # (2*enc_hidden, 3*dec): dec_W[:, embed:].T
+    cand_w: np.ndarray  # (dec, dec): dec_Uh.T
+    att_v: np.ndarray  # (attn,)
 
 
 def _encoder_states(params, annotations, mask):
     mask_bias = None if mask.all() else np.where(mask > 0, 0.0, -np.inf)
-    return EncoderStates(annotations, mask, annotations @ params["att_Wh"].T,
-                         mask_bias, _step_weights(params))
+    W, b, U, Uh = params.gru["dec"]
+    e = params["tgt_emb"].shape[1]
+    return EncoderStates(annotations, mask, annotations @ params["att_Wh"].T, mask_bias,
+                         np.concatenate([params["att_Wy"], W[:, :e]]).T,
+                         np.concatenate([params["att_b"], b]),
+                         np.concatenate([params["att_Wz"], U]).T,
+                         W[:, e:].copy().T, Uh.T, params["att_v"])
 
 
 @dataclass
@@ -325,17 +317,14 @@ def _encoder_layer(gru, x, m, keep=True):
     UT, UhT = U.swapaxes(1, 2), Uh.swapaxes(1, 2)
     xp = np.stack([x, x[::-1]], axis=1) @ W.swapaxes(1, 2) + b[:, None, :]
     live = None if m.all() else m > 0
-    steps, rows = x.shape[:2]
-    n = Uh.shape[-1]
-    h = np.zeros((steps + 1, 2, rows, n))  # h[k] is the state before step k
-    if keep:
-        c, rh, gates = (np.empty((steps, 2, rows, w * n)) for w in (1, 1, 2))
-    for k in range(steps):
-        h_new, *acts = _gru_step(xp[k], h[k], h[k] @ UT, UhT)
-        h[k + 1] = h_new if live is None else np.where(live[k], h_new, h[k])
+    h, acts = [np.zeros((2, x.shape[1], Uh.shape[-1]))], []
+    for k in range(len(x)):
+        h_new, *step = _gru_step(xp[k], h[k], h[k] @ UT, UhT)
+        h.append(h_new if live is None else np.where(live[k], h_new, h[k]))
         if keep:
-            gates[k], c[k], rh[k] = acts
-    return h[1:], (h[:-1], gates, c, rh) if keep else None
+            acts.append(step)
+    h = np.stack(h)  # h[k] enters step k, h[k + 1] leaves it
+    return h[1:], (h[:-1], *(np.stack(a) for a in zip(*acts))) if keep else None
 
 
 def _encoder_layer_grad(gru, x, m, saved, dout, grads):
@@ -382,12 +371,12 @@ def _init_state(params, annotations, mask):
     return z, weights, mean
 
 
-def _target_inputs(params, sw, y):
+def _target_inputs(params, enc, y):
     """Embeddings of target ids and their stacked projection y_in onto
     the attention query and the decoder gates (biases included)."""
     emb = params["tgt_emb"][y]
-    y_in = _matmul(emb, sw.emb)
-    y_in += sw.emb_b
+    y_in = _matmul(emb, enc.emb_w)
+    y_in += enc.emb_b
     return emb, y_in
 
 
@@ -400,7 +389,7 @@ def _attention_hidden(keys, query):
 def _attend(enc, query):
     """Context vectors and attention weights for queries; softmax over
     the positions where enc.mask_bias is 0, or over all with no mask_bias."""
-    alpha = _attention_hidden(enc.keys, query) @ enc.step.att_v
+    alpha = _attention_hidden(enc.keys, query) @ enc.att_v
     if enc.mask_bias is not None:
         alpha += enc.mask_bias
     alpha -= np.maximum.reduce(alpha, axis=-1, keepdims=True)
@@ -412,13 +401,13 @@ def _attend(enc, query):
 def _decoder_step(enc, z, y_in):
     """Attention over the EncoderStates enc, then the decoder GRU, for one
     target position given the projected target embeddings y_in."""
-    sw, a = enc.step, enc.keys.shape[-1]
-    zp = z.dot(sw.state)
+    a = enc.keys.shape[-1]
+    zp = z.dot(enc.state_w)
     query = zp[..., :a] + y_in[..., :a]
     context, alpha = _attend(enc, query)
-    xp = context.dot(sw.context)
+    xp = context.dot(enc.context_w)
     xp += y_in[..., a:]
-    z_new, gates, c, rh = _gru_step(xp, z, zp[..., a:], sw.cand)
+    z_new, gates, c, rh = _gru_step(xp, z, zp[..., a:], enc.cand_w)
     return z_new, (query, context, alpha, gates, c, rh)
 
 
@@ -455,34 +444,31 @@ def batch_forward(model, srcs, tgts, rng=None):
     enc = _encoder_states(params, np.ascontiguousarray(annotations.transpose(1, 0, 2)),
                           src_mask.T)
     z, weights, mean = _init_state(params, enc.annotations, enc.mask)
-    emb, y_in = _target_inputs(params, enc.step, tgt)
+    emb, y_in = _target_inputs(params, enc, tgt)
 
-    steps, rows = tgt.shape
-    z_prev = np.empty((steps, rows, config.dec_hidden))
-    z_out = np.empty_like(z_prev)
-    acts = []
-    for t in range(steps):
-        z_prev[t] = z
+    zs, acts = [z], []
+    for t in range(len(tgt)):
         z, step = _decoder_step(enc, z, y_in[t])
-        z_out[t] = z
+        zs.append(z)
         acts.append(step)
+    zs = np.stack(zs)  # zs[t] enters step t, zs[t + 1] leaves it
     query, context, alpha, gates, c, rh = (np.stack(a) for a in zip(*acts))
 
     drop = None
     if rng is not None and config.dropout_rate > 0.0:
         keep = 1.0 - config.dropout_rate
-        drop = np.zeros_like(z_out)
+        drop = np.zeros_like(zs[1:])
         for b, tgt_ids in enumerate(tgts):
             n = len(tgt_ids) - 1
             drop[:n, b] = (rng.random((n, config.dec_hidden)) >= config.dropout_rate) / keep
-    out_in = z_out if drop is None else z_out * drop
+    out_in = zs[1:] if drop is None else zs[1:] * drop
     logp = _output(params, out_in)
     picked = np.take_along_axis(logp, y_out[:, :, None], axis=2)[:, :, 0]
     losses = -(picked * tgt_mask).sum(axis=0)
     saved = dict(
         model=model, src=src, layers=layers, enc=enc, weights=weights,
-        mean=mean, z0=z_prev[0], tgt=tgt, tgt_mask=tgt_mask, y_out=y_out, emb=emb,
-        query=query, z_prev=z_prev, context=context, alpha=alpha,
+        mean=mean, tgt=tgt, tgt_mask=tgt_mask, y_out=y_out, emb=emb,
+        query=query, zs=zs, context=context, alpha=alpha,
         gates=gates, c=c, rh=rh, drop=drop, out_in=out_in, logp=logp,
     )
     return losses, saved
@@ -505,9 +491,9 @@ def batch_backward(saved):
     flat = dlogits.reshape(-1, vocab)
     np.matmul(flat.T, s["out_in"].reshape(-1, d), out=grads["out_W"])
     np.sum(flat, axis=0, out=grads["out_b"])
-    dz_out = dlogits @ params["out_W"]
+    dzs = dlogits @ params["out_W"]  # for zs[1:]
     if s["drop"] is not None:
-        dz_out *= s["drop"]
+        dzs *= s["drop"]
 
     # Decoder GRU and attention, back through time.  The attention
     # activations, (B, S, attn_hidden) per step, are recomputed here
@@ -520,7 +506,7 @@ def batch_backward(saved):
     dkeys = np.zeros_like(keys)
     dz = np.zeros((rows, d))
     for t in reversed(range(steps)):
-        dz, dpre[t] = _gru_step_grad(dz + dz_out[t], s["z_prev"][t], s["gates"][t],
+        dz, dpre[t] = _gru_step_grad(dz + dzs[t], s["zs"][t], s["gates"][t],
                                      s["c"][t], s["rh"][t], U, Uh)
         dcontext[t] = dpre[t] @ W[:, e:]
         dalpha = (annotations @ dcontext[t][:, :, None])[:, :, 0]
@@ -535,9 +521,9 @@ def batch_backward(saved):
     dec_in = np.concatenate([s["emb"], s["context"]], axis=2)
     _gru_param_grads(grads.gru["dec"], dpre.reshape(-1, 3 * d),
                      dec_in.reshape(steps * rows, -1),
-                     s["z_prev"].reshape(-1, d), s["rh"].reshape(-1, d))
+                     s["zs"][:-1].reshape(-1, d), s["rh"].reshape(-1, d))
     flat_q = dquery.reshape(-1, config.attn_hidden)
-    np.matmul(flat_q.T, s["z_prev"].reshape(-1, d), out=grads["att_Wz"])
+    np.matmul(flat_q.T, s["zs"][:-1].reshape(-1, d), out=grads["att_Wz"])
     np.matmul(flat_q.T, s["emb"].reshape(-1, e), out=grads["att_Wy"])
     np.sum(flat_q, axis=0, out=grads["att_b"])
     dkeys *= params["att_v"]
@@ -549,7 +535,7 @@ def batch_backward(saved):
     np.add.at(grads["tgt_emb"], s["tgt"], demb)
 
     # Initial state from the mean annotation.
-    dinit = dz * (1.0 - s["z0"] * s["z0"])
+    dinit = dz * (1.0 - s["zs"][0] * s["zs"][0])
     np.matmul(dinit.T, s["mean"], out=grads["init_W"])
     np.sum(dinit, axis=0, out=grads["init_b"])
     dann += s["weights"][:, :, None] * (dinit @ params["init_W"])[:, None, :]
@@ -611,7 +597,7 @@ def _advance(params, enc, z, y):
     they consume: the new rows, their log-probabilities (k, V) and their
     attention weights.  The searches call it on the ids they produced;
     decode_step checks its input first."""
-    _, y_in = _target_inputs(params, enc.step, y)
+    _, y_in = _target_inputs(params, enc, y)
     z, acts = _decoder_step(enc, z, y_in)
     return z, _output(params, z), acts[2]
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 
+from _sre import MAXREPEAT
+
 from .corpus import FormatError, read_lines, read_table, write_lines
 
 log = logging.getLogger(__name__)
@@ -80,6 +82,8 @@ class CliticInventory:
                 raise ValueError(f"enclitic {e!r} must be a bare suffix string")
         if self.min_stem_len < 1:
             raise ValueError("min_stem_len must be positive")
+        if self.min_stem_len >= MAXREPEAT:  # the most a regex repeat can count
+            raise ValueError("min_stem_len must be below %d" % MAXREPEAT)
 
     # Derived once per (frozen) inventory.
     @cached_property

@@ -652,19 +652,24 @@ def test_translate_with_a_missing_vocab_file_exits_two(tmp_path):
     (["lm-score", "--model", "{arpa}", "--set", "{empty}"], 2, "no sentences to score"),
     (["bleu", "{empty}", "--ref", "{text}"], 2, "hypothesis corpus is empty"),
     (["translate", "{text}", "--model", "{short}"], 2, "{short}: truncated checkpoint"),
+    (["translate", "{text}", "--model", "{cut}"], 2, "{cut}: truncated checkpoint header"),
     (["translate", "{text}", "--model", "{other}"], 2, "{other}: not a model checkpoint"),
     # The checkpoint was saved without vocab_files.
     (["translate", "{text}", "--model", "{ckpt}"], 1, "checkpoint names no vocabulary files"),
 ], ids=["bpe-learn-empty", "lm-score-empty-set", "bleu-empty-hypotheses",
-        "translate-3-byte-checkpoint", "translate-other-format", "translate-no-vocab-files"])
+        "translate-3-byte-checkpoint", "translate-cut-header", "translate-other-format",
+        "translate-no-vocab-files"])
 def test_empty_input_or_unusable_checkpoint_exits_by_contract(tmp_path, caplog, capsys,
                                                               model_file_inputs, argv, code,
                                                               message):
-    paths = {name: str(tmp_path / name) for name in ("empty", "out", "arpa", "short", "other")}
+    paths = {name: str(tmp_path / name)
+             for name in ("empty", "out", "arpa", "short", "cut", "other")}
     paths.update(text=model_file_inputs["text"], ckpt=model_file_inputs["ckpt"])
     write(tmp_path / "empty", [])
     lm_write_arpa(lm_train([["a", "b"]], 2), paths["arpa"])
     (tmp_path / "short").write_bytes(b"\0\0\0")
+    # The prefix promises 15 header bytes, and 10 follow.
+    (tmp_path / "cut").write_bytes(struct.pack("<Q", 15) + b"{" * 10)
     header = json.dumps({"format": "something-else"}).encode("utf-8")
     (tmp_path / "other").write_bytes(struct.pack("<Q", len(header)) + header)
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -850,6 +855,9 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
      "min_stem_len must be positive"),
     ("detokenize", ["--lexicon", "/nonexistent/lex.txt", "--min-stem", "0"],
      "min_stem_len must be positive"),
+    # The clitic pattern cannot repeat a letter class this often.
+    ("segment", ["--min-stem", "4294967295"], "min_stem_len must be below 4294967295"),
+    ("detokenize", ["--min-stem", "4294967295"], "min_stem_len must be below 4294967295"),
 ], ids=["train-l2-nan", "train-l2-inf", "train-embed-dim-0", "train-patience-0",
         "train-seed-minus-1", "train-max-vocab-4",
         "experiment-l2-nan", "experiment-beam-0", "experiment-max-decode-len-0",
@@ -857,7 +865,8 @@ def test_train_with_only_empty_sources_exits_two(tmp_path):
         "experiment-seed-flag-minus-1", "experiment-bpe-size-2",
         "experiment-src-vocab-max-3", "translate-beam-0", "translate-max-len-0",
         "detokenize-min-stem-0", "detokenize-missing-clitics",
-        "detokenize-missing-clitics-min-stem-0", "detokenize-missing-lexicon-min-stem-0"])
+        "detokenize-missing-clitics-min-stem-0", "detokenize-missing-lexicon-min-stem-0",
+        "segment-min-stem-past-repeat-limit", "detokenize-min-stem-past-repeat-limit"])
 def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_file_inputs,
                                                      command, setting, message):
     if command == "train":
@@ -876,10 +885,10 @@ def test_bad_setting_exits_one_before_writing_a_file(tmp_path, caplog, model_fil
         argv = ["experiment", "--config", config, "--out-dir", str(out)] + [
             s for s in setting if "=" not in s]
         outputs = [out]
-    elif command == "detokenize":
+    elif command in ("segment", "detokenize"):
         text, out = tmp_path / "in.txt", tmp_path / "out.txt"
         write(text, ["و+ قيل"])
-        argv = ["detokenize", str(text), "-o", str(out)] + setting
+        argv = [command, str(text), "-o", str(out)] + setting
         outputs = [out]
     else:
         text, out = tmp_path / "in.txt", tmp_path / "out.txt"

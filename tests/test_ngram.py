@@ -505,6 +505,10 @@ def test_arpa_parser_rejects_malformed_files(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ArpaError, match="end"):
         lm_read_arpa(str(path))
+    for text in ("\\data\\\n\n\\1-grams:\n", "\\data\\\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape(str(path)) + ":1: no ngram counts declared"):
+            lm_read_arpa(str(path))
 
 
 def test_read_arpa_names_file_with_undecodable_bytes(tmp_path):

@@ -635,6 +635,8 @@ def test_train_validation_errors():
         nmt.train_nmt(model, [((99,), (4,))], pairs, epochs=1)
     with pytest.raises(ValueError):
         nmt.train_nmt(model, pairs, pairs, epochs=-1)
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        nmt.train_nmt(model, pairs, pairs, epochs=1, batch_size=0)
     for patience in (0, -1):
         with pytest.raises(ValueError, match="patience must be at least 1"):
             nmt.train_nmt(model, pairs, pairs, epochs=1, patience=patience)

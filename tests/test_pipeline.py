@@ -234,6 +234,8 @@ def test_postprocess_missing_artifact_is_an_error():
                             arabic_norm=True, arabic_atb=True)
     with pytest.raises(PipelineError, match="detokenization"):
         run_postprocess(config, [["و+", "كتاب"]], PipelineArtifacts())
+    with pytest.raises(PipelineError, match="artifact missing: truecase model"):
+        run_postprocess(PipelineConfig(english_true=True), [["a"]], PipelineArtifacts())
 
 
 def test_artifacts_save_and_load_round_trip(tmp_path):
